@@ -106,7 +106,7 @@ def cmd_preprocess(args):
     dups = _check_duplicates(M, args)
     out = _out_dir(args)
     res = prep.preprocess(M, epsilon=args.epsilon, alpha=args.alpha,
-                          rescale=args.rescale, workers=args.workers)
+                          rescale=args.rescale)
     matio.write_csv(out / "P_eps_M.csv", res.P_alpha_M)
     matio.write_csv(out / "B_star.csv", res.B_star)
     report = {
@@ -147,7 +147,7 @@ def cmd_factorize(args):
         for eps in (args.epsilon if method != "nmf" else [0.0]):
             name = method.replace("-", "_")
             kwargs = dict(seeds=seeds, max_outer=args.max_outer,
-                          zero_tol=args.zero_tol, workers=args.workers)
+                          zero_tol=args.zero_tol)
             if method == "pre-nmf":
                 rep = nmf.run_pipeline(M, args.rank, "pre_nmf", epsilon=eps,
                                        alpha=args.alpha_value, **kwargs)
@@ -303,7 +303,6 @@ def build_parser():
     p.add_argument("--rescale", action="store_true",
                    help="rescale preprocessed columns to the input norms")
     p.add_argument("--allow-duplicates", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 
@@ -320,7 +319,6 @@ def build_parser():
     p.add_argument("--max-outer", type=int, default=1000)
     p.add_argument("--snmf-target", type=float, default=None)
     p.add_argument("--allow-duplicates", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--pgm-shape", nargs=2, type=int, default=None,
                    metavar=("H", "W"),
                    help="dump each basis column as an HxW PGM image")

@@ -20,7 +20,6 @@ and cycle-free under degeneracy.
 
 import numpy as np
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import scipy.optimize
 
@@ -417,15 +416,13 @@ def kkt_check(p: CllsProblem, b, feas_tol=FEAS_TOL):
     return max(stationarity, comp)
 
 
-def preprocess_matrix(M, epsilon=0.0, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL,
-                      workers=1):
+def preprocess_matrix(M, epsilon=0.0, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL):
     """Solve all n column problems and assemble B*.
 
     B* is nonnegative with zero diagonal; column i of B* is the coefficient
     vector of column i's problem.  The fitted matrix M @ B* is unique even
     when B* is not.  Per-column failures are re-raised with the failing
-    column index attached.  ``workers > 1`` solves columns in parallel
-    (the column problems are independent and the solves are pure).
+    column index attached.
 
     Returns (B_star, solutions).
     """
@@ -439,21 +436,17 @@ def preprocess_matrix(M, epsilon=0.0, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL,
         except SolverError as exc:
             raise type(exc)(f"column {i}: {exc}") from exc
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(solve_one, range(n)))
-    else:
-        sols = [solve_one(i) for i in range(n)]
+    sols = [solve_one(i) for i in range(n)]
 
     B = np.column_stack([s.b for s in sols])
     return B, sols
 
 
-def nnls_columns(U, M, kkt_tol=KKT_TOL, max_iter=None):
+def nnls_columns(U, M, max_iter=None):
     """Columnwise nonnegative least squares:  argmin_{V >= 0} ||M - U V||_F^2.
 
-    Reuses the active-set kernel with no slack constraints; each column of V
-    solves its own problem to KKT residual <= kkt_tol.
+    Reuses the active-set kernel with no slack constraints, one column of V
+    at a time.
     """
     U = as_matrix(U, "U")
     M = as_matrix(M, "M")

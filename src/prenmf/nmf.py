@@ -5,6 +5,9 @@ Implements the accelerated hierarchical-ALS block coordinate descent
 sweeps per block), its l1-penalized sparse variant with unit-max column
 normalization, nonnegative refits against the original matrix, and the
 fixed-support polish used to compare sparsity patterns across methods.
+The three engines (``ahals``, ``snmf`` and the polish) share one outer
+loop, ``_hals``, and differ only in its l1 weights, support mask and stop
+rule.
 """
 
 import time
@@ -32,6 +35,12 @@ __all__ = [
 ]
 
 ZERO_SNAP = 1e-16  # entries below this snap to exact zeros (clean supports)
+ACCEL = 0.5        # inner-sweep cap factor of one HALS block update
+EPS_STOP = 0.1     # inner sweeps stop below this fraction of the first move
+STALL_TOL = 1e-12  # ahals stops below this relative outer improvement
+MU_PROBES = 20     # tune_mu's budget of sparse probe runs
+MU_WINDOW = 0.02   # tune_mu accepts a probe this close to the target
+POLISH_ITERS = 100  # outer iterations of the fixed-support polish
 
 
 class RankTooLargeWarning(UserWarning):
@@ -107,16 +116,16 @@ def _sweep_columns(W, G, P, mu=None, mask=None):
     return W
 
 
-def _update_block(W, G, P, n_other, mu=None, mask=None, accel=0.5, eps_stop=0.1):
+def _update_block(W, G, P, n_other, mu=None, mask=None):
     """Repeated HALS sweeps on one factor block.
 
     The number of inner sweeps is capped by the cost ratio of the block
-    update to the precomputations (at most 1 + floor(accel * mn / (r(m+n)))),
-    and sweeps stop early once the iterate moves less than ``eps_stop``
+    update to the precomputations (at most 1 + floor(ACCEL * mn / (r(m+n)))),
+    and sweeps stop early once the iterate moves less than ``EPS_STOP``
     times the first sweep's movement.
     """
     m, r = W.shape
-    cap = 1 + int(accel * (m * n_other) / (r * (m + n_other)))
+    cap = 1 + int(ACCEL * (m * n_other) / (r * (m + n_other)))
     first = None
     for it in range(cap):
         W_prev = W.copy()
@@ -124,9 +133,53 @@ def _update_block(W, G, P, n_other, mu=None, mask=None, accel=0.5, eps_stop=0.1)
         change = np.linalg.norm(W - W_prev)
         if it == 0:
             first = change
-        elif change <= eps_stop * first:
+        elif change <= EPS_STOP * first:
             break
     return W
+
+
+def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
+    """Outer loop shared by every engine: alternate U's and V's blocks.
+
+    Updates U and V in place.  ``mu`` adds the l1 penalty on U's columns,
+    renormalizes them to unit max after each U block (V's rows take the
+    compensating scale, a collapsed column is reseeded) and adds the
+    penalty to the recorded objective.  ``mask`` freezes U's zero pattern.
+    ``stall`` stops once an outer iteration improves the objective by less
+    than STALL_TOL relatively.
+
+    Returns (iterations, objective history, collapses).
+    """
+    m, n = M.shape
+    Mt = M.T
+    Vt = V.T
+    history = []
+    collapses = 0
+    obj_prev = np.inf
+    it = 0
+    for it in range(1, max_outer + 1):
+        _update_block(U, V @ Vt, M @ Vt, n, mu=mu, mask=mask)
+        if mu is not None:
+            # Renormalize: ||U[:, j]||_inf = 1, V rows compensate.
+            for j in range(U.shape[1]):
+                c = U[:, j].max()
+                if c <= 0.0:
+                    U[:, j] = _reseed_column(M, U, V, j)
+                    V[j, :] = 0.0
+                    collapses += 1
+                    continue
+                U[:, j] /= c
+                V[j, :] *= c
+        _update_block(Vt, U.T @ U, Mt @ U, m)
+        obj = np.linalg.norm(M - U @ V) ** 2
+        if mu is not None:
+            obj += np.sum(mu * np.abs(U).sum(axis=0))
+        history.append(float(obj))
+        if (stall and it > 1
+                and obj_prev - obj <= STALL_TOL * max(obj_prev, 1e-300)):
+            break
+        obj_prev = obj
+    return it, history, collapses
 
 
 def _init_factors(M, r, seed):
@@ -137,14 +190,13 @@ def _init_factors(M, r, seed):
     return U, V
 
 
-def ahals(M, r, seed=0, max_outer=1000, accel=0.5, eps_stop=0.1,
-          stall_tol=1e-12, zero_tol=1e-8):
+def ahals(M, r, seed=0, max_outer=1000, zero_tol=1e-8):
     """Accelerated HALS factorization  M ~= U V  with U, V >= 0.
 
     Works on any real matrix (negative entries simply keep the clipped
     updates at zero); the objective is nonincreasing across outer
     iterations.  Stops early when an outer iteration improves the objective
-    by less than ``stall_tol`` relatively.
+    by less than ``STALL_TOL`` relatively.
     """
     M = as_matrix(M, "M")
     m, n = M.shape
@@ -154,22 +206,7 @@ def ahals(M, r, seed=0, max_outer=1000, accel=0.5, eps_stop=0.1,
         warnings.warn(f"rank {r} exceeds min(m, n) = {min(m, n)}",
                       RankTooLargeWarning)
     U, V = _init_factors(M, r, seed)
-    Mt = M.T
-    history = []
-    obj_prev = np.inf
-    it = 0
-    for it in range(1, max_outer + 1):
-        Vt = V.T
-        _update_block(U, V @ Vt, M @ Vt, n, accel=accel, eps_stop=eps_stop)
-        Ut = U.T
-        Vt_arr = V.T
-        _update_block(Vt_arr, Ut @ U, Mt @ U, m, accel=accel, eps_stop=eps_stop)
-        V = Vt_arr.T
-        obj = float(np.linalg.norm(M - U @ V) ** 2)
-        history.append(obj)
-        if obj_prev - obj <= stall_tol * max(obj_prev, 1e-300) and it > 1:
-            break
-        obj_prev = obj
+    it, history, _ = _hals(M, U, V, max_outer, stall=True)
     return _make_pair(M, U, V, seed, it, history, zero_tol)
 
 
@@ -185,35 +222,11 @@ def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
     M = as_matrix(M, "M")
     if M.min() < 0:
         raise ValueError("sparse variant expects a nonnegative matrix")
-    m, n = M.shape
     mu = np.broadcast_to(cfg.mu, (r,)).astype(float)
     U, V = _init_factors(M, r, cfg.seed)
     # Unit-max columns from the start so the penalty is comparable.
     U /= np.maximum(U.max(axis=0), ZERO_SNAP)
-    Mt = M.T
-    history = []
-    collapses = 0
-    it = 0
-    for it in range(1, cfg.max_outer + 1):
-        Vt = V.T
-        _update_block(U, V @ Vt, M @ Vt, n, mu=mu)
-        # Renormalize: ||U[:, j]||_inf = 1, V rows compensate.
-        for j in range(r):
-            c = U[:, j].max()
-            if c <= 0.0:
-                U[:, j] = _reseed_column(M, U, V, j)
-                V[j, :] = 0.0
-                collapses += 1
-                continue
-            U[:, j] /= c
-            V[j, :] *= c
-        Ut = U.T
-        Vt_arr = V.T
-        _update_block(Vt_arr, Ut @ U, Mt @ U, m, accel=0.5)
-        V = Vt_arr.T
-        obj = float(np.linalg.norm(M - U @ V) ** 2
-                    + np.sum(mu * np.abs(U).sum(axis=0)))
-        history.append(obj)
+    it, history, collapses = _hals(M, U, V, cfg.max_outer, mu=mu)
     pair = _make_pair(M, U, V, cfg.seed, it, history, zero_tol)
     pair.collapses = collapses
     return pair
@@ -235,8 +248,7 @@ def _reseed_column(M, U, V, j):
     return u
 
 
-def tune_mu(M, r, target_s_u, seed=0, max_outer=300, max_probes=20,
-            window=0.02, zero_tol=1e-8):
+def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
     """Uniform l1 weight matching a requested sparsity of U.
 
     Log-scale bisection on mu; each probe is one single-seed sparse run.
@@ -265,9 +277,9 @@ def tune_mu(M, r, target_s_u, seed=0, max_outer=300, max_probes=20,
             best = (gap, mu, s)
     # Sparsity is (noisily) nondecreasing in mu; bisect while the window
     # brackets the target, otherwise the nearer endpoint already won.
-    if s_lo - window <= target_s_u <= s_hi + window:
+    if s_lo - MU_WINDOW <= target_s_u <= s_hi + MU_WINDOW:
         llo, lhi = np.log10(lo), np.log10(hi)
-        while probes < max_probes and best[0] > window:
+        while probes < MU_PROBES and best[0] > MU_WINDOW:
             lmid = 0.5 * (llo + lhi)
             s_mid = probe(10.0 ** lmid)
             probes += 1
@@ -317,8 +329,7 @@ def v_from_q(Vp, B_star, alpha=1.0, rho=None):
     return V
 
 
-def postprocess_fixed_support(M, U, V, extra_iters=100, zero_tol=1e-8,
-                              seed=0):
+def postprocess_fixed_support(M, U, V, zero_tol=1e-8, seed=0):
     """Re-optimize the error with the zero pattern of U frozen.
 
     Methods that do not directly minimize the plain error (the sparse and
@@ -331,17 +342,9 @@ def postprocess_fixed_support(M, U, V, extra_iters=100, zero_tol=1e-8,
     V = as_matrix(V, "V").copy()
     mask = (U > zero_tol * np.abs(U).max()).astype(float)
     U *= mask
-    Mt = M.T
-    history = [float(np.linalg.norm(M - U @ V) ** 2)]
-    for _ in range(extra_iters):
-        Vt = V.T
-        _update_block(U, V @ Vt, M @ Vt, M.shape[1], mask=mask)
-        Ut = U.T
-        Vt_arr = V.T
-        _update_block(Vt_arr, Ut @ U, Mt @ U, M.shape[0])
-        V = Vt_arr.T
-        history.append(float(np.linalg.norm(M - U @ V) ** 2))
-    return _make_pair(M, U, V, seed, extra_iters, history, zero_tol)
+    start = float(np.linalg.norm(M - U @ V) ** 2)
+    it, history, _ = _hals(M, U, V, POLISH_ITERS, mask=mask)
+    return _make_pair(M, U, V, seed, it, [start] + history, zero_tol)
 
 
 @dataclass
@@ -353,21 +356,20 @@ class PipelineReport:
     alpha: float
     rel_error_plain: float
     rel_error_improved: float
-    rel_error_vq: float | None
     s_U: float
     s_V: float
-    rho_B_star: float | None
     seeds: tuple
     best_seed: int
     wall_time: float
     U: np.ndarray = field(repr=False, default=None)
     V: np.ndarray = field(repr=False, default=None)
+    rel_error_vq: float | None = None
+    rho_B_star: float | None = None
     mu: np.ndarray | None = field(repr=False, default=None)
 
 
 def run_pipeline(M, r, method="nmf", seeds=range(10), max_outer=1000,
-                 epsilon=0.0, alpha=1.0, snmf_target=None, zero_tol=1e-8,
-                 workers=1):
+                 epsilon=0.0, alpha=1.0, snmf_target=None, zero_tol=1e-8):
     """Best-of-seeds comparison run for one method.
 
     method 'nmf':      plain factorization of M.
@@ -387,24 +389,16 @@ def run_pipeline(M, r, method="nmf", seeds=range(10), max_outer=1000,
     if not seeds:
         raise ValueError("need at least one seed")
     t0 = time.perf_counter()
+    extra = {}
 
     if method == "nmf":
         runs = [ahals(M, r, seed=s, max_outer=max_outer, zero_tol=zero_tol)
                 for s in seeds]
         best = min(runs, key=lambda p: p.rel_error)
-        improved = postprocess_fixed_support(M, best.U, best.V,
-                                             zero_tol=zero_tol, seed=best.seed)
-        return PipelineReport(
-            method="nmf", epsilon=0.0, alpha=0.0,
-            rel_error_plain=best.rel_error,
-            rel_error_improved=improved.rel_error, rel_error_vq=None,
-            s_U=best.s_U, s_V=best.s_V, rho_B_star=None, seeds=seeds,
-            best_seed=best.seed, wall_time=time.perf_counter() - t0,
-            U=best.U, V=best.V)
-
-    if method == "pre_nmf":
-        prep = _pre.preprocess(M, epsilon=epsilon, alpha=alpha, rescale=True,
-                               workers=workers)
+        V, plain = best.V, best.rel_error
+        epsilon = alpha = 0.0
+    elif method == "pre_nmf":
+        prep = _pre.preprocess(M, epsilon=epsilon, alpha=alpha, rescale=True)
         X = prep.P_alpha_M
         runs = [ahals(X, r, seed=s, max_outer=max_outer, zero_tol=zero_tol)
                 for s in seeds]
@@ -414,24 +408,15 @@ def run_pipeline(M, r, method="nmf", seeds=range(10), max_outer=1000,
         refits = [refit_v(M, p.U) for p in runs]
         errors = [_rel_error(M, p.U, Vf) for p, Vf in zip(runs, refits)]
         ibest = int(np.argmin(errors))
-        best, V_fit, plain = runs[ibest], refits[ibest], errors[ibest]
+        best, V, plain = runs[ibest], refits[ibest], errors[ibest]
         try:
             Vq = v_from_q(best.V / prep.rescale[None, :], prep.B_star,
                           alpha=alpha, rho=prep.rho)
-            err_vq = _rel_error(M, best.U, Vq)
+            extra["rel_error_vq"] = _rel_error(M, best.U, Vq)
         except SingularQ:
-            err_vq = None
-        improved = postprocess_fixed_support(M, best.U, V_fit,
-                                             zero_tol=zero_tol, seed=best.seed)
-        return PipelineReport(
-            method="pre_nmf", epsilon=epsilon, alpha=alpha,
-            rel_error_plain=plain,
-            rel_error_improved=improved.rel_error, rel_error_vq=err_vq,
-            s_U=sparsity(best.U, zero_tol), s_V=sparsity(V_fit, zero_tol),
-            rho_B_star=prep.rho, seeds=seeds, best_seed=best.seed,
-            wall_time=time.perf_counter() - t0, U=best.U, V=V_fit)
-
-    if method == "snmf":
+            pass
+        extra["rho_B_star"] = prep.rho
+    elif method == "snmf":
         if snmf_target is None:
             raise ValueError("snmf needs a target sparsity (snmf_target)")
         cfg = tune_mu(M, r, snmf_target, seed=seeds[0], max_outer=max_outer,
@@ -441,14 +426,17 @@ def run_pipeline(M, r, method="nmf", seeds=range(10), max_outer=1000,
             c = SnmfConfig(mu=cfg.mu, max_outer=max_outer, seed=s)
             runs.append(snmf(M, r, c, zero_tol=zero_tol))
         best = min(runs, key=lambda p: p.objective_history[-1])
-        improved = postprocess_fixed_support(M, best.U, best.V,
-                                             zero_tol=zero_tol, seed=best.seed)
-        return PipelineReport(
-            method="snmf", epsilon=epsilon, alpha=0.0,
-            rel_error_plain=best.rel_error,
-            rel_error_improved=improved.rel_error, rel_error_vq=None,
-            s_U=best.s_U, s_V=best.s_V, rho_B_star=None, seeds=seeds,
-            best_seed=best.seed, wall_time=time.perf_counter() - t0,
-            U=best.U, V=best.V, mu=cfg.mu)
+        V, plain = best.V, best.rel_error
+        alpha = 0.0
+        extra["mu"] = cfg.mu
+    else:
+        raise ValueError(f"unknown method {method!r}")
 
-    raise ValueError(f"unknown method {method!r}")
+    improved = postprocess_fixed_support(M, best.U, V, zero_tol=zero_tol,
+                                         seed=best.seed)
+    return PipelineReport(
+        method=method, epsilon=epsilon, alpha=alpha, rel_error_plain=plain,
+        rel_error_improved=improved.rel_error,
+        s_U=sparsity(best.U, zero_tol), s_V=sparsity(V, zero_tol),
+        seeds=seeds, best_seed=best.seed, wall_time=time.perf_counter() - t0,
+        U=best.U, V=V, **extra)

@@ -195,12 +195,12 @@ def find_alpha_bar(M, B_star=None, tol_alpha=1e-4, max_bisect=40, refine=False):
     return lo
 
 
-def preprocess(M, epsilon=0.0, alpha=1.0, rescale=False, workers=1,
+def preprocess(M, epsilon=0.0, alpha=1.0, rescale=False,
                feas_tol=cllsolve.FEAS_TOL, kkt_tol=cllsolve.KKT_TOL):
     """Run the full preprocessing and collect the verification record."""
     M = as_matrix(M, "M")
     B_star, sols = cllsolve.preprocess_matrix(
-        M, epsilon=epsilon, feas_tol=feas_tol, kkt_tol=kkt_tol, workers=workers)
+        M, epsilon=epsilon, feas_tol=feas_tol, kkt_tol=kkt_tol)
     P = apply_alpha(M, B_star, alpha)
     rho = spectral_radius(B_star)
     diag = None

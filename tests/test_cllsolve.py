@@ -142,12 +142,6 @@ class TestPreprocessMatrix:
         np.testing.assert_allclose(B, 0.0, atol=1e-12)
         np.testing.assert_allclose(M - M @ B, M, atol=1e-12)
 
-    def test_parallel_workers_match(self, rng):
-        M = random_nonneg(rng, 8, 6)
-        B1, _ = preprocess_matrix(M, workers=1)
-        B4, _ = preprocess_matrix(M, workers=4)
-        np.testing.assert_array_equal(B1, B4)
-
     def test_feasibility_margin(self, rng):
         for _ in range(5):
             M = random_nonneg(rng, 7, 5)

@@ -19,6 +19,9 @@ class TestAhals:
     def test_identity_recovery(self):
         pair = nmf.ahals(np.eye(3), 3, seed=0, max_outer=500)
         assert pair.rel_error <= 1e-8
+        # The stall rule stops the run well before the cap.
+        assert pair.iterations < 500
+        assert len(pair.objective_history) == pair.iterations
 
     def test_exact_rank2_recovery(self, rng):
         W = rng.random((12, 2))
@@ -75,6 +78,9 @@ class TestSnmf:
         cfg = nmf.SnmfConfig(mu=np.full(4, 10 * M.max() * m), max_outer=150,
                              seed=0)
         pair = nmf.snmf(M, 4, cfg)
+        # Reseeded columns flatten the objective, yet no stall stop fires.
+        assert pair.collapses > 0
+        assert pair.iterations == 150
         assert pair.s_U >= 0.9 * (1.0 - 1.0 / m)
         np.testing.assert_allclose(pair.U.max(axis=0), 1.0, atol=1e-12)
 
@@ -88,6 +94,8 @@ class TestSnmf:
         M = rng.random((10, 10))
         cfg = nmf.SnmfConfig(mu=np.full(3, 0.01), max_outer=37, seed=0)
         pair = nmf.snmf(M, 3, cfg)
+        # The sparse variant has no stall stop: it runs every outer sweep.
+        assert pair.iterations == 37
         np.testing.assert_allclose(pair.U.max(axis=0), 1.0, atol=1e-12)
 
     def test_penalized_objective_monotone_without_collapses(self, rng):
@@ -214,6 +222,8 @@ class TestPostprocess:
         pair = nmf.ahals(M, 3, seed=1, max_outer=50)
         out = nmf.postprocess_fixed_support(M, pair.U, pair.V)
         assert out.rel_error <= pair.rel_error + 1e-12
+        # The starting objective leads the history of every outer iteration.
+        assert len(out.objective_history) == out.iterations + 1 == 101
         assert np.all(np.diff(out.objective_history)
                       <= 1e-10 * out.objective_history[0])
 
