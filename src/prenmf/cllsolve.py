@@ -7,8 +7,9 @@ Each column i of a data matrix M defines one problem
 
 The solution subtracts from a column the best nonnegative combination of the
 other columns that keeps the (relaxed) result nonnegative; the residual
-column is the preprocessed column.  Problems for different i are independent
-and may be solved in parallel.
+column is the preprocessed column.  Problems for different i are independent;
+they are solved one after the other, because the solver's Python loop holds
+the interpreter lock and threads would only add overhead.
 
 The solver is a primal active-set method on the quadratic program in b.
 Problems here are small and dense (n up to about a thousand), and the exact
@@ -138,7 +139,7 @@ def _solve_eq_qp(CtC, Ctd, A_eq, h_eq, reg):
     return sol[:nf], sol[nf:]
 
 
-def _active_set_ls(C, d, G, h, feas_tol, max_iter, tie_order=None):
+def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
     """Primal active-set method for min ||C x - d||^2, x >= 0, G x <= h.
 
     G may be None (plain nonnegative least squares).  Starts from x = 0 with
@@ -152,7 +153,7 @@ def _active_set_ls(C, d, G, h, feas_tol, max_iter, tie_order=None):
     m, n = C.shape
     p = 0 if G is None else G.shape[0]
     scale_h = 1.0 if p == 0 else max(1.0, float(np.abs(h).max()))
-    if p and np.min(h) < -feas_tol * scale_h:
+    if p and np.min(h) < -FEAS_TOL * scale_h:
         raise Infeasible("slack bound has negative entries; x = 0 is not feasible")
 
     if tie_order is None:
@@ -164,6 +165,7 @@ def _active_set_ls(C, d, G, h, feas_tol, max_iter, tie_order=None):
     CtC = C.T @ C
     Ctd = C.T @ d
     reg = 1e-12 * (np.trace(CtC) / max(n, 1) + 1.0)
+    row_scale = np.maximum(1.0, np.abs(G).max(axis=1)) if p else None
 
     x = np.zeros(n)
     act_bound = np.ones(n, dtype=bool)   # x_k = 0 held
@@ -175,7 +177,7 @@ def _active_set_ls(C, d, G, h, feas_tol, max_iter, tie_order=None):
     # immediately re-blocks at a zero step is excluded until real progress;
     # after a long zero-progress stretch every drop is excluded eagerly so
     # the loop must terminate.
-    taboo = set()
+    taboo = np.zeros(n + p, dtype=bool)
     pending = None
     stall = 0
     aggressive = False
@@ -193,36 +195,31 @@ def _active_set_ls(C, d, G, h, feas_tol, max_iter, tie_order=None):
             x_new = np.zeros(n)
             nu = np.zeros(ne)
         else:
-            A_eq = G[np.ix_(rows, free)] if ne else np.zeros((0, nf))
+            A_eq = G[rows][:, free] if ne else np.zeros((0, nf))
             h_eq = h[rows] if ne else np.zeros(0)
-            xf, nu = _solve_eq_qp(CtC[np.ix_(free, free)], Ctd[free], A_eq, h_eq, reg)
+            xf, nu = _solve_eq_qp(CtC[free][:, free], Ctd[free], A_eq, h_eq, reg)
             x_new = np.zeros(n)
             x_new[free] = xf
 
         step = x_new - x
         if np.abs(step).max() <= step_tol:
-            # Stationary on the working set: inspect multipliers.
+            # Stationary on the working set: drop the negative multiplier
+            # of lowest rank (ranks are distinct, so the choice is unique).
             g = 2.0 * (CtC @ x - Ctd)
             lam_bound = g.copy()
             if ne:
                 lam_bound += G[rows].T @ nu
-            worst = None
-            for k in np.flatnonzero(act_bound):
-                if lam_bound[k] < -KKT_TOL and k not in taboo:
-                    if worst is None or rank[k] < rank[worst]:
-                        worst = k
-            for jj, j in enumerate(rows):
-                if nu[jj] < -KKT_TOL and (n + j) not in taboo:
-                    cand = n + j
-                    if worst is None or rank[cand] < rank[worst]:
-                        worst = cand
-            if worst is None:
-                active = tuple(sorted(
-                    [int(k) for k in np.flatnonzero(act_bound)]
-                    + [int(n + j) for j in rows]))
+            cands = np.concatenate([
+                np.flatnonzero(act_bound & (lam_bound < -KKT_TOL)),
+                n + rows[nu < -KKT_TOL]])
+            cands = cands[~taboo[cands]]
+            if cands.size == 0:
+                active = tuple(np.flatnonzero(act_bound).tolist()
+                               + (n + rows).tolist())
                 return x, active, it
+            worst = int(cands[np.argmin(rank[cands])])
             if aggressive:
-                taboo.add(worst)
+                taboo[worst] = True
             else:
                 pending = worst
             if worst < n:
@@ -232,32 +229,34 @@ def _active_set_ls(C, d, G, h, feas_tol, max_iter, tie_order=None):
             continue
 
         # Ratio test against inactive constraints.
-        alpha = 1.0
-        blocker = None
         dir_tol = 1e-14 * max(1.0, float(np.abs(step).max()))
-        for k in np.flatnonzero(~act_bound):
-            if step[k] < -dir_tol:
-                a = x[k] / (-step[k])
-                if a < alpha - 1e-15 or (abs(a - alpha) <= 1e-15 and blocker is not None
-                                         and rank[k] < rank[blocker]):
-                    alpha, blocker = min(a, alpha), k
+        blk = np.flatnonzero(~act_bound & (step < -dir_tol))
+        ratios = [x[blk] / (-step[blk])]
+        cands = [blk]
         if p:
             Gstep = G @ step
             Gx = G @ x
-            for j in np.flatnonzero(~act_row):
-                if Gstep[j] > dir_tol * max(1.0, float(np.abs(G[j]).max())):
-                    a = (h[j] - Gx[j]) / Gstep[j]
-                    cand = n + j
-                    if a < alpha - 1e-15 or (abs(a - alpha) <= 1e-15 and blocker is not None
-                                             and rank[cand] < rank[blocker]):
-                        alpha, blocker = min(a, alpha), cand
+            blk = np.flatnonzero(~act_row & (Gstep > dir_tol * row_scale))
+            ratios.append((h[blk] - Gx[blk]) / Gstep[blk])
+            cands.append(n + blk)
+        cands = np.concatenate(cands)
+        # The fold stays sequential: with the 1e-15 window a later candidate
+        # can replace the current one without being the smallest ratio, so
+        # the blocker depends on the order candidates are visited in
+        # (bounds, then rows, each by index), which a plain argmin loses.
+        alpha, blocker, rank_blocker = 1.0, None, None
+        for a, k, rk in zip(np.concatenate(ratios).tolist(), cands.tolist(),
+                            rank[cands].tolist()):
+            if a < alpha - 1e-15 or (abs(a - alpha) <= 1e-15 and blocker is not None
+                                     and rk < rank_blocker):
+                alpha, blocker, rank_blocker = min(a, alpha), k, rk
 
         alpha = max(alpha, 0.0)
         x = x + alpha * step
         np.maximum(x, 0.0, out=x)
         x[act_bound] = 0.0
         if alpha > 1e-12:
-            taboo.clear()
+            taboo[:] = False
             pending = None
             stall = 0
             aggressive = False
@@ -266,7 +265,7 @@ def _active_set_ls(C, d, G, h, feas_tol, max_iter, tie_order=None):
             if pending is not None and blocker == pending:
                 # The constraint dropped at the last stationary point blocks
                 # again at zero step: that relaxation was futile.
-                taboo.add(pending)
+                taboo[pending] = True
             pending = None
             if stall > 20 + n + p:
                 aggressive = True
@@ -278,14 +277,13 @@ def _active_set_ls(C, d, G, h, feas_tol, max_iter, tie_order=None):
                 act_row[blocker - n] = True
 
 
-def solve_column(p: CllsProblem, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL,
-                 max_iter=None, tie_order=None):
+def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
     """Solve one column's constrained least squares problem.
 
     The fitted vector M b is the projection of the column onto a polyhedral
     set and is unique even when b itself is not.  The result carries an
-    independently computed KKT residual which is at most ``kkt_tol`` on
-    success.
+    independently computed KKT residual which is at most ``KKT_TOL`` times
+    the gradient scale on success.
     """
     M, i = p.M, p.i
     m, n = M.shape
@@ -309,7 +307,7 @@ def solve_column(p: CllsProblem, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL,
 
     C = M[:, others]
     u = p.slack_bound
-    x, active_red, it = _active_set_ls(C, d, C, u, feas_tol, max_iter,
+    x, active_red, it = _active_set_ls(C, d, C, u, max_iter,
                                        tie_order=tie_order)
 
     b = np.zeros(n)
@@ -322,17 +320,17 @@ def solve_column(p: CllsProblem, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL,
         else:
             active.append(int(n + (a - (n - 1))))
     active.append(int(i))
-    residual = kkt_check(p, b, feas_tol=feas_tol)
+    residual = kkt_check(p, b)
     grad_scale = max(1.0, float(np.abs(2.0 * (M.T @ d)).max()))
-    if residual > kkt_tol * grad_scale:
+    if residual > KKT_TOL * grad_scale:
         raise SolverError(f"optimality certificate failed: KKT residual "
-                          f"{residual:.3e} exceeds {kkt_tol * grad_scale:.3e}")
+                          f"{residual:.3e} exceeds {KKT_TOL * grad_scale:.3e}")
     obj = float(np.sum((d - M @ b) ** 2))
     return CllsSolution(b=b, objective=obj, kkt_residual=residual,
                         active_set=tuple(sorted(active)), iterations=it)
 
 
-def kkt_check(p: CllsProblem, b, feas_tol=FEAS_TOL):
+def kkt_check(p: CllsProblem, b):
     """Independent optimality certificate for a feasible point b.
 
     Returns the maximum of the stationarity residual (the norm of the
@@ -352,13 +350,13 @@ def kkt_check(p: CllsProblem, b, feas_tol=FEAS_TOL):
     u = p.slack_bound
     scale = max(np.abs(d).max(), 1.0)
 
-    if abs(b[i]) > feas_tol:
+    if abs(b[i]) > FEAS_TOL:
         raise InfeasiblePoint(f"b[{p.i}] must be zero")
-    if b.min() < -feas_tol * max(1.0, np.abs(b).max()):
+    if b.min() < -FEAS_TOL * max(1.0, np.abs(b).max()):
         raise InfeasiblePoint("b has negative entries beyond tolerance")
     Mb = M @ b
     viol = Mb - u
-    if viol.max() > feas_tol * scale:
+    if viol.max() > FEAS_TOL * scale:
         raise InfeasiblePoint("slack constraint violated beyond tolerance")
 
     g = 2.0 * (M.T @ (Mb - d))
@@ -369,16 +367,12 @@ def kkt_check(p: CllsProblem, b, feas_tol=FEAS_TOL):
     # Stationarity: g restricted to the free coordinates (b_i is not a
     # variable), fit by  lam_bound - M[act_row]^T nu  with lam, nu >= 0.
     others = np.delete(np.arange(n), i)
-    cols = []
-    for k in act_bound:
-        e = np.zeros(n)
-        e[k] = 1.0
-        cols.append(e[others])
-    for j in act_row:
-        cols.append(-M[j, others])
+    # C order, like a stack of columns: the norms and fits below round
+    # differently on a Fortran-ordered copy of the same matrix.
+    A = np.ascontiguousarray(
+        np.hstack([np.eye(n)[others][:, act_bound], -M[act_row][:, others].T]))
     target = g[others]
-    if cols:
-        A = np.column_stack(cols)
+    if A.shape[1]:
         norms = np.linalg.norm(A, axis=0)
         norms[norms == 0] = 1.0
         An = A / norms
@@ -404,19 +398,15 @@ def kkt_check(p: CllsProblem, b, feas_tol=FEAS_TOL):
             lam, r = cand, r_cand
         stationarity = float(np.linalg.norm(r))
         lam = lam / norms
-        comp = 0.0
-        nb = len(act_bound)
-        for idx, k in enumerate(act_bound):
-            comp = max(comp, lam[idx] * abs(b[k]))
-        for idx, j in enumerate(act_row):
-            comp = max(comp, lam[nb + idx] * abs(u[j] - Mb[j]))
+        gap = np.concatenate([np.abs(b[act_bound]), np.abs(u[act_row] - Mb[act_row])])
+        comp = max(0.0, float((lam * gap).max()))
     else:
         stationarity = float(np.linalg.norm(target))
         comp = 0.0
     return max(stationarity, comp)
 
 
-def preprocess_matrix(M, epsilon=0.0, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL):
+def preprocess_matrix(M, epsilon=0.0):
     """Solve all n column problems and assemble B*.
 
     B* is nonnegative with zero diagonal; column i of B* is the coefficient
@@ -431,8 +421,7 @@ def preprocess_matrix(M, epsilon=0.0, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL):
 
     def solve_one(i):
         try:
-            return solve_column(CllsProblem(M, i, epsilon),
-                                feas_tol=feas_tol, kkt_tol=kkt_tol)
+            return solve_column(CllsProblem(M, i, epsilon))
         except SolverError as exc:
             raise type(exc)(f"column {i}: {exc}") from exc
 
@@ -442,7 +431,7 @@ def preprocess_matrix(M, epsilon=0.0, feas_tol=FEAS_TOL, kkt_tol=KKT_TOL):
     return B, sols
 
 
-def nnls_columns(U, M, max_iter=None):
+def nnls_columns(U, M):
     """Columnwise nonnegative least squares:  argmin_{V >= 0} ||M - U V||_F^2.
 
     Reuses the active-set kernel with no slack constraints, one column of V
@@ -453,10 +442,8 @@ def nnls_columns(U, M, max_iter=None):
     if U.shape[0] != M.shape[0]:
         raise ValueError("U and M must have the same number of rows")
     r = U.shape[1]
-    if max_iter is None:
-        max_iter = 50 * max(r, 2)
     V = np.zeros((r, M.shape[1]))
     for j in range(M.shape[1]):
-        x, _, _ = _active_set_ls(U, M[:, j], None, None, FEAS_TOL, max_iter)
+        x, _, _ = _active_set_ls(U, M[:, j], None, None, 50 * max(r, 2))
         V[:, j] = x
     return V

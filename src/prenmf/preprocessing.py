@@ -16,7 +16,6 @@ from . import cllsolve
 from . import npp3
 
 __all__ = [
-    "NonConvergence",
     "RankMismatch",
     "PreprocessResult",
     "apply_alpha",
@@ -25,10 +24,6 @@ __all__ = [
     "find_alpha_bar",
     "preprocess",
 ]
-
-
-class NonConvergence(RuntimeError):
-    """Power iteration hit its cap; message carries the best bracket."""
 
 
 class RankMismatch(ValueError):
@@ -64,16 +59,11 @@ def apply_alpha(M, B_star, alpha):
     return M - alpha * (M @ B_star)
 
 
-def spectral_radius(B, tol=1e-10, max_iter=10000):
-    """Spectral radius of a nonnegative matrix by shifted power iteration.
+def spectral_radius(B):
+    """Spectral radius of a nonnegative matrix: max |eig(B)| from LAPACK.
 
-    The shift mu = 1e-3 * max column sum makes reducible and periodic
-    matrices converge (rho(B) = rho(B + mu I) - mu for B >= 0); the all-ones
-    start vector has mass on every irreducible block.  When the iteration
-    stalls (near-periodic matrices with a tiny spectral gap, e.g. from
-    duplicated columns) it is restarted with larger shifts, which widen the
-    gap between the dominant root and the rest of the spectral circle.  The
-    result is cross-checked against the column-sum upper bound.
+    A dense eigensolve, because a power iteration stops early or does not
+    converge at all on reducible or slowly mixing B*.
     """
     B = as_matrix(B, "B")
     n, n2 = B.shape
@@ -81,28 +71,7 @@ def spectral_radius(B, tol=1e-10, max_iter=10000):
         raise ValueError("B must be square")
     if B.min() < 0:
         raise ValueError("spectral radius routine requires B >= 0")
-    colsum = B.sum(axis=0)
-    hi = float(colsum.max())
-    if hi == 0.0:
-        return 0.0
-    lam_prev = np.inf
-    for shift in (1e-3, 0.1, 0.5):
-        mu = shift * hi
-        x = np.ones(n)
-        lam_prev = np.inf
-        for _ in range(max_iter):
-            y = B @ x + mu * x
-            ny = np.linalg.norm(y)
-            if ny == 0.0:
-                return 0.0
-            x = y / ny
-            lam = float(x @ (B @ x + mu * x))
-            if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-                rho = lam - mu
-                return float(min(max(rho, 0.0), hi))
-            lam_prev = lam
-    raise NonConvergence(
-        f"power iteration did not converge; rho in [{max(lam_prev - mu, 0.0):.6g}, {hi:.6g}]")
+    return float(np.abs(np.linalg.eigvals(B)).max())
 
 
 def rescale_columns(P_M, M):
@@ -195,12 +164,10 @@ def find_alpha_bar(M, B_star=None, tol_alpha=1e-4, max_bisect=40, refine=False):
     return lo
 
 
-def preprocess(M, epsilon=0.0, alpha=1.0, rescale=False,
-               feas_tol=cllsolve.FEAS_TOL, kkt_tol=cllsolve.KKT_TOL):
+def preprocess(M, epsilon=0.0, alpha=1.0, rescale=False):
     """Run the full preprocessing and collect the verification record."""
     M = as_matrix(M, "M")
-    B_star, sols = cllsolve.preprocess_matrix(
-        M, epsilon=epsilon, feas_tol=feas_tol, kkt_tol=kkt_tol)
+    B_star, sols = cllsolve.preprocess_matrix(M, epsilon=epsilon)
     P = apply_alpha(M, B_star, alpha)
     rho = spectral_radius(B_star)
     diag = None

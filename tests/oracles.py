@@ -149,7 +149,19 @@ def nnls_oracle(A, b):
 
 
 def spectral_radius_oracle(B):
-    return float(np.abs(np.linalg.eigvals(B)).max())
+    """Perron root of an irreducible, aperiodic nonnegative B without LAPACK.
+
+    Power iteration, then the Collatz-Wielandt bracket
+    min_i (Bx)_i / x_i <= rho <= max_i (Bx)_i / x_i, which must have closed.
+    """
+    x = np.ones(B.shape[0])
+    for _ in range(1000):
+        x = B @ x
+        x /= np.linalg.norm(x)
+    ratios = (B @ x) / x
+    lo, hi = ratios.min(), ratios.max()
+    assert hi - lo <= 1e-12 * hi, f"power iteration not converged: [{lo}, {hi}]"
+    return float(0.5 * (lo + hi))
 
 
 def in_hull_oracle(x, X, tol=1e-7):

@@ -148,6 +148,29 @@ class TestPreprocessMatrix:
             B, _ = preprocess_matrix(M)
             assert (M - M @ B).min() >= -1e-9 * M.max()
 
+    def test_pivot_path_pinned(self):
+        # Frozen pivot counts and active sets: the ratio test's tie-break
+        # decides the path on degenerate inputs, and a path change shows
+        # here even when B* stays optimal.
+        rng = np.random.default_rng(0)
+        W = rng.random((12, 3))
+        M = W @ np.hstack([np.eye(3), rng.random((3, 9))])
+        _, sols = preprocess_matrix(M)
+        assert [s.iterations for s in sols] == [9, 9, 9] + [7] * 9
+        assert sum(len(s.active_set) for s in sols) == 141
+        # In column 4, six rows block within 1e-15 of each other, just below
+        # a full step.  The first in index order (row 1, encoded 12 + 1)
+        # must win, not the smallest ratio (row 6).
+        assert sols[4].active_set == (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15)
+
+        # The synthetic 50x40 input of the scale notes (r = 5, seed 0).
+        rng = np.random.default_rng(0)
+        W = rng.random((50, 5)) * (rng.random((50, 5)) < 0.4)
+        M = W @ rng.random((5, 40)) + 0.01 * rng.random((50, 40))
+        for eps, pivots in ((0.0, 1448), (0.05, 3191)):
+            _, sols = preprocess_matrix(M, epsilon=eps)
+            assert sum(s.iterations for s in sols) == pivots
+
 
 class TestInvariants:
     def test_fitted_vector_unique_across_pivot_orders(self, rng):
