@@ -213,7 +213,7 @@ def cmd_npp(args):
                                 "the nested polygon analysis")
     B_star, _ = cllsolve.preprocess_matrix(M, epsilon=args.epsilon)
     if args.alpha == "auto":
-        alpha = prep.find_alpha_bar(M, B_star, refine=True)
+        alpha = prep.find_alpha_bar(M, B_star)
     else:
         alpha = float(args.alpha)
     P = prep.apply_alpha(M, B_star, alpha)

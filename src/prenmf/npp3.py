@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 GEOM_TOL = 1e-9
+DEDUP_TOL = 1e-6    # lifted Hausdorff distance below which solutions merge
 
 
 class GeometryError(RuntimeError):
@@ -79,19 +80,18 @@ def numerical_rank(M, tol=1e-9):
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def convex_hull(points, tol=None):
+def convex_hull(points):
     """2-d convex hull, counterclockwise, collinear points dropped.
 
     Returns (vertices, index_map) where index_map[v] lists the indices of
-    the input points coinciding with hull vertex v.
-    Monotone chain; ``tol`` is the absolute coincidence/collinearity cutoff.
+    the input points coinciding with hull vertex v.  Monotone chain; points
+    within ``GEOM_TOL`` (times the coordinate scale) coincide.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
     scale = max(1.0, float(np.abs(pts).max()))
-    if tol is None:
-        tol = GEOM_TOL * scale
+    tol = GEOM_TOL * scale
 
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     uniq = []
@@ -302,7 +302,7 @@ class TangentWalk:
         return len(self.t_values) - 1
 
 
-def build_npp(M, drop_tol=1e-12, rank_tol=1e-9):
+def build_npp(M):
     """Build the nested polygon instance of a rank-3 nonnegative matrix.
 
     The inner polygon is the convex hull of the normalized columns in a 2-d
@@ -312,10 +312,10 @@ def build_npp(M, drop_tol=1e-12, rank_tol=1e-9):
     are rescaled so the outer perimeter is one.
     """
     M = as_matrix(M, "M")
-    r = numerical_rank(M, rank_tol)
+    r = numerical_rank(M)
     if r != 3:
         raise DegenerateChart(f"numerical rank is {r}, need exactly 3")
-    pb = pullback(M, drop_tol)
+    pb = pullback(M)
     theta = pb.theta
     m = theta.shape[0]
 
@@ -538,10 +538,10 @@ def walk_fk(npp, t, k):
                        touch_points=tuple(touches))
 
 
-def sample_fk(npp, k, num=256, t0=0.0):
+def sample_fk(npp, k, num=256):
     """Sample (t, f_k(t)) on a uniform grid (CSV/plotting helper)."""
-    ts = t0 + np.arange(num) / num
-    fs = np.array([walk_fk(npp, t, k).f for t in ts])
+    ts = np.arange(num) / num
+    fs = np.array([_fk_value(npp, t, k) for t in ts])
     return np.column_stack([ts, fs])
 
 
@@ -573,14 +573,38 @@ def _line_polygon_intersections(poly, p0, p1):
     return pts
 
 
+def _mirror(npp):
+    """The instance reflected in the chart's second axis.
+
+    Reflection reverses orientation, so both vertex lists are reversed to
+    stay counterclockwise; the outer list keeps vertex 0 first, so outer
+    boundary fraction t becomes -t mod 1.  The reflection turns a chord
+    with the inner polygon on its left into one with it on its right, so
+    a tangent step on the mirror is an inverse step on the original: if
+    the mirror's step from -t ends at s, the original's step from -s ends
+    at t.
+    """
+    flip = np.array([1.0, -1.0])
+    outer = npp.outer.vertices * flip
+    return NppInstance(outer=Polygon2(np.roll(outer[::-1], 1, axis=0)),
+                       inner=Polygon2((npp.inner.vertices * flip)[::-1]),
+                       chart=Chart(origin=npp.chart.origin,
+                                   basis=npp.chart.basis * flip,
+                                   scale=npp.chart.scale),
+                       vertex_columns=npp.vertex_columns)
+
+
 def contact_change_points(npp, k):
     """Boundary parameters where the k-step walk's incidence structure changes.
 
     Seeds are the outer vertices, the boundary intersections of the lines
     supporting each inner edge, and inner vertices lying on the outer
-    boundary; seeds are then propagated backward through the walk by
-    monotone bisection.  Distinct solution classes among these points number
-    at most (outer facets + inner vertices).
+    boundary.  The walk from t changes structure where one of its points
+    x(f_j(t)), j = 0..k, crosses a seed, so the change points are the seeds
+    and their preimages under f_1, ..., f_k, each found exactly by k
+    inverse steps (forward steps on the mirrored instance).  Distinct
+    solution classes among these points number at most (outer facets +
+    inner vertices).
     """
     outer, inner = npp.outer, npp.inner
     seeds = set()
@@ -595,27 +619,12 @@ def contact_change_points(npp, k):
         if abs(outer.signed_inside(p0)) <= 10 * GEOM_TOL:
             seeds.add(outer.param_of(p0, tol=1e-6))
 
-    seeds = sorted(seeds)
+    mirror = _mirror(npp)
     points = set(seeds)
-    for j in range(1, k):
-        f0 = _fk_value(npp, 0.0, j)
-        for tau in seeds:
-            target = tau + math.ceil(f0 - tau - 1e-12)
-            if target < f0 - 1e-12:
-                target += 1.0
-            lo, hi = 0.0, 1.0
-            flo = f0 - target
-            fhi = flo + 1.0
-            if flo > 1e-12 or fhi < -1e-12:
-                continue
-            for _ in range(34):
-                mid = 0.5 * (lo + hi)
-                fm = _fk_value(npp, mid, j) - target
-                if fm < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            points.add(0.5 * (lo + hi) % 1.0)
+    for t in seeds:
+        for _ in range(k):
+            t = -_step_raw(mirror, -t)[0] % 1.0
+            points.add(t)
 
     out = sorted(points)
     dedup = []
@@ -628,77 +637,60 @@ def contact_change_points(npp, k):
 
 
 def max_wrap_slack(npp, k):
-    """Maximum of f_k(t) - t - 1 over break points and a safety grid.
+    """Maximum of f_k(t) - t - 1 over the contact change points.
 
-    The maximum of a piecewise constant / strictly convex function sits at
-    piece endpoints, so the contact change points suffice; the grid guards
-    against missed break points.  Returns (value, argmax_t).
+    Between consecutive change points f_k is constant or strictly convex,
+    so f_k(t) - t peaks at an end of its piece, and every piece end is a
+    change point.  Returns (value, argmax_t).
     """
-    cands = contact_change_points(npp, k)
-    ts = list(cands)
-    for t in cands:
-        ts.append((t - 1e-9) % 1.0)
-        ts.append((t + 1e-9) % 1.0)
-    ts.extend(np.arange(193) / 193.0)
     best_t, best_v = None, -np.inf
-    for t in ts:
+    for t in contact_change_points(npp, k):
         v = _fk_value(npp, t, k) - t - 1.0
         if v > best_v:
             best_t, best_v = t, v
     return best_v, best_t
 
 
-def feasible_k(npp, k, tol=GEOM_TOL):
+def feasible_k(npp, k):
     """Decide whether a k-vertex polygon nests between the two polygons.
 
-    Boundary touching counts as feasible.  Returns (feasible, witness_t or
-    None).
+    Boundary touching (within ``GEOM_TOL``) counts as feasible.  Returns
+    (feasible, witness_t or None).
     """
     best_v, best_t = max_wrap_slack(npp, k)
-    if best_v >= -tol:
+    if best_v >= -GEOM_TOL:
         return True, best_t
     return False, None
 
 
-def enumerate_solutions(npp, k, tol=GEOM_TOL, dedup_tol=1e-6, at_level_max=False):
+def enumerate_solutions(npp, k):
     """All k-vertex nested polygons, as lifted column-stochastic matrices.
 
     Walks are started at every contact change point where the wrap
-    criterion holds (within tol); duplicate polygons are merged by
-    vertex-set distance.  Raises NotFinite when the wrap criterion holds
-    with interior slack or on a whole constant piece: either way the
-    solution set is a continuum, not a finite list.
-
-    ``at_level_max`` enumerates the walks attaining the maximal wrap value
-    instead (no continuum checks); useful on near-critical instances where
-    the isolated-solution structure is only approached.
+    criterion holds (within ``GEOM_TOL``); polygons whose lifted vertex
+    sets lie within ``DEDUP_TOL`` of each other (Hausdorff) are merged.
+    Raises NotFinite when the wrap criterion holds with interior slack or
+    on a whole constant piece: either way the solution set is a continuum,
+    not a finite list.
     """
     cands = contact_change_points(npp, k)
-    grid = np.arange(193) / 193.0
     vals = {t: _fk_value(npp, t, k) - t - 1.0 for t in cands}
-    max_grid = max((_fk_value(npp, float(t), k) - t - 1.0) for t in grid)
-    max_val = max(max(vals.values(), default=-np.inf), max_grid)
-
-    if at_level_max:
-        if max_val < -tol:
-            return []
-        touching = [t for t in cands if vals[t] >= max_val - tol]
-    else:
-        if max_val < -tol:
-            return []
-        if max_val > 3e-7:
-            raise NotFinite("wrap criterion holds with interior slack: "
-                            "a continuum of nested polygons exists")
-        touching = [t for t in cands if vals[t] >= -tol]
-        # A full constant piece on the wrap line is also a continuum.  Gaps
-        # at the scale of the walk's noise band are not evidence of one.
-        extended = sorted(touching)
-        for a, b in zip(extended, extended[1:] + [extended[0] + 1.0]):
-            if b - a <= 3e-7:
-                continue
-            mid = 0.5 * (a + b) % 1.0
-            if _fk_value(npp, mid, k) - mid - 1.0 >= -tol:
-                raise NotFinite("wrap criterion holds on a continuum of starts")
+    max_val = max(vals.values(), default=-np.inf)
+    if max_val < -GEOM_TOL:
+        return []
+    if max_val > 3e-7:
+        raise NotFinite("wrap criterion holds with interior slack: "
+                        "a continuum of nested polygons exists")
+    touching = [t for t in cands if vals[t] >= -GEOM_TOL]
+    # A full constant piece on the wrap line is also a continuum.  Gaps
+    # at the scale of the walk's noise band are not evidence of one.
+    extended = sorted(touching)
+    for a, b in zip(extended, extended[1:] + [extended[0] + 1.0]):
+        if b - a <= 3e-7:
+            continue
+        mid = 0.5 * (a + b) % 1.0
+        if _fk_value(npp, mid, k) - mid - 1.0 >= -GEOM_TOL:
+            raise NotFinite("wrap criterion holds on a continuum of starts")
 
     solutions = []
     for t in touching:
@@ -709,7 +701,7 @@ def enumerate_solutions(npp, k, tol=GEOM_TOL, dedup_tol=1e-6, at_level_max=False
         for other in solutions:
             dmat = np.linalg.norm(lifted[:, :, None] - other[:, None, :], axis=0)
             hausdorff = max(dmat.min(axis=0).max(), dmat.min(axis=1).max())
-            if hausdorff <= dedup_tol:
+            if hausdorff <= DEDUP_TOL:
                 is_dup = True
                 break
         if not is_dup:

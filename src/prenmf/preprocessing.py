@@ -25,6 +25,9 @@ __all__ = [
     "preprocess",
 ]
 
+ALPHA_TOL = 1e-4    # find_alpha_bar's bisection bracket width before the polish
+MAX_BISECT = 40
+
 
 class RankMismatch(ValueError):
     """An operation restricted to numerical rank 3 got something else."""
@@ -94,19 +97,18 @@ def rescale_columns(P_M, M):
     return P_M * diag, diag
 
 
-def find_alpha_bar(M, B_star=None, tol_alpha=1e-4, max_bisect=40, refine=False):
+def find_alpha_bar(M, B_star=None):
     """Largest alpha in [0, 1] keeping the interpolated instance rank-3 exact.
 
     Decided geometrically: alpha is admissible when a 3-vertex polygon still
     nests between the normalized columns of M(I - alpha B*) and the simplex
-    slice.  Returns 1.0 when alpha = 1 is admissible, otherwise bisects and
-    returns the feasible lower end of the final bracket (ties at the
-    boundary count as feasible, so the result is a valid lower bound).
-
-    ``refine`` polishes the bracket with regula falsi on the wrap slack (the
-    slack is close to affine in alpha near the critical value), which pins
-    alpha accurately enough that solution enumeration at the returned value
-    sees isolated solutions.
+    slice.  Returns 1.0 when alpha = 1 is admissible.  Otherwise bisects to
+    an ``ALPHA_TOL`` bracket, polishes it with regula falsi on the wrap
+    slack (the slack is close to affine in alpha near the critical value),
+    and returns the feasible lower end (ties at the boundary count as
+    feasible, so the result is a valid lower bound).  The polish pins alpha
+    accurately enough that solution enumeration at the returned value sees
+    isolated solutions; the bracket alone leaves a continuum.
     """
     M = as_matrix(M, "M")
     r = npp3.numerical_rank(M)
@@ -129,8 +131,8 @@ def find_alpha_bar(M, B_star=None, tol_alpha=1e-4, max_bisect=40, refine=False):
                            "(nonnegative rank exceeds 3)")
     lo, g_lo = 0.0, g0
     hi, g_hi = 1.0, None
-    for _ in range(max_bisect):
-        if hi - lo <= tol_alpha:
+    for _ in range(MAX_BISECT):
+        if hi - lo <= ALPHA_TOL:
             break
         mid = 0.5 * (lo + hi)
         g_mid = slack(mid)
@@ -138,7 +140,7 @@ def find_alpha_bar(M, B_star=None, tol_alpha=1e-4, max_bisect=40, refine=False):
             lo, g_lo = mid, g_mid
         else:
             hi, g_hi = mid, g_mid
-    if refine and g_hi is not None:
+    if g_hi is not None:
         # Secant through the two latest feasible evaluations (the slack is
         # piecewise affine in alpha, exactly affine near the critical
         # value); overshoots fall back to one bisection step.

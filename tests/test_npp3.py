@@ -28,6 +28,16 @@ def ns_preprocessed(nested_squares):
     return npp3.build_npp(apply_alpha(nested_squares, B, 1.0))
 
 
+def generic_product(seed):
+    rng = np.random.default_rng(seed)
+    return rng.random((6, 3)) @ rng.random((3, 8))
+
+
+def interpolated(M, alphas):
+    B, _ = preprocess_matrix(M)
+    return [npp3.build_npp(apply_alpha(M, B, a)) for a in alphas]
+
+
 def cluster_count(values, tol):
     vals = sorted(values)
     if not vals:
@@ -232,6 +242,31 @@ class TestContactChangePoints:
         m, n = sepex.shape
         assert cluster_count(pts, 1e-5) <= 3 * (m + n)
 
+    def test_backward_step_inverts_walk(self, nested_squares):
+        # The preimage of every outer vertex under f_j, j <= 3, taken by
+        # forward steps on the mirrored instance, is a change point and is
+        # mapped back onto the vertex by the walk.  The instances keep every
+        # inner vertex off the outer boundary: where one touches it, f_j
+        # jumps, and the backward step lands on the jump point, which is
+        # a seed's preimage only in the limit.
+        instances = interpolated(nested_squares, [0.0, 0.3, ALPHA_BAR, 0.7])
+        for seed in range(6):
+            instances += interpolated(generic_product(seed), [0.0, 0.9])
+        for npp in instances:
+            assert min(npp.outer.signed_inside(v)
+                       for v in npp.inner.vertices) > 10 * npp3.GEOM_TOL
+            mirror = npp3._mirror(npp)
+            cands = np.array(npp3.contact_change_points(npp, 3))
+            for v in npp.outer.vertices:
+                tau = npp.outer.param_of(v)
+                p = tau
+                for j in range(1, 4):
+                    p = -npp3._step_raw(mirror, -p)[0] % 1.0
+                    gap = (npp3.walk_fk(npp, p, j).f - tau) % 1.0
+                    assert min(gap, 1.0 - gap) <= 1e-10
+                    circ = np.abs(cands - p)
+                    assert np.minimum(circ, 1.0 - circ).min() <= 1e-9
+
 
 class TestFeasibility:
     def test_boundary_touching_feasible(self, ns_critical):
@@ -249,6 +284,15 @@ class TestFeasibility:
     def test_full_preprocessing_infeasible(self, ns_preprocessed):
         # A square cannot nest inside a triangle inside itself.
         assert not npp3.feasible_k(ns_preprocessed, 3)[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_slack_dominates_dense_scan(self, seed):
+        # The change points include the preimages of the seeds under the
+        # final step f_k, so no start on a dense scan beats their maximum.
+        for npp in interpolated(generic_product(seed), [0.0, 0.5]):
+            t, f = npp3.sample_fk(npp, 3, num=2000).T
+            scan = (f - t - 1.0).max()
+            assert npp3.max_wrap_slack(npp, 3)[0] >= scan - 1e-12
 
 
 class TestEnumerate:

@@ -114,10 +114,6 @@ class TestFindAlphaBar:
 
     def test_nested_squares(self, nested_squares):
         ab = find_alpha_bar(nested_squares)
-        assert ab == pytest.approx(ALPHA_BAR, abs=1e-3)
-
-    def test_nested_squares_refined(self, nested_squares):
-        ab = find_alpha_bar(nested_squares, refine=True)
         assert ab == pytest.approx(ALPHA_BAR, abs=1e-6)
 
     def test_separable_full_alpha(self, sepex):
