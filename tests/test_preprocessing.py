@@ -116,6 +116,16 @@ class TestFindAlphaBar:
         ab = find_alpha_bar(nested_squares)
         assert ab == pytest.approx(ALPHA_BAR, abs=1e-6)
 
+    def test_nested_squares_refined(self, nested_squares):
+        # The regula falsi polish pins alpha well inside the bisection
+        # bracket, so enumeration at the returned value sees the eight
+        # isolated solutions rather than a continuum.
+        ab = find_alpha_bar(nested_squares)
+        assert ab == pytest.approx(ALPHA_BAR, abs=1e-6)
+        B, _ = preprocess_matrix(nested_squares)
+        npp = npp3.build_npp(apply_alpha(nested_squares, B, ab))
+        assert len(npp3.enumerate_solutions(npp, 3)) == 8
+
     def test_separable_full_alpha(self, sepex):
         assert find_alpha_bar(sepex) == 1.0
 
