@@ -99,23 +99,40 @@ def detect_duplicates(M, tol=1e-8):
     entrywise ratios are undefined); a pair is reported when the relative fit
     residual is at most tol.  Columns that are themselves numerically zero
     are skipped: they are handled upstream by the pullback drop rule and
-    would otherwise pair with every column.
+    would otherwise pair with every column.  Pairs come ordered by i, then j.
     """
     M = as_matrix(M, "M")
-    n = M.shape[1]
+    m, n = M.shape
     norms = np.linalg.norm(M, axis=0)
     zero_cut = 1e-12 * (norms.max() if norms.max() > 0 else 1.0)
+    live = norms > zero_cut
+    # Screen all pairs with one Gram matrix, then run the exact test on the
+    # survivors.  With theta the angle between two columns, the exact test
+    # asks sin(theta) <= tol; at tol = 1e-8 that is cos(theta) >= 1 - 5e-17,
+    # below double precision, so the screen must be loose.  With unit
+    # roundoff u and gamma_k = k u / (1 - k u):
+    # - rounding in alpha, in M_i - alpha M_j and in its norm lets the exact
+    #   test accept at most sin(theta) <= s = tol + 8 (m + 2) u, so an
+    #   accepted pair has cos(theta) >= sqrt(1 - s^2) (alpha clipped to 0
+    #   leaves the whole column, which passes only when s >= 1);
+    # - the computed cosine G_ij / (|M_i| |M_j|) is within
+    #   gamma_m + 2 gamma_(m+2) + 2u < 4 gamma_(m+4) of the true one (Gram
+    #   entry, the two norms, their product and the quotient), and the
+    #   floor below within a few u of sqrt(1 - s^2).
+    # A floor 8 (m + 4) u under sqrt(1 - s^2) thus keeps every pair the
+    # exact test accepts; at m = 30 it is 1 - 3e-14.
+    u = np.finfo(float).eps / 2
+    s = tol + 8 * (m + 2) * u
+    floor = np.sqrt(1.0 - s * s) - 8 * (m + 4) * u if s < 1.0 else -np.inf
+    safe = np.where(live, norms, 1.0)
+    cos = (M.T @ M) / np.outer(safe, safe)
+    screen = np.tril(cos >= floor, -1) & live[:, None] & live[None, :]
     pairs = []
-    for i in range(1, n):
-        if norms[i] <= zero_cut:
-            continue
-        for j in range(i):
-            if norms[j] <= zero_cut:
-                continue
-            alpha = float(M[:, i] @ M[:, j]) / float(norms[j] ** 2)
-            if alpha < 0:
-                alpha = 0.0
-            resid = np.linalg.norm(M[:, i] - alpha * M[:, j])
-            if resid <= tol * norms[i]:
-                pairs.append((i, j, alpha))
+    for i, j in np.argwhere(screen).tolist():
+        alpha = float(M[:, i] @ M[:, j]) / float(norms[j] ** 2)
+        if alpha < 0:
+            alpha = 0.0
+        resid = np.linalg.norm(M[:, i] - alpha * M[:, j])
+        if resid <= tol * norms[i]:
+            pairs.append((i, j, alpha))
     return pairs

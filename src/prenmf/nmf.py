@@ -7,7 +7,9 @@ normalization, nonnegative refits against the original matrix, and the
 fixed-support polish used to compare sparsity patterns across methods.
 The three engines (``ahals``, ``snmf`` and the polish) share one outer
 loop, ``_hals``, and differ only in its l1 weights, support mask and stop
-rule.
+rule.  ``_hals`` runs a stack of factorizations of one matrix at once:
+``run_pipeline`` stacks its seeds and ``tune_mu`` its probes, and each
+slice gets exactly the result of a run on its own.
 """
 
 import time
@@ -93,101 +95,243 @@ def _make_pair(M, U, V, seed, iterations, history, zero_tol=1e-8):
                       objective_history=np.asarray(history))
 
 
-def _sweep_columns(W, G, P, mu=None, mask=None):
-    """One HALS sweep over the columns of W for min ||M - W H||_F^2 (+ l1).
-
-    G = H H^T, P = M H^T; each column update is the exact coordinate
-    minimizer clipped at zero.  ``mu`` adds an l1 penalty on W's columns;
-    ``mask`` (same shape as W) freezes entries outside the support.
-    """
-    r = W.shape[1]
-    gd = np.diag(G)
-    for j in range(r):
-        if gd[j] <= ZERO_SNAP * max(1.0, gd.max()):
-            continue
-        w = W[:, j] + (P[:, j] - W @ G[:, j]) / gd[j]
-        if mu is not None:
-            w -= 0.5 * mu[j] / gd[j]
-        np.maximum(w, 0.0, out=w)
-        if mask is not None:
-            w *= mask[:, j]
-        W[:, j] = w
-    W[W < ZERO_SNAP] = 0.0
-    return W
+def _norms(X):
+    """Frobenius norm of every slice of a stack, bit for bit as
+    ``np.linalg.norm(X[s])``: that is one BLAS dot of the slice's elements in
+    memory order, and a (1, k) @ (k, 1) matmul per slice makes the same call
+    (einsum does not).  A 2-d X is one slice."""
+    F = X.reshape(-1, 1, X.shape[-2] * X.shape[-1])
+    return np.sqrt(np.matmul(F, F.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _update_block(W, G, P, n_other, mu=None, mask=None):
-    """Repeated HALS sweeps on one factor block.
+def _update_blocks(W, G, P, n_other, mu=None, mask=None):
+    """Repeated HALS sweeps on one factor block of every slice of a stack.
+
+    W (S, k, r) is updated in place (for V's block it is a transposed view);
+    G = H H^T (S, r, r) and P = M H^T (S, k, r).  Each column update is the
+    exact coordinate minimizer clipped at zero; a column whose G diagonal is
+    negligible is skipped.  ``mu`` (S, r) adds an l1 penalty on W's columns;
+    ``mask`` (S, k, r) freezes entries outside the support.  A stack of one
+    may come without its leading axis: numpy's call overhead, which is most
+    of the cost at desk scale, is lower on 2-d operands.
 
     The number of inner sweeps is capped by the cost ratio of the block
-    update to the precomputations (at most 1 + floor(ACCEL * mn / (r(m+n)))),
-    and sweeps stop early once the iterate moves less than ``EPS_STOP``
-    times the first sweep's movement.
+    update to the precomputations (at most 1 + floor(ACCEL * kn / (r(k+n)))),
+    and a slice stops sweeping once its iterate moves less than ``EPS_STOP``
+    times its first sweep's movement; a stopped slice is left untouched.
     """
-    m, r = W.shape
-    cap = 1 + int(ACCEL * (m * n_other) / (r * (m + n_other)))
-    first = None
+    k, r = W.shape[-2:]
+    cap = 1 + int(ACCEL * (k * n_other) / (r * (k + n_other)))
+    gd = np.diagonal(G, axis1=-2, axis2=-1)
+    use = gd > ZERO_SNAP * np.maximum(gd.max(axis=-1, keepdims=True), 1.0)
+    everywhere = bool(use.all())
+    if not everywhere:
+        gd = np.where(use, gd, 1.0)  # skipped columns must not divide by 0
+    # Column-first views: [j] gives column j of every slice, and per-slice
+    # scalars (S, 1) that broadcast against it.
+    if W.ndim == 3:
+        lift, axes, Wg = (..., None), (2, 0, 1), np.empty((len(W), k, 1))
+        Wg_col = Wg[..., 0]
+    else:
+        lift, axes, Wg = ..., None, np.empty(k)
+        Wg_col = Wg
+    Wc = W.transpose(axes)
+    Pc = np.ascontiguousarray(P.transpose(axes))
+    Gc = G.transpose(axes)[lift]
+    dc = np.ascontiguousarray(gd.T)[lift]
+    shift = ([None] * r if mu is None
+             else np.ascontiguousarray((0.5 * mu / gd).T)[lift])
+    maskc = [None] * r if mask is None else mask.transpose(axes)
+    cols = list(zip(Gc, Pc, dc, Wc, shift, maskc))
+    plan = [True] * r if everywhere else _plan(use.reshape(-1, r))
     for it in range(cap):
-        W_prev = W.copy()
-        _sweep_columns(W, G, P, mu=mu, mask=mask)
-        change = np.linalg.norm(W - W_prev)
+        # The movement matters only where it decides whether a sweep follows.
+        track = it < cap - 1 and cap > 2
+        if track:
+            W_prev = W.copy()
+        for (g, p, d, wj, sh, mk), how in zip(cols, plan):
+            if how is False:
+                continue
+            np.matmul(W, g, out=Wg)
+            w = p - Wg_col
+            w /= d
+            w += wj
+            if sh is not None:
+                w -= sh
+            if mk is None and how is True:
+                np.maximum(w, 0.0, out=wj)
+                continue
+            np.maximum(w, 0.0, out=w)
+            if mk is not None:
+                w *= mk
+            wj[...] = w if how is True else np.where(how, w, wj)
+        # A stopped slice is already snapped, so this leaves it unchanged.
+        W[W < ZERO_SNAP] = 0.0
+        if not track:
+            continue
+        change = _norms(W - W_prev)
         if it == 0:
-            first = change
-        elif change <= EPS_STOP * first:
+            stop_at = EPS_STOP * change
+            live = np.ones(change.shape, dtype=bool)
+            continue
+        live &= ~(change <= stop_at)
+        if not live.any():
             break
+        if not live.all():
+            plan = _plan(use & live[:, None])
     return W
+
+
+def _plan(upd):
+    """Per column of an (S, r) update mask: True (every slice updates),
+    False (none) or the (S, 1) mask of the slices that do."""
+    every = upd.all(axis=0).tolist()
+    some = upd.any(axis=0).tolist()
+    return [True if e else (upd[:, j, None] if s else False)
+            for j, (e, s) in enumerate(zip(every, some))]
+
+
+def _renormalize(M, U, V):
+    """Unit-max columns of U in every slice, V's rows taking the scale.
+
+    A column that collapsed to zero is reseeded and its V row zeroed.  A
+    slice with a collapse runs column by column, because each reseed reads
+    the residual of the columns before it.  Returns the per-slice collapse
+    counts.
+    """
+    c = U.max(axis=1)
+    hit = (c <= 0.0).any(axis=1)
+    scale = np.where(hit[:, None], 1.0, c)
+    U /= scale[:, None, :]
+    V *= scale[:, :, None]
+    counts = [0] * len(U)
+    for s in np.flatnonzero(hit).tolist():
+        Us, Vs = U[s], V[s]
+        for j, cj in enumerate(c[s].tolist()):
+            if cj <= 0.0:
+                Us[:, j] = _reseed_column(M, Us, Vs, j)
+                Vs[j, :] = 0.0
+                counts[s] += 1
+                continue
+            Us[:, j] /= cj
+            Vs[j, :] *= cj
+    return counts
 
 
 def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
     """Outer loop shared by every engine: alternate U's and V's blocks.
 
-    Updates U and V in place.  ``mu`` adds the l1 penalty on U's columns,
-    renormalizes them to unit max after each U block (V's rows take the
-    compensating scale, a collapsed column is reseeded) and adds the
-    penalty to the recorded objective.  ``mask`` freezes U's zero pattern.
-    ``stall`` stops once an outer iteration improves the objective by less
-    than STALL_TOL relatively.
+    Runs a stack of S factorizations of the same M: U (S, m, r) and
+    V (S, r, n) are updated in place.  ``mu`` (S, r) adds the l1 penalty on
+    U's columns, renormalizes them to unit max after each U block (V's rows
+    take the compensating scale, a collapsed column is reseeded) and adds
+    the penalty to the recorded objective.  ``mask`` (S, m, r) freezes U's
+    zero pattern.  ``stall`` stops a slice once an outer iteration improves
+    its objective by less than STALL_TOL relatively; a stopped slice leaves
+    the working stack, so it is frozen exactly.  Every slice gets the same
+    floating-point results as a stack of one.
 
-    Returns (iterations, objective history, collapses).
+    Returns per-slice lists (iterations, objective histories, collapses).
     """
     m, n = M.shape
+    S = U.shape[0]
     Mt = M.T
-    Vt = V.T
-    history = []
-    collapses = 0
-    obj_prev = np.inf
-    it = 0
+    iterations = [max(max_outer, 0)] * S
+    histories = [[] for _ in range(S)]
+    collapses = [0] * S
+    idx = np.arange(S)  # caller slice of each working slice
+    Uw, Vw = U, V
+    obj_prev = None
     for it in range(1, max_outer + 1):
-        _update_block(U, V @ Vt, M @ Vt, n, mu=mu, mask=mask)
+        # The blocks see a lone working slice as 2-d arrays.
+        one = len(idx) == 1
+        Ub, Vb = (Uw[0], Vw[0]) if one else (Uw, Vw)
+        mub = mu[0] if one and mu is not None else mu
+        maskb = mask[0] if one and mask is not None else mask
+        Vt = Vb.swapaxes(-1, -2)
+        _update_blocks(Ub, np.matmul(Vb, Vt), np.matmul(M, Vt), n, mu=mub,
+                       mask=maskb)
         if mu is not None:
-            # Renormalize: ||U[:, j]||_inf = 1, V rows compensate.
-            for j in range(U.shape[1]):
-                c = U[:, j].max()
-                if c <= 0.0:
-                    U[:, j] = _reseed_column(M, U, V, j)
-                    V[j, :] = 0.0
-                    collapses += 1
-                    continue
-                U[:, j] /= c
-                V[j, :] *= c
-        _update_block(Vt, U.T @ U, Mt @ U, m)
-        obj = np.linalg.norm(M - U @ V) ** 2
+            for k, c in zip(idx.tolist(), _renormalize(M, Uw, Vw)):
+                collapses[k] += c
+        _update_blocks(Vt, np.matmul(Ub.swapaxes(-1, -2), Ub),
+                       np.matmul(Mt, Ub), m)
+        # Squared as floats, by C pow(x, 2): an array's ** 2 is x * x, which
+        # rounds differently in rare cases and would move the histories.
+        obj = np.array([x ** 2 for x in
+                        _norms(M - np.matmul(Ub, Vb)).tolist()])
         if mu is not None:
-            obj += np.sum(mu * np.abs(U).sum(axis=0))
-        history.append(float(obj))
-        if (stall and it > 1
-                and obj_prev - obj <= STALL_TOL * max(obj_prev, 1e-300)):
-            break
+            obj += (mu * np.abs(Uw).sum(axis=1)).sum(axis=1)
+        for k, value in zip(idx.tolist(), obj.tolist()):
+            histories[k].append(value)
+        if stall and it > 1:
+            done = obj_prev - obj <= STALL_TOL * np.maximum(obj_prev, 1e-300)
+            if done.any():
+                for k in idx[done].tolist():
+                    iterations[k] = it
+                if Uw is not U:
+                    U[idx[done]] = Uw[done]
+                    V[idx[done]] = Vw[done]
+                keep = ~done
+                if not keep.any():
+                    return iterations, histories, collapses
+                idx, Uw, Vw, obj = idx[keep], Uw[keep], Vw[keep], obj[keep]
+                mu = None if mu is None else mu[keep]
+                mask = None if mask is None else mask[keep]
         obj_prev = obj
-    return it, history, collapses
+    if Uw is not U:
+        U[idx] = Uw
+        V[idx] = Vw
+    return iterations, histories, collapses
 
 
-def _init_factors(M, r, seed):
-    rng = np.random.default_rng(seed)
+def _init_factors(M, r, seeds):
+    """Seeded uniform starting factors, one slice per seed."""
     m, n = M.shape
-    U = rng.random((m, r))
-    V = rng.random((r, n))
+    U = np.empty((len(seeds), m, r))
+    V = np.empty((len(seeds), r, n))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        U[k] = rng.random((m, r))
+        V[k] = rng.random((r, n))
     return U, V
+
+
+def _pairs(M, U, V, seeds, result, zero_tol):
+    iterations, histories, collapses = result
+    pairs = []
+    for k, seed in enumerate(seeds):
+        pair = _make_pair(M, U[k], V[k], seed, iterations[k], histories[k],
+                          zero_tol)
+        pair.collapses = collapses[k]
+        pairs.append(pair)
+    return pairs
+
+
+def _ahals_stack(M, r, seeds, max_outer, zero_tol):
+    """``ahals`` for every seed at once; one FactorPair per seed."""
+    m, n = M.shape
+    if r < 1:
+        raise ValueError("rank must be at least 1")
+    if r > min(m, n):
+        warnings.warn(f"rank {r} exceeds min(m, n) = {min(m, n)}",
+                      RankTooLargeWarning)
+    U, V = _init_factors(M, r, seeds)
+    result = _hals(M, U, V, max_outer, stall=True)
+    return _pairs(M, U, V, seeds, result, zero_tol)
+
+
+def _snmf_stack(M, r, mu, seeds, max_outer, zero_tol):
+    """``snmf`` for every (mu[k], seeds[k]) at once; one FactorPair each."""
+    if M.min() < 0:
+        raise ValueError("sparse variant expects a nonnegative matrix")
+    if np.any(mu <= 0):
+        raise ValueError("penalty weights must be positive")
+    U, V = _init_factors(M, r, seeds)
+    # Unit-max columns from the start so the penalty is comparable.
+    U /= np.maximum(U.max(axis=1, keepdims=True), ZERO_SNAP)
+    result = _hals(M, U, V, max_outer, mu=mu)
+    return _pairs(M, U, V, seeds, result, zero_tol)
 
 
 def ahals(M, r, seed=0, max_outer=1000, zero_tol=1e-8):
@@ -199,15 +343,7 @@ def ahals(M, r, seed=0, max_outer=1000, zero_tol=1e-8):
     by less than ``STALL_TOL`` relatively.
     """
     M = as_matrix(M, "M")
-    m, n = M.shape
-    if r < 1:
-        raise ValueError("rank must be at least 1")
-    if r > min(m, n):
-        warnings.warn(f"rank {r} exceeds min(m, n) = {min(m, n)}",
-                      RankTooLargeWarning)
-    U, V = _init_factors(M, r, seed)
-    it, history, _ = _hals(M, U, V, max_outer, stall=True)
-    return _make_pair(M, U, V, seed, it, history, zero_tol)
+    return _ahals_stack(M, r, [seed], max_outer, zero_tol)[0]
 
 
 def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
@@ -220,16 +356,9 @@ def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
     deterministically.
     """
     M = as_matrix(M, "M")
-    if M.min() < 0:
-        raise ValueError("sparse variant expects a nonnegative matrix")
     mu = np.broadcast_to(cfg.mu, (r,)).astype(float)
-    U, V = _init_factors(M, r, cfg.seed)
-    # Unit-max columns from the start so the penalty is comparable.
-    U /= np.maximum(U.max(axis=0), ZERO_SNAP)
-    it, history, collapses = _hals(M, U, V, cfg.max_outer, mu=mu)
-    pair = _make_pair(M, U, V, cfg.seed, it, history, zero_tol)
-    pair.collapses = collapses
-    return pair
+    return _snmf_stack(M, r, mu[None], [cfg.seed], cfg.max_outer,
+                       zero_tol)[0]
 
 
 def _reseed_column(M, U, V, j):
@@ -248,12 +377,31 @@ def _reseed_column(M, U, V, j):
     return u
 
 
+def _midpoints(llo, lhi, levels):
+    """The next ``levels`` levels of bisection midpoints of [llo, lhi]."""
+    mids, brackets = [], [(llo, lhi)]
+    for _ in range(levels):
+        halves = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            halves += [(a, mid), (mid, b)]
+        brackets = halves
+    return mids
+
+
 def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
     """Uniform l1 weight matching a requested sparsity of U.
 
     Log-scale bisection on mu; each probe is one single-seed sparse run.
     Returns the configuration of the probe closest to the target (its
     achieved sparsity is recorded on the config).
+
+    The probes run speculatively, as stacks: the first holds both ends of
+    the bracket and the next three levels of midpoints, each later one the
+    three levels below the bracket reached.  The sequential rule then reads
+    the probes it needs from them, so the result is that of probing one at
+    a time.
     """
     M = as_matrix(M, "M")
     if not 0.0 <= target_s_u < 1.0:
@@ -262,14 +410,20 @@ def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
     lo = 1e-6 * scale
     hi = 10.0 * scale * M.shape[0]
 
-    def probe(mu):
-        cfg = SnmfConfig(mu=np.full(r, mu), max_outer=max_outer, seed=seed)
-        pair = snmf(M, r, cfg, zero_tol=zero_tol)
-        return pair.s_U
+    def probe(mus):
+        mu = np.repeat(np.array(mus, dtype=float)[:, None], r, axis=1)
+        pairs = _snmf_stack(M, r, mu, [seed] * len(mus), max_outer, zero_tol)
+        return [p.s_U for p in pairs]
 
+    def speculate(llo, lhi, probes):
+        mids = _midpoints(llo, lhi, min(3, MU_PROBES - probes))
+        return mids, [10.0 ** lmid for lmid in mids]
+
+    llo, lhi = np.log10(lo), np.log10(hi)
+    mids, mus = speculate(llo, lhi, 2)
+    s_lo, s_hi, *s_mids = probe([lo, hi] + mus)
+    seen = dict(zip(mids, s_mids))  # log10(mu) -> sparsity of its probe
     best = None  # (gap, mu, s)
-    s_lo = probe(lo)
-    s_hi = probe(hi)
     probes = 2
     for mu, s in ((lo, s_lo), (hi, s_hi)):
         gap = abs(s - target_s_u)
@@ -278,10 +432,12 @@ def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
     # Sparsity is (noisily) nondecreasing in mu; bisect while the window
     # brackets the target, otherwise the nearer endpoint already won.
     if s_lo - MU_WINDOW <= target_s_u <= s_hi + MU_WINDOW:
-        llo, lhi = np.log10(lo), np.log10(hi)
         while probes < MU_PROBES and best[0] > MU_WINDOW:
             lmid = 0.5 * (llo + lhi)
-            s_mid = probe(10.0 ** lmid)
+            if lmid not in seen:
+                mids, mus = speculate(llo, lhi, probes)
+                seen.update(zip(mids, probe(mus)))
+            s_mid = seen[lmid]
             probes += 1
             gap = abs(s_mid - target_s_u)
             if gap < best[0]:
@@ -343,8 +499,9 @@ def postprocess_fixed_support(M, U, V, zero_tol=1e-8, seed=0):
     mask = (U > zero_tol * np.abs(U).max()).astype(float)
     U *= mask
     start = float(np.linalg.norm(M - U @ V) ** 2)
-    it, history, _ = _hals(M, U, V, POLISH_ITERS, mask=mask)
-    return _make_pair(M, U, V, seed, it, [start] + history, zero_tol)
+    its, histories, _ = _hals(M, U[None], V[None], POLISH_ITERS,
+                              mask=mask[None])
+    return _make_pair(M, U, V, seed, its[0], [start] + histories[0], zero_tol)
 
 
 @dataclass
@@ -392,16 +549,13 @@ def run_pipeline(M, r, method="nmf", seeds=range(10), max_outer=1000,
     extra = {}
 
     if method == "nmf":
-        runs = [ahals(M, r, seed=s, max_outer=max_outer, zero_tol=zero_tol)
-                for s in seeds]
+        runs = _ahals_stack(M, r, seeds, max_outer, zero_tol)
         best = min(runs, key=lambda p: p.rel_error)
         V, plain = best.V, best.rel_error
         epsilon = alpha = 0.0
     elif method == "pre_nmf":
         prep = _pre.preprocess(M, epsilon=epsilon, alpha=alpha, rescale=True)
-        X = prep.P_alpha_M
-        runs = [ahals(X, r, seed=s, max_outer=max_outer, zero_tol=zero_tol)
-                for s in seeds]
+        runs = _ahals_stack(prep.P_alpha_M, r, seeds, max_outer, zero_tol)
         # Rank seeds by what the method reports: the refit error against
         # the original matrix (the preprocessed objective deliberately
         # trades error for sparsity, so it is the wrong yardstick).
@@ -421,10 +575,8 @@ def run_pipeline(M, r, method="nmf", seeds=range(10), max_outer=1000,
             raise ValueError("snmf needs a target sparsity (snmf_target)")
         cfg = tune_mu(M, r, snmf_target, seed=seeds[0], max_outer=max_outer,
                       zero_tol=zero_tol)
-        runs = []
-        for s in seeds:
-            c = SnmfConfig(mu=cfg.mu, max_outer=max_outer, seed=s)
-            runs.append(snmf(M, r, c, zero_tol=zero_tol))
+        mu = np.broadcast_to(cfg.mu, (len(seeds), r)).astype(float)
+        runs = _snmf_stack(M, r, mu, seeds, max_outer, zero_tol)
         best = min(runs, key=lambda p: p.objective_history[-1])
         V, plain = best.V, best.rel_error
         alpha = 0.0

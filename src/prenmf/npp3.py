@@ -50,6 +50,7 @@ __all__ = [
 
 GEOM_TOL = 1e-9
 DEDUP_TOL = 1e-6    # lifted Hausdorff distance below which solutions merge
+RANK_TOL = 1e-9     # singular values below this times the largest count as 0
 
 
 class GeometryError(RuntimeError):
@@ -72,12 +73,12 @@ class NotFinite(GeometryError):
     """The instance admits a continuum of minimal nested polygons."""
 
 
-def numerical_rank(M, tol=1e-9):
-    """Number of singular values above ``tol`` times the largest."""
+def numerical_rank(M):
+    """Number of singular values above ``RANK_TOL`` times the largest."""
     s = np.linalg.svd(as_matrix(M), compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def convex_hull(points):

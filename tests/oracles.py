@@ -238,3 +238,70 @@ def ray_exit_oracle(outer_poly_contains, x, d, hi=4.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def detect_duplicates_oracle(M, tol=1e-8):
+    """Duplicate column pairs by the pairwise loop: every pair (i > j) runs
+    the exact least-squares test, in the order i, then j."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[1]
+    norms = np.linalg.norm(M, axis=0)
+    zero_cut = 1e-12 * (norms.max() if norms.max() > 0 else 1.0)
+    pairs = []
+    for i in range(1, n):
+        if norms[i] <= zero_cut:
+            continue
+        for j in range(i):
+            if norms[j] <= zero_cut:
+                continue
+            alpha = float(M[:, i] @ M[:, j]) / float(norms[j] ** 2)
+            if alpha < 0:
+                alpha = 0.0
+            resid = np.linalg.norm(M[:, i] - alpha * M[:, j])
+            if resid <= tol * norms[i]:
+                pairs.append((i, j, alpha))
+    return pairs
+
+
+def tune_mu_oracle(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
+    """Sequential log-bisection for the l1 weight: one public ``snmf`` run
+    per probe, each chosen after the previous one.
+
+    Returns (config, probes), probes being the number of sparse runs made.
+    """
+    from prenmf import nmf
+
+    M = np.asarray(M, dtype=float)
+    scale = float(M.max())
+    lo = 1e-6 * scale
+    hi = 10.0 * scale * M.shape[0]
+
+    def probe(mu):
+        cfg = nmf.SnmfConfig(mu=np.full(r, mu), max_outer=max_outer,
+                             seed=seed)
+        return nmf.snmf(M, r, cfg, zero_tol=zero_tol).s_U
+
+    best = None  # (gap, mu, s)
+    s_lo = probe(lo)
+    s_hi = probe(hi)
+    probes = 2
+    for mu, s in ((lo, s_lo), (hi, s_hi)):
+        gap = abs(s - target_s_u)
+        if best is None or gap < best[0]:
+            best = (gap, mu, s)
+    if s_lo - nmf.MU_WINDOW <= target_s_u <= s_hi + nmf.MU_WINDOW:
+        llo, lhi = np.log10(lo), np.log10(hi)
+        while probes < nmf.MU_PROBES and best[0] > nmf.MU_WINDOW:
+            lmid = 0.5 * (llo + lhi)
+            s_mid = probe(10.0 ** lmid)
+            probes += 1
+            gap = abs(s_mid - target_s_u)
+            if gap < best[0]:
+                best = (gap, 10.0 ** lmid, s_mid)
+            if s_mid < target_s_u:
+                llo = lmid
+            else:
+                lhi = lmid
+    cfg = nmf.SnmfConfig(mu=np.full(r, best[1]), max_outer=max_outer,
+                         seed=seed, achieved_s_u=best[2])
+    return cfg, probes

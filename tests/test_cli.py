@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prenmf
 from prenmf import matio
 from prenmf.cli import build_parser, main
 
@@ -178,10 +181,16 @@ class TestUniquenessCommand:
 
 class TestEntryPoint:
     def test_subprocess_roundtrip(self, tmp_path):
+        # The child must import the package under test, whether pytest
+        # found it through its own pythonpath setting or PYTHONPATH.
+        parent = str(Path(prenmf.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (parent, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "prenmf", "uniqueness", "--fixture",
              "sparsity-example", "--rank", "3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "unique (certified)" in proc.stdout
 

@@ -7,6 +7,8 @@ from hypothesis.extra.numpy import arrays
 from prenmf.matcore import (AllColumnsZero, as_matrix, detect_duplicates,
                             pullback, sparsity)
 
+from oracles import detect_duplicates_oracle
+
 
 class TestPullback:
     def test_identity_is_fixed_point(self):
@@ -106,6 +108,39 @@ class TestDetectDuplicates:
     def test_zero_columns_skipped(self):
         M = np.array([[1.0, 0.0], [2.0, 0.0]])
         assert detect_duplicates(M, tol=1e-8) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gram_screen_matches_pair_loop_on_random(self, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.random((int(rng.integers(2, 30)), int(rng.integers(2, 40))))
+        M[:, rng.integers(M.shape[1])] = 0.0
+        for tol in (1e-8, 1e-6, 0.3, 1.0):
+            assert detect_duplicates(M, tol) == detect_duplicates_oracle(M, tol)
+
+    @pytest.mark.parametrize("m", [3, 30, 200])
+    def test_gram_screen_matches_pair_loop_near_duplicates(self, m):
+        # Multiples of earlier columns perturbed at relative sizes around
+        # the tolerance, so the exact test both accepts and rejects pairs
+        # whose cosines all round to within 1e-15 of one; negative
+        # multiples and zero columns ride along.
+        rng = np.random.default_rng(m)
+        base = rng.random((m, 6)) - 0.2
+        cols = [base[:, k] for k in range(6)]
+        for k, rel in enumerate([0.0, 1e-12, 5e-9, 9.9e-9, 1.01e-8, 3e-8,
+                                 1e-7, 1e-6]):
+            src = base[:, k % 6]
+            d = rng.standard_normal(m)
+            d -= (d @ src) / (src @ src) * src  # orthogonal to its source
+            d *= rel * np.linalg.norm(src) / np.linalg.norm(d)
+            cols.append(rng.uniform(0.5, 3.0) * (src + d))
+        cols += [-2.0 * base[:, 0], np.zeros(m), 1e-3 * base[:, 1]]
+        M = np.column_stack(cols)
+        perm = rng.permutation(M.shape[1])
+        for X in (M, M[:, perm]):
+            for tol in (1e-8, 1e-6):
+                got = detect_duplicates(X, tol)
+                assert got == detect_duplicates_oracle(X, tol)
+        assert len(detect_duplicates(M, 1e-8)) >= 5
 
 
 class TestAsMatrix:

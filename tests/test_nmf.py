@@ -5,6 +5,8 @@ from prenmf import nmf
 from prenmf.cllsolve import preprocess_matrix
 from prenmf.preprocessing import apply_alpha
 
+from oracles import tune_mu_oracle
+
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
 
@@ -274,3 +276,104 @@ class TestRunPipeline:
     def test_unknown_method(self, rng):
         with pytest.raises(ValueError):
             nmf.run_pipeline(rng.random((4, 4)), 2, "other")
+
+
+def engine_inputs():
+    """A random 12x10 matrix and an exact rank-4 12x10 product."""
+    rng = np.random.default_rng(0)
+    rand = rng.random((12, 10))
+    low = rng.random((12, 4)) @ rng.random((4, 10))
+    return rand, low
+
+
+def pipeline_by_seed(M, r, method, seeds, max_outer, snmf_target=None):
+    """run_pipeline's best seed and polish from one public ahals or snmf
+    call per seed, with the sparse weight from the sequential oracle."""
+    cfg = None
+    if method == "nmf":
+        runs = [nmf.ahals(M, r, seed=s, max_outer=max_outer) for s in seeds]
+        best = min(runs, key=lambda p: p.rel_error)
+    else:
+        cfg, _ = tune_mu_oracle(M, r, snmf_target, seed=seeds[0],
+                                max_outer=max_outer)
+        runs = [nmf.snmf(M, r, nmf.SnmfConfig(mu=cfg.mu, max_outer=max_outer,
+                                              seed=s))
+                for s in seeds]
+        best = min(runs, key=lambda p: p.objective_history[-1])
+    improved = nmf.postprocess_fixed_support(M, best.U, best.V, seed=best.seed)
+    return runs, best, improved, cfg
+
+
+def assert_same_report(rep, best, improved):
+    np.testing.assert_array_equal(rep.U, best.U)
+    np.testing.assert_array_equal(rep.V, best.V)
+    assert rep.best_seed == best.seed
+    assert rep.rel_error_plain == best.rel_error
+    assert rep.rel_error_improved == improved.rel_error
+    assert rep.s_U == best.s_U
+    assert rep.s_V == best.s_V
+
+
+class TestStackedEngine:
+    """Stacked seeds and probes give bit for bit the runs made one by one."""
+
+    @pytest.mark.parametrize("case", ["outside", "window", "budget"])
+    def test_tune_mu_matches_sequential_oracle(self, case):
+        rand, low = engine_inputs()
+        M, target = {"outside": (rand, 0.99), "window": (rand, 0.55),
+                     "budget": (low, 0.7)}[case]
+        want, probes = tune_mu_oracle(M, 3, target, seed=0, max_outer=30)
+        got = nmf.tune_mu(M, 3, target, seed=0, max_outer=30)
+        np.testing.assert_array_equal(got.mu, want.mu)
+        assert got.achieved_s_u == want.achieved_s_u
+        # Each case takes a different exit of the bisection: a target no
+        # unit-max U can reach (s_U <= 11/12 here), the window, the budget.
+        if case == "outside":
+            assert probes == 2
+        elif case == "window":
+            assert 2 < probes < nmf.MU_PROBES
+        else:
+            assert probes == nmf.MU_PROBES
+
+    @pytest.mark.parametrize("r, max_outer", [(2, 300), (3, 240)])
+    def test_pipeline_nmf_matches_per_seed_runs(self, r, max_outer):
+        M, _ = engine_inputs()
+        seeds = range(5)
+        runs, best, improved, _ = pipeline_by_seed(M, r, "nmf", seeds,
+                                                   max_outer)
+        # The seeds stall at different outer iterations (r = 3: some run
+        # to the cap), so slices leave the stack at different times.
+        its = [p.iterations for p in runs]
+        assert len(set(its)) >= 3 and min(its) < max_outer
+        rep = nmf.run_pipeline(M, r, "nmf", seeds=seeds, max_outer=max_outer)
+        assert_same_report(rep, best, improved)
+
+    def test_pipeline_snmf_matches_per_seed_runs(self):
+        M, _ = engine_inputs()
+        seeds = range(4)
+        runs, best, improved, cfg = pipeline_by_seed(M, 3, "snmf", seeds, 40,
+                                                     snmf_target=0.6)
+        # Some slices have columns collapse and get reseeded, one does not.
+        collapses = [p.collapses for p in runs]
+        assert min(collapses) == 0 and max(collapses) > 0
+        rep = nmf.run_pipeline(M, 3, "snmf", seeds=seeds, max_outer=40,
+                               snmf_target=0.6)
+        assert_same_report(rep, best, improved)
+        np.testing.assert_array_equal(rep.mu, cfg.mu)
+
+    def test_stack_of_penalties_matches_single_runs(self):
+        M, _ = engine_inputs()
+        scale = M.max()
+        mus = np.array([1e-6 * scale, 0.01, 0.1 * scale, scale,
+                        10.0 * scale * M.shape[0]])
+        mu = np.repeat(mus[:, None], 3, axis=1)
+        stacked = nmf._snmf_stack(M, 3, mu, [1] * len(mus), 60, 1e-8)
+        for pair, m in zip(stacked, mus):
+            cfg = nmf.SnmfConfig(mu=np.full(3, m), max_outer=60, seed=1)
+            single = nmf.snmf(M, 3, cfg)
+            np.testing.assert_array_equal(pair.U, single.U)
+            np.testing.assert_array_equal(pair.V, single.V)
+            np.testing.assert_array_equal(pair.objective_history,
+                                          single.objective_history)
+            assert pair.collapses == single.collapses
+        assert stacked[0].collapses == 0 and stacked[-1].collapses > 0
