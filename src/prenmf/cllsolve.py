@@ -19,6 +19,7 @@ one.  Pivoting is lowest-index (Bland-style) which makes runs deterministic
 and cycle-free under degeneracy.
 """
 
+import math
 import numpy as np
 from dataclasses import dataclass
 
@@ -142,18 +143,16 @@ def _solve_eq_qp(CtC, Ctd, A_eq, h_eq, reg):
 def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
     """Primal active-set method for min ||C x - d||^2, x >= 0, G x <= h.
 
-    G may be None (plain nonnegative least squares).  Starts from x = 0 with
-    all variable bounds active.  Constraints are indexed bounds first
-    (0..n-1) then rows (n..n+p-1); ``tie_order`` optionally permutes the
-    pivoting preference over that index space (used to verify that the
-    fitted vector C x is independent of the ordering).
+    Starts from x = 0 with all variable bounds active.  Constraints are
+    indexed bounds first (0..n-1) then rows (n..n+p-1); ``tie_order``
+    optionally permutes the pivoting preference over that index space (used
+    to verify that the fitted vector C x is independent of the ordering).
 
     Returns (x, active, iterations).
     """
     m, n = C.shape
-    p = 0 if G is None else G.shape[0]
-    scale_h = 1.0 if p == 0 else max(1.0, float(np.abs(h).max()))
-    if p and np.min(h) < -FEAS_TOL * scale_h:
+    p = G.shape[0]
+    if np.min(h) < -FEAS_TOL * max(1.0, float(np.abs(h).max())):
         raise Infeasible("slack bound has negative entries; x = 0 is not feasible")
 
     if tie_order is None:
@@ -165,7 +164,7 @@ def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
     CtC = C.T @ C
     Ctd = C.T @ d
     reg = 1e-12 * (np.trace(CtC) / max(n, 1) + 1.0)
-    row_scale = np.maximum(1.0, np.abs(G).max(axis=1)) if p else None
+    row_scale = np.maximum(1.0, np.abs(G).max(axis=1))
 
     x = np.zeros(n)
     act_bound = np.ones(n, dtype=bool)   # x_k = 0 held
@@ -231,21 +230,18 @@ def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
         # Ratio test against inactive constraints.
         dir_tol = 1e-14 * max(1.0, float(np.abs(step).max()))
         blk = np.flatnonzero(~act_bound & (step < -dir_tol))
-        ratios = [x[blk] / (-step[blk])]
-        cands = [blk]
-        if p:
-            Gstep = G @ step
-            Gx = G @ x
-            blk = np.flatnonzero(~act_row & (Gstep > dir_tol * row_scale))
-            ratios.append((h[blk] - Gx[blk]) / Gstep[blk])
-            cands.append(n + blk)
-        cands = np.concatenate(cands)
+        Gstep = G @ step
+        Gx = G @ x
+        blk_row = np.flatnonzero(~act_row & (Gstep > dir_tol * row_scale))
+        ratios = np.concatenate([x[blk] / (-step[blk]),
+                                 (h[blk_row] - Gx[blk_row]) / Gstep[blk_row]])
+        cands = np.concatenate([blk, n + blk_row])
         # The fold stays sequential: with the 1e-15 window a later candidate
         # can replace the current one without being the smallest ratio, so
         # the blocker depends on the order candidates are visited in
         # (bounds, then rows, each by index), which a plain argmin loses.
         alpha, blocker, rank_blocker = 1.0, None, None
-        for a, k, rk in zip(np.concatenate(ratios).tolist(), cands.tolist(),
+        for a, k, rk in zip(ratios.tolist(), cands.tolist(),
                             rank[cands].tolist()):
             if a < alpha - 1e-15 or (abs(a - alpha) <= 1e-15 and blocker is not None
                                      and rk < rank_blocker):
@@ -284,6 +280,11 @@ def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
     set and is unique even when b itself is not.  The result carries an
     independently computed KKT residual which is at most ``KKT_TOL`` times
     the gradient scale on success.
+
+    The kernel's tolerances are absolute at unit scale, so an M with
+    max|M| < 1 is first lifted by a power of two into [1, 2).  The lift is
+    exact: b and the active set do not depend on the scale of M, and the
+    objective and KKT residual are reported at the input's scale.
     """
     M, i = p.M, p.i
     m, n = M.shape
@@ -305,6 +306,11 @@ def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
         return CllsSolution(b=b, objective=0.0, kkt_residual=0.0,
                             active_set=tuple(range(n)), iterations=0)
 
+    top = float(np.abs(M).max())
+    k = 1 - math.frexp(top)[1] if top < 1.0 else 0
+    if k:
+        p = CllsProblem(np.ldexp(M, k), i, p.epsilon)
+        M, d = p.M, p.target
     C = M[:, others]
     u = p.slack_bound
     x, active_red, it = _active_set_ls(C, d, C, u, max_iter,
@@ -326,7 +332,8 @@ def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
         raise SolverError(f"optimality certificate failed: KKT residual "
                           f"{residual:.3e} exceeds {KKT_TOL * grad_scale:.3e}")
     obj = float(np.sum((d - M @ b) ** 2))
-    return CllsSolution(b=b, objective=obj, kkt_residual=residual,
+    return CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),
+                        kkt_residual=math.ldexp(residual, -2 * k),
                         active_set=tuple(sorted(active)), iterations=it)
 
 
@@ -434,8 +441,7 @@ def preprocess_matrix(M, epsilon=0.0):
 def nnls_columns(U, M):
     """Columnwise nonnegative least squares:  argmin_{V >= 0} ||M - U V||_F^2.
 
-    Reuses the active-set kernel with no slack constraints, one column of V
-    at a time.
+    One call of scipy's Lawson-Hanson routine per column of V.
     """
     U = as_matrix(U, "U")
     M = as_matrix(M, "M")
@@ -444,6 +450,8 @@ def nnls_columns(U, M):
     r = U.shape[1]
     V = np.zeros((r, M.shape[1]))
     for j in range(M.shape[1]):
-        x, _, _ = _active_set_ls(U, M[:, j], None, None, 50 * max(r, 2))
-        V[:, j] = x
+        try:
+            V[:, j] = scipy.optimize.nnls(U, M[:, j], maxiter=50 * max(r, 2))[0]
+        except RuntimeError as exc:
+            raise MaxIterations(f"column {j}: {exc}") from exc
     return V

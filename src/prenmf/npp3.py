@@ -51,6 +51,13 @@ __all__ = [
 GEOM_TOL = 1e-9
 DEDUP_TOL = 1e-6    # lifted Hausdorff distance below which solutions merge
 RANK_TOL = 1e-9     # singular values below this times the largest count as 0
+# A tangent step snaps its exit point onto the outer boundary from up to
+# 1e-7 away, so f_3 carries a noise band of about 3e-7.  A wrap slack inside
+# the band is a touching (isolated) solution, one above it interior slack.
+TOUCH_SLACK = 3e-7
+# Touching change points this close lie in each other's noise band: the gap
+# between them is no evidence of a constant piece of f_k on the wrap line.
+PIECE_GAP = 3e-7
 
 
 class GeometryError(RuntimeError):
@@ -175,8 +182,7 @@ class Polygon2:
     def point_at(self, t):
         """Boundary point at perimeter fraction t (any real; wraps)."""
         s = (t % 1.0) * self.perimeter
-        i = int(np.searchsorted(self.arcs, s, side="right")) - 1
-        i = min(max(i, 0), len(self.vertices) - 1)
+        i = self.edge_of_param(t)
         v0 = self.vertices[i]
         v1 = self.vertices[(i + 1) % len(self.vertices)]
         seg = self.arcs[i + 1] - self.arcs[i]
@@ -292,7 +298,6 @@ class TangentWalk:
 
     t_values: np.ndarray         # k+1 nondecreasing, unwrapped
     points: np.ndarray           # (k+1, 2) walk points x(t_i)
-    touch_points: tuple          # per step: (q, case_label)
 
     @property
     def f(self):
@@ -457,30 +462,13 @@ def _ray_exit(outer, x, d):
     return x + float(ahead.min()) * d
 
 
-def _on_edge(poly, edge_idx, p, tol):
-    v0 = poly.vertices[edge_idx]
-    v1 = poly.vertices[(edge_idx + 1) % len(poly.vertices)]
-    e = v1 - v0
-    L2 = float(e @ e)
-    lam = min(max(float((p - v0) @ e) / L2, 0.0), 1.0)
-    return float(np.hypot(*(p - (v0 + lam * e)))) <= tol
+def tangent_step(npp, t):
+    """One tangent step of the boundary walk.
 
-
-def _edges_at_param(poly, t):
-    """Edge indices meeting the boundary point at fraction t."""
-    k = len(poly.vertices)
-    i = poly.edge_of_param(t)
-    s = (t % 1.0) * poly.perimeter
-    edges = {i}
-    if abs(s - poly.arcs[i]) <= GEOM_TOL:
-        edges.add((i - 1) % k)
-    if abs(poly.arcs[i + 1] - s) <= GEOM_TOL:
-        edges.add((i + 1) % k)
-    return edges
-
-
-def _step_raw(npp, t):
-    """Advance one tangent step; returns (t_next, q) without classification."""
+    Returns (t_next, q): the unwrapped parameter after the step and the
+    inner touch point q.  When the boundary coincides with the inner
+    polygon locally, the step follows the boundary to the next vertex.
+    """
     outer, inner = npp.outer, npp.inner
     x = outer.point_at(t)
     if inner.signed_inside(x) > 10 * GEOM_TOL:
@@ -495,28 +483,6 @@ def _step_raw(npp, t):
     return t + delta, q
 
 
-def tangent_step(npp, t):
-    """One tangent step of the boundary walk.
-
-    Returns (t_next, case_label, q): the unwrapped parameter after the step,
-    the contact classification ('side-of-start', 'side-of-end', 'interior'),
-    and the inner touch point q.  When the boundary coincides with the inner
-    polygon locally, the step follows the boundary to the next vertex.
-    """
-    outer = npp.outer
-    t_next, q = _step_raw(npp, t)
-    start_edges = _edges_at_param(outer, t)
-    end_edges = _edges_at_param(outer, t_next)
-    tol = 10 * GEOM_TOL
-    if any(_on_edge(outer, e, q, tol) for e in start_edges):
-        label = "side-of-start"
-    elif any(_on_edge(outer, e, q, tol) for e in end_edges):
-        label = "side-of-end"
-    else:
-        label = "interior"
-    return t_next, label, q
-
-
 def walk_fk(npp, t, k):
     """Chain k tangent steps from boundary fraction t.
 
@@ -527,16 +493,10 @@ def walk_fk(npp, t, k):
     if k < 1:
         raise ValueError("k must be at least 1")
     ts = [float(t)]
-    pts = [npp.outer.point_at(t)]
-    touches = []
-    cur = float(t)
     for _ in range(k):
-        cur, label, q = tangent_step(npp, cur)
-        ts.append(cur)
-        pts.append(npp.outer.point_at(cur))
-        touches.append((q, label))
-    return TangentWalk(t_values=np.asarray(ts), points=np.asarray(pts),
-                       touch_points=tuple(touches))
+        ts.append(tangent_step(npp, ts[-1])[0])
+    return TangentWalk(t_values=np.asarray(ts),
+                       points=np.asarray([npp.outer.point_at(s) for s in ts]))
 
 
 def sample_fk(npp, k, num=256):
@@ -550,7 +510,7 @@ def _fk_value(npp, t, k):
     """f_k(t) without the bookkeeping of a full TangentWalk."""
     cur = float(t)
     for _ in range(k):
-        cur, _ = _step_raw(npp, cur)
+        cur = tangent_step(npp, cur)[0]
     return cur
 
 
@@ -624,7 +584,7 @@ def contact_change_points(npp, k):
     points = set(seeds)
     for t in seeds:
         for _ in range(k):
-            t = -_step_raw(mirror, -t)[0] % 1.0
+            t = -tangent_step(mirror, -t)[0] % 1.0
             points.add(t)
 
     out = sorted(points)
@@ -637,19 +597,22 @@ def contact_change_points(npp, k):
     return dedup
 
 
+def _wrap_slacks(npp, k):
+    """Map each contact change point t, in increasing order, to f_k(t) - t - 1."""
+    return {t: _fk_value(npp, t, k) - t - 1.0
+            for t in contact_change_points(npp, k)}
+
+
 def max_wrap_slack(npp, k):
     """Maximum of f_k(t) - t - 1 over the contact change points.
 
     Between consecutive change points f_k is constant or strictly convex,
     so f_k(t) - t peaks at an end of its piece, and every piece end is a
-    change point.  Returns (value, argmax_t).
+    change point.  Returns (value, argmax_t); the first maximiser wins.
     """
-    best_t, best_v = None, -np.inf
-    for t in contact_change_points(npp, k):
-        v = _fk_value(npp, t, k) - t - 1.0
-        if v > best_v:
-            best_t, best_v = t, v
-    return best_v, best_t
+    slacks = _wrap_slacks(npp, k)
+    best_t = max(slacks, key=slacks.get)
+    return slacks[best_t], best_t
 
 
 def feasible_k(npp, k):
@@ -674,20 +637,17 @@ def enumerate_solutions(npp, k):
     on a whole constant piece: either way the solution set is a continuum,
     not a finite list.
     """
-    cands = contact_change_points(npp, k)
-    vals = {t: _fk_value(npp, t, k) - t - 1.0 for t in cands}
-    max_val = max(vals.values(), default=-np.inf)
+    vals = _wrap_slacks(npp, k)
+    max_val = max(vals.values())
     if max_val < -GEOM_TOL:
         return []
-    if max_val > 3e-7:
+    if max_val > TOUCH_SLACK:
         raise NotFinite("wrap criterion holds with interior slack: "
                         "a continuum of nested polygons exists")
-    touching = [t for t in cands if vals[t] >= -GEOM_TOL]
-    # A full constant piece on the wrap line is also a continuum.  Gaps
-    # at the scale of the walk's noise band are not evidence of one.
-    extended = sorted(touching)
-    for a, b in zip(extended, extended[1:] + [extended[0] + 1.0]):
-        if b - a <= 3e-7:
+    touching = [t for t, v in vals.items() if v >= -GEOM_TOL]
+    # A full constant piece on the wrap line is also a continuum.
+    for a, b in zip(touching, touching[1:] + [touching[0] + 1.0]):
+        if b - a <= PIECE_GAP:
             continue
         mid = 0.5 * (a + b) % 1.0
         if _fk_value(npp, mid, k) - mid - 1.0 >= -GEOM_TOL:

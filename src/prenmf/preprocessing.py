@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 ALPHA_TOL = 1e-4    # find_alpha_bar's bisection bracket width before the polish
-MAX_BISECT = 40
 
 
 class RankMismatch(ValueError):
@@ -131,9 +130,7 @@ def find_alpha_bar(M, B_star=None):
                            "(nonnegative rank exceeds 3)")
     lo, g_lo = 0.0, g0
     hi, g_hi = 1.0, None
-    for _ in range(MAX_BISECT):
-        if hi - lo <= ALPHA_TOL:
-            break
+    while hi - lo > ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         g_mid = slack(mid)
         if g_mid >= -tol_feas:
@@ -147,7 +144,10 @@ def find_alpha_bar(M, B_star=None):
         prev_p, prev_v = 0.0, g0
         bisect_next = False
         for _ in range(14):
-            if g_lo <= 3e-7:
+            # Stop once the feasible end's slack is in the walk's noise
+            # band: enumerate_solutions then sees touching solutions there,
+            # not interior slack.
+            if g_lo <= npp3.TOUCH_SLACK:
                 break
             if not bisect_next and prev_v > g_lo and prev_p < lo:
                 est = lo + g_lo * (lo - prev_p) / (prev_v - g_lo)

@@ -148,6 +148,25 @@ def nnls_oracle(A, b):
     return x, resid
 
 
+def nnls_kkt_check(U, M, V, tol=1e-9):
+    """Why V is not optimal for min_{V >= 0} ||M - U V||_F, or None if it is.
+
+    Checks the KKT conditions directly, with no solver: V >= 0, the
+    gradient U^T (U V - M) >= 0, and a zero gradient wherever V > 0
+    (complementarity), the last two to within tol of the gradient's scale.
+    """
+    grad = U.T @ (U @ V - M)
+    scale = np.linalg.norm(U) * max(np.linalg.norm(M), np.linalg.norm(U @ V))
+    if V.min() < 0.0:
+        return f"negative entry {V.min():.3e}"
+    if grad.min() < -tol * scale:
+        return f"descent direction: gradient entry {grad.min():.3e}"
+    if np.any(V > 0.0) and np.abs(grad[V > 0.0]).max() > tol * scale:
+        return (f"complementarity: gradient {np.abs(grad[V > 0.0]).max():.3e}"
+                " on a positive entry")
+    return None
+
+
 def spectral_radius_oracle(B):
     """Perron root of an irreducible, aperiodic nonnegative B without LAPACK.
 

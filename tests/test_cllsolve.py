@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from prenmf.cllsolve import (CllsProblem, Infeasible, InfeasiblePoint,
                              MaxIterations, kkt_check, nnls_columns,
                              preprocess_matrix, solve_column)
-from oracles import (grid_column_oracle, nnls_oracle, qp_column_check,
+from oracles import (grid_column_oracle, nnls_kkt_check, qp_column_check,
                      qp_column_oracle)
 
 from conftest import random_nonneg
@@ -172,6 +173,39 @@ class TestPreprocessMatrix:
             assert sum(s.iterations for s in sols) == pivots
 
 
+class TestScaleInvariance:
+    @staticmethod
+    def synthetic():
+        # The 20x15 input of the scale notes (r = 4, seed 0), lifted by a
+        # power of two to max in [1, 2): exact, so its B* is the reference.
+        rng = np.random.default_rng(0)
+        W = rng.random((20, 4)) * (rng.random((20, 4)) < 0.4)
+        M = W @ rng.random((4, 15)) + 0.01 * rng.random((20, 15))
+        return np.ldexp(M, -np.frexp(M.max())[1] + 1)
+
+    @pytest.mark.parametrize("j", [10, 20, 30])
+    def test_power_of_two_scaling_is_exact(self, j):
+        # The kernel's tolerances are absolute: unlifted, a small input
+        # stops every column at b = 0 and still passes the certificate.
+        M = self.synthetic()
+        B, sols = preprocess_matrix(M)
+        B_small, sols_small = preprocess_matrix(np.ldexp(M, -j))
+        np.testing.assert_array_equal(B_small, B)
+        assert ([s.active_set for s in sols_small]
+                == [s.active_set for s in sols])
+        for s, t in zip(sols_small, sols):
+            assert s.objective == np.ldexp(t.objective, -2 * j)
+            assert s.kkt_residual == np.ldexp(t.kkt_residual, -2 * j)
+
+    def test_small_decimal_scaling_keeps_active_sets(self):
+        M = self.synthetic()
+        B, sols = preprocess_matrix(M)
+        B_small, sols_small = preprocess_matrix(1e-6 * M)
+        assert ([s.active_set for s in sols_small]
+                == [s.active_set for s in sols])
+        np.testing.assert_allclose(B_small, B, atol=1e-9)
+
+
 class TestInvariants:
     def test_fitted_vector_unique_across_pivot_orders(self, rng):
         # Different tie-breaking orders may return different coefficient
@@ -218,15 +252,32 @@ class TestInvariants:
 
 
 class TestNnlsColumns:
-    def test_matches_reference(self, rng):
+    def test_satisfies_kkt(self, rng):
+        for _ in range(5):
+            U = rng.random((8, 4))
+            M = rng.random((8, 6)) - 0.3
+            V = nnls_columns(U, M)
+            assert nnls_kkt_check(U, M, V) is None
+            # Some entries must be bound for complementarity to be tested.
+            assert 0 < np.count_nonzero(V) < V.size
+
+    def test_kkt_check_rejects_suboptimal(self, rng):
         U = rng.random((8, 4))
         M = rng.random((8, 6))
         V = nnls_columns(U, M)
-        for j in range(6):
-            x_ref, _ = nnls_oracle(U, M[:, j])
-            np.testing.assert_allclose(
-                U @ V[:, j], U @ x_ref, atol=1e-8 * np.linalg.norm(M[:, j]))
-        assert V.min() >= 0.0
+        assert nnls_kkt_check(U, M, V + 0.01).startswith("complementarity")
+        assert nnls_kkt_check(U, M, np.zeros_like(V)).startswith("descent")
+        assert nnls_kkt_check(U, M, V - 1.0).startswith("negative")
+
+    def test_iteration_cap_raises_max_iterations(self, rng, monkeypatch):
+        # scipy reports its iteration cap as a bare RuntimeError; callers
+        # catch the package's own exception.
+        def capped(A, b, maxiter):
+            assert maxiter == 50 * 4
+            raise RuntimeError("Maximum number of iterations reached.")
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        with pytest.raises(MaxIterations, match="column 0"):
+            nnls_columns(rng.random((8, 4)), rng.random((8, 6)))
 
     def test_square_full_rank_recovers_identity(self, rng):
         M = random_nonneg(rng, 5, 5)

@@ -5,7 +5,7 @@ from prenmf import nmf
 from prenmf.cllsolve import preprocess_matrix
 from prenmf.preprocessing import apply_alpha
 
-from oracles import tune_mu_oracle
+from oracles import nnls_kkt_check, tune_mu_oracle
 
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
@@ -169,6 +169,22 @@ class TestRefitV:
         U[:, 2] = 0.0
         V = nmf.refit_v(rng.random((7, 5)), U)
         np.testing.assert_allclose(V[2], 0.0, atol=1e-12)
+
+    def test_satisfies_kkt(self, sepex, rng):
+        for U in (rng.random((sepex.shape[0], 2)),
+                  rng.random((sepex.shape[0], 4))):
+            V = nmf.refit_v(sepex, U)
+            assert nnls_kkt_check(U, sepex, V) is None
+
+    def test_scale_of_u(self, rng):
+        # Scaling U by 2^-30 scales the optimal V by 2^30; a solver with
+        # an absolute tolerance returns V = 0 here.
+        M = rng.random((9, 7))
+        U = rng.random((9, 3))
+        V = nmf.refit_v(M, U)
+        V_small = nmf.refit_v(M, np.ldexp(U, -30))
+        np.testing.assert_allclose(V_small, np.ldexp(V, 30),
+                                   rtol=1e-12, atol=1e-12 * np.ldexp(V, 30).max())
 
 
 class TestVFromQ:

@@ -1,0 +1,53 @@
+"""The benchmark tracer's view of the package API.
+
+``perfbench/spans.py`` wraps package functions by module attribute name and
+reads counters off their return values.  A renamed or deleted function, or
+a changed return type, would otherwise surface only in a traced benchmark
+run.  The file is loaded from the checkout as it is, without changes.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prenmf import cllsolve, npp3
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def wrapped():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.WRAPPED
+
+
+def counter(wrapped, layer, attr):
+    return next(c for a, _, c in wrapped[layer] if a == attr)
+
+
+def test_every_wrapped_attribute_exists(wrapped):
+    for layer, entries in wrapped.items():
+        module = importlib.import_module(f"prenmf.{layer}")
+        for attr, _, _ in entries:
+            assert callable(getattr(module, attr, None)), f"{layer}.{attr}"
+
+
+def test_counters_read_return_values(wrapped):
+    rng = np.random.default_rng(0)
+    M = rng.random((6, 3)) @ rng.random((3, 5))
+
+    sol = cllsolve.solve_column(cllsolve.CllsProblem(M, 0))
+    assert counter(wrapped, "cllsolve", "solve_column")((), {}, sol) == {
+        "pivots": sol.iterations}
+
+    V = cllsolve.nnls_columns(M[:, :2], M)
+    assert counter(wrapped, "cllsolve", "nnls_columns")((), {}, V) == {
+        "columns": 5}
+
+    walk = npp3.walk_fk(npp3.build_npp(M), 0.1, 3)
+    assert counter(wrapped, "npp3", "walk_fk")((), {}, walk) == {"steps": 3}
