@@ -14,7 +14,6 @@ written as CSV.
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +141,7 @@ def cmd_factorize(args):
     seeds = _parse_seeds(args.seeds)
     records = []
     factors = {}
-    pre_s_u = None
+    pre_s_u = {}   # epsilon -> s_U of the pre-nmf run at that epsilon
     for method in args.method:
         for eps in (args.epsilon if method != "nmf" else [0.0]):
             name = method.replace("-", "_")
@@ -151,9 +150,9 @@ def cmd_factorize(args):
             if method == "pre-nmf":
                 rep = nmf.run_pipeline(M, args.rank, "pre_nmf", epsilon=eps,
                                        alpha=args.alpha_value, **kwargs)
-                pre_s_u = rep.s_U
+                pre_s_u[eps] = rep.s_U
             elif method == "snmf":
-                target = pre_s_u if pre_s_u is not None else args.snmf_target
+                target = pre_s_u.get(eps, args.snmf_target)
                 if target is None:
                     raise ValueError("snmf needs --snmf-target or a pre-nmf "
                                      "run in the same invocation")
@@ -164,7 +163,7 @@ def cmd_factorize(args):
             tag = f"{name}_eps{eps:g}" if method != "nmf" else name
             records.append({
                 "method": method,
-                "epsilon": eps if method != "nmf" else 0.0,
+                "epsilon": eps,
                 "alpha": rep.alpha,
                 "rel_error_plain": rep.rel_error_plain,
                 "rel_error_improved": rep.rel_error_improved,
@@ -177,8 +176,6 @@ def cmd_factorize(args):
                 "factors": {"U": f"U_{tag}.csv", "V": f"V_{tag}.csv"},
             })
             factors[tag] = (rep.U, rep.V)
-            if method == "nmf":
-                break
     for tag, (U, V) in factors.items():
         matio.write_csv(out / f"U_{tag}.csv", U)
         matio.write_csv(out / f"V_{tag}.csv", V)

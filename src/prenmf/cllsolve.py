@@ -140,8 +140,8 @@ def _solve_eq_qp(CtC, Ctd, A_eq, h_eq, reg):
     return sol[:nf], sol[nf:]
 
 
-def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
-    """Primal active-set method for min ||C x - d||^2, x >= 0, G x <= h.
+def _active_set_ls(C, d, h, max_iter, tie_order=None):
+    """Primal active-set method for min ||C x - d||^2, x >= 0, C x <= h.
 
     Starts from x = 0 with all variable bounds active.  Constraints are
     indexed bounds first (0..n-1) then rows (n..n+p-1); ``tie_order``
@@ -150,8 +150,7 @@ def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
 
     Returns (x, active, iterations).
     """
-    m, n = C.shape
-    p = G.shape[0]
+    p, n = C.shape
     if np.min(h) < -FEAS_TOL * max(1.0, float(np.abs(h).max())):
         raise Infeasible("slack bound has negative entries; x = 0 is not feasible")
 
@@ -164,7 +163,7 @@ def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
     CtC = C.T @ C
     Ctd = C.T @ d
     reg = 1e-12 * (np.trace(CtC) / max(n, 1) + 1.0)
-    row_scale = np.maximum(1.0, np.abs(G).max(axis=1))
+    row_scale = np.maximum(1.0, np.abs(C).max(axis=1))
 
     x = np.zeros(n)
     act_bound = np.ones(n, dtype=bool)   # x_k = 0 held
@@ -194,7 +193,7 @@ def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
             x_new = np.zeros(n)
             nu = np.zeros(ne)
         else:
-            A_eq = G[rows][:, free] if ne else np.zeros((0, nf))
+            A_eq = C[rows][:, free] if ne else np.zeros((0, nf))
             h_eq = h[rows] if ne else np.zeros(0)
             xf, nu = _solve_eq_qp(CtC[free][:, free], Ctd[free], A_eq, h_eq, reg)
             x_new = np.zeros(n)
@@ -207,7 +206,7 @@ def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
             g = 2.0 * (CtC @ x - Ctd)
             lam_bound = g.copy()
             if ne:
-                lam_bound += G[rows].T @ nu
+                lam_bound += C[rows].T @ nu
             cands = np.concatenate([
                 np.flatnonzero(act_bound & (lam_bound < -KKT_TOL)),
                 n + rows[nu < -KKT_TOL]])
@@ -230,11 +229,11 @@ def _active_set_ls(C, d, G, h, max_iter, tie_order=None):
         # Ratio test against inactive constraints.
         dir_tol = 1e-14 * max(1.0, float(np.abs(step).max()))
         blk = np.flatnonzero(~act_bound & (step < -dir_tol))
-        Gstep = G @ step
-        Gx = G @ x
-        blk_row = np.flatnonzero(~act_row & (Gstep > dir_tol * row_scale))
+        Cstep = C @ step
+        Cx = C @ x
+        blk_row = np.flatnonzero(~act_row & (Cstep > dir_tol * row_scale))
         ratios = np.concatenate([x[blk] / (-step[blk]),
-                                 (h[blk_row] - Gx[blk_row]) / Gstep[blk_row]])
+                                 (h[blk_row] - Cx[blk_row]) / Cstep[blk_row]])
         cands = np.concatenate([blk, n + blk_row])
         # The fold stays sequential: with the 1e-15 window a later candidate
         # can replace the current one without being the smallest ratio, so
@@ -313,8 +312,7 @@ def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
         M, d = p.M, p.target
     C = M[:, others]
     u = p.slack_bound
-    x, active_red, it = _active_set_ls(C, d, C, u, max_iter,
-                                       tie_order=tie_order)
+    x, active_red, it = _active_set_ls(C, d, u, max_iter, tie_order=tie_order)
 
     b = np.zeros(n)
     b[others] = x

@@ -8,7 +8,9 @@ full subtraction.  I - B* is inverse-positive exactly when the spectral
 radius of B* stays below one, which this module verifies at runtime.
 """
 
+import functools
 import numpy as np
+import scipy.optimize
 from dataclasses import dataclass
 
 from .matcore import as_matrix
@@ -24,8 +26,6 @@ __all__ = [
     "find_alpha_bar",
     "preprocess",
 ]
-
-ALPHA_TOL = 1e-4    # find_alpha_bar's bisection bracket width before the polish
 
 
 class RankMismatch(ValueError):
@@ -99,15 +99,13 @@ def rescale_columns(P_M, M):
 def find_alpha_bar(M, B_star=None):
     """Largest alpha in [0, 1] keeping the interpolated instance rank-3 exact.
 
-    Decided geometrically: alpha is admissible when a 3-vertex polygon still
-    nests between the normalized columns of M(I - alpha B*) and the simplex
-    slice.  Returns 1.0 when alpha = 1 is admissible.  Otherwise bisects to
-    an ``ALPHA_TOL`` bracket, polishes it with regula falsi on the wrap
-    slack (the slack is close to affine in alpha near the critical value),
-    and returns the feasible lower end (ties at the boundary count as
-    feasible, so the result is a valid lower bound).  The polish pins alpha
-    accurately enough that solution enumeration at the returned value sees
-    isolated solutions; the bracket alone leaves a continuum.
+    alpha is admissible when a 3-vertex polygon still nests between the
+    normalized columns of M(I - alpha B*) and the simplex slice, that is
+    when the wrap slack ``npp3.max_wrap_slack`` is nonnegative.  Returns
+    1.0 when alpha = 1 is admissible; otherwise the sign change of the
+    slack on [0, 1], found by ``brentq`` at its default ``xtol`` and then
+    checked feasible (``GeometryError`` if not).  The slack is memoised:
+    brentq re-reads both ends, and its root is one of its iterates.
     """
     M = as_matrix(M, "M")
     r = npp3.numerical_rank(M)
@@ -116,54 +114,26 @@ def find_alpha_bar(M, B_star=None):
     if B_star is None:
         B_star, _ = cllsolve.preprocess_matrix(M)
 
+    @functools.cache
     def slack(alpha):
         P = apply_alpha(M, B_star, alpha)
         npp = npp3.build_npp(P)
         return npp3.max_wrap_slack(npp, 3)[0]
 
-    tol_feas = npp3.GEOM_TOL
-    if slack(1.0) >= -tol_feas:
+    if slack(1.0) >= -npp3.GEOM_TOL:
         return 1.0
     g0 = slack(0.0)
-    if g0 < -tol_feas:
+    if g0 < -npp3.GEOM_TOL:
         raise RankMismatch("no 3-vertex nested polygon exists even at alpha = 0 "
                            "(nonnegative rank exceeds 3)")
-    lo, g_lo = 0.0, g0
-    hi, g_hi = 1.0, None
-    while hi - lo > ALPHA_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid = slack(mid)
-        if g_mid >= -tol_feas:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    if g_hi is not None:
-        # Secant through the two latest feasible evaluations (the slack is
-        # piecewise affine in alpha, exactly affine near the critical
-        # value); overshoots fall back to one bisection step.
-        prev_p, prev_v = 0.0, g0
-        bisect_next = False
-        for _ in range(14):
-            # Stop once the feasible end's slack is in the walk's noise
-            # band: enumerate_solutions then sees touching solutions there,
-            # not interior slack.
-            if g_lo <= npp3.TOUCH_SLACK:
-                break
-            if not bisect_next and prev_v > g_lo and prev_p < lo:
-                est = lo + g_lo * (lo - prev_p) / (prev_v - g_lo)
-            else:
-                est = 0.5 * (lo + hi)
-            if not lo < est < hi:
-                est = 0.5 * (lo + hi)
-            g_est = slack(est)
-            if g_est >= -tol_feas:
-                prev_p, prev_v = lo, g_lo
-                lo, g_lo = est, g_est
-                bisect_next = False
-            else:
-                hi, g_hi = est, g_est
-                bisect_next = True
-    return lo
+    if g0 <= 0.0:
+        # Touching at alpha = 0: no strict sign change to bracket.
+        return 0.0
+    alpha = scipy.optimize.brentq(slack, 0.0, 1.0)
+    if slack(alpha) < -npp3.GEOM_TOL:
+        raise npp3.GeometryError(f"wrap slack root alpha = {alpha!r} "
+                                 "is not feasible")
+    return alpha
 
 
 def preprocess(M, epsilon=0.0, alpha=1.0, rescale=False):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import prenmf
-from prenmf import matio
+from prenmf import matio, nmf
 from prenmf.cli import build_parser, main
 
 
@@ -108,6 +108,27 @@ class TestFactorizeCommand:
                 rec.pop("wall_time")
             reps.append(json.dumps(rep["records"], sort_keys=True))
         assert reps[0] == reps[1]
+
+    def test_snmf_targets_pre_nmf_at_same_epsilon(self, tmp_path,
+                                                  monkeypatch):
+        pre_s_u, targets = {}, []
+        run_pipeline = nmf.run_pipeline
+
+        def spy(M, rank, method, **kwargs):
+            rep = run_pipeline(M, rank, method, **kwargs)
+            if method == "pre_nmf":
+                pre_s_u[kwargs["epsilon"]] = rep.s_U
+            elif method == "snmf":
+                targets.append(kwargs["snmf_target"])
+            return rep
+
+        monkeypatch.setattr(nmf, "run_pipeline", spy)
+        run_cli(["factorize", "--fixture", "sepex", "--rank", "3",
+                 "--method", "pre-nmf,snmf", "--epsilon", "0,0.05",
+                 "--seeds", "0-1", "--max-outer", "200",
+                 "--out", str(tmp_path / "o")])
+        assert pre_s_u[0.0] != pre_s_u[0.05]
+        assert targets == [pre_s_u[0.0], pre_s_u[0.05]]
 
     def test_pgm_dump(self, tmp_path):
         out = tmp_path / "o"

@@ -114,17 +114,35 @@ class TestFindAlphaBar:
 
     def test_nested_squares(self, nested_squares):
         ab = find_alpha_bar(nested_squares)
-        assert ab == pytest.approx(ALPHA_BAR, abs=1e-6)
+        assert ab == pytest.approx(ALPHA_BAR, abs=1e-12)
 
     def test_nested_squares_refined(self, nested_squares):
-        # The regula falsi polish pins alpha well inside the bisection
-        # bracket, so enumeration at the returned value sees the eight
-        # isolated solutions rather than a continuum.
+        # The root of the wrap slack pins alpha to the critical value, so
+        # enumeration at the returned value sees the eight isolated
+        # touching solutions rather than a continuum with interior slack.
         ab = find_alpha_bar(nested_squares)
-        assert ab == pytest.approx(ALPHA_BAR, abs=1e-6)
+        assert ab == pytest.approx(ALPHA_BAR, abs=1e-12)
         B, _ = preprocess_matrix(nested_squares)
         npp = npp3.build_npp(apply_alpha(nested_squares, B, ab))
         assert len(npp3.enumerate_solutions(npp, 3)) == 8
+
+    def test_generic_products_feasible_and_tight(self):
+        # Generic rank-3 products: alpha_bar < 1 is admissible, and a
+        # step of 1e-6 past it is not.
+        tight = 0
+        for s in range(6):
+            rng = np.random.default_rng([s, 6])
+            M = rng.random((6, 3)) @ rng.random((3, 8))
+            B, _ = preprocess_matrix(M)
+            ab = find_alpha_bar(M, B)
+            if ab == 1.0:
+                continue
+            tight += 1
+            at = npp3.build_npp(apply_alpha(M, B, ab))
+            past = npp3.build_npp(apply_alpha(M, B, ab + 1e-6))
+            assert npp3.feasible_k(at, 3)[0]
+            assert not npp3.feasible_k(past, 3)[0]
+        assert tight > 0
 
     def test_separable_full_alpha(self, sepex):
         assert find_alpha_bar(sepex) == 1.0

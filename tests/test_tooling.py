@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from prenmf import cllsolve, npp3
+from prenmf.fixtures import get_fixture
+from prenmf.preprocessing import find_alpha_bar
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -51,3 +53,19 @@ def test_counters_read_return_values(wrapped):
 
     walk = npp3.walk_fk(npp3.build_npp(M), 0.1, 3)
     assert counter(wrapped, "npp3", "walk_fk")((), {}, walk) == {"steps": 3}
+
+
+def test_alpha_search_calls_slack_through_module(monkeypatch):
+    # perfbench counts find_alpha_bar's slack evaluations as its
+    # npp3.max_wrap_slack child spans, so the search must make those calls
+    # through the module attribute.
+    calls = []
+    max_wrap_slack = npp3.max_wrap_slack
+
+    def spy(npp, k):
+        calls.append(k)
+        return max_wrap_slack(npp, k)
+
+    monkeypatch.setattr(npp3, "max_wrap_slack", spy)
+    find_alpha_bar(get_fixture("nested-squares"))
+    assert len(calls) > 2
