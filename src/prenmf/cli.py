@@ -202,6 +202,12 @@ def cmd_factorize(args):
 
 
 def cmd_npp(args):
+    if args.fk < 2:
+        raise ValueError("--fk must be at least 2 boundary points, "
+                         f"got {args.fk}")
+    if args.fk_samples < 1:
+        raise ValueError("--fk-samples must be at least 1, "
+                         f"got {args.fk_samples}")
     M, source = _load_matrix(args)
     out = _out_dir(args)
     r = npp3.numerical_rank(M)
@@ -217,7 +223,7 @@ def cmd_npp(args):
     npp = npp3.build_npp(P)
 
     separable = len(npp.inner.vertices) == 3
-    steps = max(args.fk - 1, 1)  # k boundary points = k-1 chords
+    steps = args.fk - 1  # k boundary points = k-1 chords
     samples = npp3.sample_fk(npp, steps, num=args.fk_samples)
     np.savetxt(out / "fk_samples.csv", samples, delimiter=",",
                header="t,f", comments="")

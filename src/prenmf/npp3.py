@@ -43,7 +43,6 @@ __all__ = [
     "feasible_k",
     "enumerate_solutions",
     "hull_membership",
-    "rotated_chart",
     "convex_hull",
     "numerical_rank",
 ]
@@ -179,42 +178,61 @@ class Polygon2:
     def perimeter(self):
         return float(self.arcs[-1])
 
+    # Each method below takes one boundary fraction t (or point p, shape (2,))
+    # or an array of them (shape (B,) or (B, 2)) and answers row by row.
+
     def point_at(self, t):
         """Boundary point at perimeter fraction t (any real; wraps)."""
-        s = (t % 1.0) * self.perimeter
+        s = (np.asarray(t, dtype=float) % 1.0) * self.perimeter
         i = self.edge_of_param(t)
         v0 = self.vertices[i]
         v1 = self.vertices[(i + 1) % len(self.vertices)]
         seg = self.arcs[i + 1] - self.arcs[i]
         lam = (s - self.arcs[i]) / seg
-        return v0 + lam * (v1 - v0)
+        return v0 + lam[..., None] * (v1 - v0)
 
     def param_of(self, p, tol=1e-6):
         """Perimeter fraction of a point on (or within tol of) the boundary."""
-        p = np.asarray(p, dtype=float)
-        v = self.vertices
+        shape = np.shape(p)[:-1]
+        p = np.asarray(p, dtype=float).reshape(-1, 2)
         e = self.edges
-        rel = p[None, :] - v
-        lam = np.clip((rel[:, 0] * e[:, 0] + rel[:, 1] * e[:, 1])
-                      / (self.edge_len ** 2), 0.0, 1.0)
-        dx = rel[:, 0] - lam * e[:, 0]
-        dy = rel[:, 1] - lam * e[:, 1]
+        rel = p[:, None, :] - self.vertices
+        lam = np.minimum(np.maximum(
+            (rel[..., 0] * e[:, 0] + rel[..., 1] * e[:, 1])
+            / (self.edge_len ** 2), 0.0), 1.0)
+        dx = rel[..., 0] - lam * e[:, 0]
+        dy = rel[..., 1] - lam * e[:, 1]
         d2 = dx * dx + dy * dy
-        i = int(np.argmin(d2))
-        if d2[i] > tol * tol:
-            raise GeometryError(
-                f"point {p} lies {math.sqrt(d2[i]):.2e} away from the boundary")
-        return float((self.arcs[i] + lam[i] * self.edge_len[i]) / self.perimeter) % 1.0
+        rows = np.arange(len(p))
+        i = np.argmin(d2, axis=1)
+        d2, lam = d2[rows, i], lam[rows, i]
+        far = d2 > tol * tol
+        if far.any():
+            r = np.argmax(far)
+            raise GeometryError(f"point {p[r]} lies {math.sqrt(d2[r]):.2e} "
+                                "away from the boundary")
+        t = ((self.arcs[i] + lam * self.edge_len[i]) / self.perimeter) % 1.0
+        return t.reshape(shape)[()]
 
     def signed_inside(self, p):
         """Min over edges of the inward slack; >= 0 iff p is inside."""
-        return float(np.min(self.offsets - self.normals @ np.asarray(p, dtype=float)))
+        return np.min(self.offsets - _dots(np.asarray(p, dtype=float),
+                                           self.normals), axis=-1)
 
     def edge_of_param(self, t):
         """Index of the edge containing boundary fraction t (vertex -> outgoing)."""
-        s = (t % 1.0) * self.perimeter
-        i = int(np.searchsorted(self.arcs, s, side="right")) - 1
-        return min(max(i, 0), len(self.vertices) - 1)
+        s = (np.asarray(t, dtype=float) % 1.0) * self.perimeter
+        i = np.searchsorted(self.arcs, s, side="right") - 1
+        return np.minimum(np.maximum(i, 0), len(self.vertices) - 1)
+
+
+def _dots(p, n):
+    """Dot products of the points p, shape (..., 2), with the rows of n.
+
+    Written out term by term rather than as a BLAS product, whose rounding
+    of a row can depend on the rows batched with it.
+    """
+    return p[..., :1] * n[:, 0] + p[..., 1:] * n[:, 1]
 
 
 def _clip_halfplane(verts, a, c, tol):
@@ -379,87 +397,105 @@ def build_npp(M):
                        vertex_columns=vertex_columns)
 
 
-def _follow_inner_boundary(inner, x):
-    """Direction and touch point for a walk point on the inner boundary.
+def _fail(bad, exc, message):
+    """Raise exc(message(i)) for the first row i flagged in bad, if any."""
+    if np.any(bad):
+        raise exc(message(int(np.argmax(bad))))
 
-    The most clockwise supporting direction from a hull boundary point is
-    along its (outgoing) edge, so the step follows the boundary to the
-    edge's end vertex; a point already at (or within the noise band of)
-    that vertex continues toward the next one instead.
+
+def _step(npp, t):
+    """One tangent step from each boundary fraction in the array t.
+
+    Returns (t_next, q), shapes (B,) and (B, 2): the unwrapped parameters
+    after the step and the inner touch points.  Every row is computed on
+    its own, so a row's result does not depend on the batch around it.
+    A failing check raises for the first failing row, naming its t.
     """
-    k = len(inner.vertices)
-    t_in = inner.param_of(x, tol=1e-6)
-    i = inner.edge_of_param(t_in)
-    v_end = inner.vertices[(i + 1) % k]
-    if np.hypot(*(x - v_end)) <= 1e-7:
-        v_end = inner.vertices[(i + 2) % k]
-    d = v_end - x
-    return d / np.linalg.norm(d), v_end
-
-
-def _tangent_direction(inner, x):
-    """Rightmost direction from x with the inner polygon weakly on the left.
-
-    Returns (direction, touch_point).  The touch point is the farthest inner
-    vertex on the supporting ray, so a chord containing an inner edge
-    reports the edge's trailing vertex.  Points on (or within tolerance of)
-    the inner boundary follow the boundary instead.
-    """
+    outer, inner = npp.outer, npp.inner
+    t0 = t % 1.0
+    x = outer.point_at(t)
     s_in = inner.signed_inside(x)
-    if s_in >= -10 * GEOM_TOL:
-        return _follow_inner_boundary(inner, x)
+    _fail(s_in > 10 * GEOM_TOL, StartInsideQ,
+          lambda i: f"walk start at t={t0[i]:.6f} lies strictly inside "
+                    "the inner polygon")
 
+    # Rightmost direction from x with the inner polygon weakly on the left.
+    # The touch point is the farthest inner vertex on the supporting ray, so
+    # a chord containing an inner edge reports the edge's trailing vertex.
     Q = inner.vertices
-    diffs = Q - x
-    dists = np.linalg.norm(diffs, axis=1)
+    diffs = Q - x[:, None, :]
+    dists = np.linalg.norm(diffs, axis=2)
     ok = dists > GEOM_TOL
-    D = np.zeros_like(diffs)
-    D[ok] = diffs[ok] / dists[ok][:, None]
-    # cross[j, l]: inner vertex l relative to the ray toward vertex j.
-    cross = (D[:, 0][:, None] * diffs[:, 1][None, :]
-             - D[:, 1][:, None] * diffs[:, 0][None, :])
-    cross[:, ok] /= dists[ok][None, :]
-    cross[:, ~ok] = 0.0
-    tol_j = GEOM_TOL + 1e-13 / np.where(ok, dists, 1.0)
-    valid = ok & (cross.min(axis=1) >= -tol_j)
+    safe = np.where(ok, dists, 1.0)
+    D = np.where(ok[..., None], diffs / safe[..., None], 0.0)
+    # cross[:, j, l]: inner vertex l relative to the ray toward vertex j.
+    cross = (D[:, :, None, 0] * diffs[:, None, :, 1]
+             - D[:, :, None, 1] * diffs[:, None, :, 0]) / safe[:, None, :]
+    cross = np.where(ok[:, None, :], cross, 0.0)
+    valid = ok & (cross.min(axis=2) >= -(GEOM_TOL + 1e-13 / safe))
+    d = np.zeros_like(x)
+    q = np.zeros_like(x)
+    dist = np.zeros(len(x))
+    found = np.zeros(len(x), dtype=bool)
+    for j in range(len(Q)):
+        dj = D[:, j]
+        c = dj[:, 0] * d[:, 1] - dj[:, 1] * d[:, 0]  # cross(dj, d)
+        dot = dj[:, 0] * d[:, 0] + dj[:, 1] * d[:, 1]
+        # Take vertex j when d is strictly left of dj (dj is more
+        # clockwise) or, on a tie, when vertex j is farther along the ray.
+        take = valid[:, j] & (~found | (c > GEOM_TOL) | (
+            (np.abs(c) <= GEOM_TOL) & (dot > 0) & (dists[:, j] > dist)))
+        d[take], q[take], dist[take] = dj[take], Q[j], dists[take, j]
+        found |= valid[:, j]
+    follow = (s_in >= -10 * GEOM_TOL) | (~found & (s_in >= -100 * GEOM_TOL))
+    _fail(~found & ~follow, GeometryError,
+          lambda i: f"no supporting direction found at t={t0[i]:.6f} from "
+                    f"distance {-s_in[i]:.2e} outside the inner polygon")
+    if np.any(follow):
+        # On (or within tolerance of) the inner boundary, the most clockwise
+        # supporting direction runs along the outgoing edge, so the step
+        # follows the boundary to the edge's end vertex; a point already at
+        # (or within the noise band of) that vertex goes on to the next one.
+        xf = x[follow]
+        i = inner.edge_of_param(inner.param_of(xf, tol=1e-6))
+        v_end = Q[(i + 1) % len(Q)]
+        at_end = np.hypot(*(xf - v_end).T) <= 1e-7
+        v_end[at_end] = Q[(i[at_end] + 2) % len(Q)]
+        df = v_end - xf
+        d[follow] = df / np.linalg.norm(df, axis=1)[:, None]
+        q[follow] = v_end
 
-    best = None  # (direction, vertex, distance)
-    for j in np.flatnonzero(valid):
-        d = D[j]
-        if best is None:
-            best = (d, Q[j], dists[j])
-            continue
-        c = d[0] * best[0][1] - d[1] * best[0][0]  # cross(d, best_d)
-        if c > GEOM_TOL:
-            # best is strictly left of d: d is more clockwise.
-            best = (d, Q[j], dists[j])
-        elif abs(c) <= GEOM_TOL and float(d @ best[0]) > 0 and dists[j] > best[2]:
-            best = (d, Q[j], dists[j])
-    if best is None:
-        if s_in >= -100 * GEOM_TOL:
-            return _follow_inner_boundary(inner, x)
-        raise GeometryError("no supporting direction found from "
-                            f"distance {-s_in:.2e} outside the inner polygon")
-    return best[0], best[1]
-
-
-def _ray_exit(outer, x, d):
-    """Farthest boundary point of the ray x + s d inside the outer polygon."""
-    denom = outer.normals @ d
-    slack = outer.offsets - outer.normals @ x
+    # Farthest boundary point of the ray x + s d inside the outer polygon.
+    denom = _dots(d, outer.normals)
+    slack = outer.offsets - _dots(x, outer.normals)
     out = denom > 1e-12
-    if not np.any(out):
-        raise GeometryError("tangent ray does not exit the outer polygon")
-    s = slack[out] / denom[out]
+    s = np.where(out, slack / np.where(out, denom, 1.0), np.inf)
     behind = s <= GEOM_TOL
-    if np.any(behind & (denom[out] > 1e-6)):
-        # Decisively transversal crossing at (or before) the start point:
-        # the ray leaves the polygon immediately.
-        raise GeometryError("tangent ray leaves the polygon immediately")
-    ahead = s[~behind]
-    if ahead.size == 0:
-        raise GeometryError("tangent ray does not exit the outer polygon")
-    return x + float(ahead.min()) * d
+    # A decisively transversal crossing at (or before) the start point
+    # means the ray leaves the polygon immediately.
+    at_once = np.any(behind & (denom > 1e-6), axis=1)
+    s_exit = np.where(behind, np.inf, s).min(axis=1)
+    _fail(at_once | np.isinf(s_exit), GeometryError,
+          lambda i: f"tangent ray from t={t0[i]:.6f} "
+                    + ("leaves the polygon immediately" if at_once[i]
+                       else "does not exit the outer polygon"))
+
+    t_exit = outer.param_of(x + s_exit[:, None] * d, tol=1e-7)
+    delta = (t_exit - t0) % 1.0
+    _fail(delta <= 1e-12, GeometryError,
+          lambda i: f"tangent walk stalled at t={t0[i]:.6f}")
+    return t + delta, q
+
+
+def _walk(npp, ts, k):
+    """Chain k tangent steps from every boundary fraction in ts.
+
+    Returns the (B, k+1) unwrapped walk parameters, the starts first.
+    """
+    cols = [np.asarray(ts, dtype=float)]
+    for _ in range(k):
+        cols.append(_step(npp, cols[-1])[0])
+    return np.column_stack(cols)
 
 
 def tangent_step(npp, t):
@@ -469,18 +505,8 @@ def tangent_step(npp, t):
     inner touch point q.  When the boundary coincides with the inner
     polygon locally, the step follows the boundary to the next vertex.
     """
-    outer, inner = npp.outer, npp.inner
-    x = outer.point_at(t)
-    if inner.signed_inside(x) > 10 * GEOM_TOL:
-        raise StartInsideQ(f"walk start at t={t % 1.0:.6f} lies strictly inside "
-                           "the inner polygon")
-    d, q = _tangent_direction(inner, x)
-    exit_pt = _ray_exit(outer, x, d)
-    t_exit = outer.param_of(exit_pt, tol=1e-7)
-    delta = (t_exit - (t % 1.0)) % 1.0
-    if delta <= 1e-12:
-        raise GeometryError(f"tangent walk stalled at t={t % 1.0:.6f}")
-    return t + delta, q
+    t_next, q = _step(npp, np.array([float(t)]))
+    return t_next[0], q[0]
 
 
 def walk_fk(npp, t, k):
@@ -492,26 +518,14 @@ def walk_fk(npp, t, k):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    ts = [float(t)]
-    for _ in range(k):
-        ts.append(tangent_step(npp, ts[-1])[0])
-    return TangentWalk(t_values=np.asarray(ts),
-                       points=np.asarray([npp.outer.point_at(s) for s in ts]))
+    ts = _walk(npp, [float(t)], k)[0]
+    return TangentWalk(t_values=ts, points=npp.outer.point_at(ts))
 
 
 def sample_fk(npp, k, num=256):
     """Sample (t, f_k(t)) on a uniform grid (CSV/plotting helper)."""
     ts = np.arange(num) / num
-    fs = np.array([_fk_value(npp, t, k) for t in ts])
-    return np.column_stack([ts, fs])
-
-
-def _fk_value(npp, t, k):
-    """f_k(t) without the bookkeeping of a full TangentWalk."""
-    cur = float(t)
-    for _ in range(k):
-        cur = tangent_step(npp, cur)[0]
-    return cur
+    return np.column_stack([ts, _walk(npp, ts, k)[:, -1]])
 
 
 def _line_polygon_intersections(poly, p0, p1):
@@ -567,27 +581,14 @@ def contact_change_points(npp, k):
     solution classes among these points number at most (outer facets +
     inner vertices).
     """
-    outer, inner = npp.outer, npp.inner
-    seeds = set()
-    for v in outer.vertices:
-        seeds.add(outer.param_of(v))
-    nq = len(inner.vertices)
-    for i in range(nq):
-        p0 = inner.vertices[i]
-        p1 = inner.vertices[(i + 1) % nq]
-        for pt in _line_polygon_intersections(outer, p0, p1):
-            seeds.add(outer.param_of(pt, tol=1e-6))
-        if abs(outer.signed_inside(p0)) <= 10 * GEOM_TOL:
-            seeds.add(outer.param_of(p0, tol=1e-6))
+    outer, Q = npp.outer, npp.inner.vertices
+    pts = [outer.vertices, Q[np.abs(outer.signed_inside(Q)) <= 10 * GEOM_TOL]]
+    for p0, p1 in zip(Q, np.roll(Q, -1, axis=0)):
+        pts += _line_polygon_intersections(outer, p0, p1)
+    seeds = np.unique(outer.param_of(np.vstack(pts), tol=1e-6))
 
-    mirror = _mirror(npp)
-    points = set(seeds)
-    for t in seeds:
-        for _ in range(k):
-            t = -tangent_step(mirror, -t)[0] % 1.0
-            points.add(t)
-
-    out = sorted(points)
+    back = -_walk(_mirror(npp), -seeds, k) % 1.0
+    out = sorted(set(back.ravel()))
     dedup = []
     for t in out:
         if not dedup or t - dedup[-1] > 1e-9:
@@ -599,8 +600,8 @@ def contact_change_points(npp, k):
 
 def _wrap_slacks(npp, k):
     """Map each contact change point t, in increasing order, to f_k(t) - t - 1."""
-    return {t: _fk_value(npp, t, k) - t - 1.0
-            for t in contact_change_points(npp, k)}
+    ts = np.array(contact_change_points(npp, k))
+    return dict(zip(ts, _walk(npp, ts, k)[:, -1] - ts - 1.0))
 
 
 def max_wrap_slack(npp, k):
@@ -646,18 +647,15 @@ def enumerate_solutions(npp, k):
                         "a continuum of nested polygons exists")
     touching = [t for t, v in vals.items() if v >= -GEOM_TOL]
     # A full constant piece on the wrap line is also a continuum.
-    for a, b in zip(touching, touching[1:] + [touching[0] + 1.0]):
-        if b - a <= PIECE_GAP:
-            continue
-        mid = 0.5 * (a + b) % 1.0
-        if _fk_value(npp, mid, k) - mid - 1.0 >= -GEOM_TOL:
-            raise NotFinite("wrap criterion holds on a continuum of starts")
+    mids = np.array([0.5 * (a + b) % 1.0 for a, b in
+                     zip(touching, touching[1:] + [touching[0] + 1.0])
+                     if b - a > PIECE_GAP])
+    if np.any(_walk(npp, mids, k)[:, -1] - mids - 1.0 >= -GEOM_TOL):
+        raise NotFinite("wrap criterion holds on a continuum of starts")
 
     solutions = []
-    for t in touching:
-        walk = walk_fk(npp, t, k)
-        verts2d = walk.points[:k]
-        lifted = npp.lift_points(verts2d)
+    for walk in _walk(npp, touching, k):
+        lifted = npp.lift_points(npp.outer.point_at(walk[:k]))
         is_dup = False
         for other in solutions:
             dmat = np.linalg.norm(lifted[:, :, None] - other[:, None, :], axis=0)
@@ -687,18 +685,3 @@ def hull_membership(x, X, tol=1e-7):
     resid = np.linalg.norm(A @ np.maximum(fit.x, 0.0) - b)
     return bool(resid <= tol)
 
-
-def rotated_chart(npp, angle):
-    """Equivalent instance with the 2-d chart rotated by ``angle`` radians.
-
-    Feasibility verdicts and solution counts must not depend on the chart
-    orientation; tests use this to check it.
-    """
-    c, s = math.cos(angle), math.sin(angle)
-    R = np.array([[c, -s], [s, c]])
-    outer = Polygon2(npp.outer.vertices @ R.T)
-    inner = Polygon2(npp.inner.vertices @ R.T)
-    chart = Chart(origin=npp.chart.origin, basis=npp.chart.basis @ R.T,
-                  scale=npp.chart.scale)
-    return NppInstance(outer=outer, inner=inner, chart=chart,
-                       vertex_columns=dict(npp.vertex_columns))

@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: the
 quadratic programs go through scipy's SLSQP and Lawson-Hanson solvers plus
 dense grid search, the spectral radius through numpy's dense eigensolver,
 and the tangent construction through direction sampling with bisection
-refinement.
+refinement.  ``tangent_step_oracle`` is the rank-3 walk's former
+one-point-at-a-time stepper, kept as the reference for the batched one; it
+shares only the ``Polygon2`` boundary parametrisation with the library.
 
 The SLSQP column oracle does not trust the solver's exit status, whose
 meaning shifts between scipy versions (scipy 1.17 stops at the optimum of
@@ -13,8 +15,13 @@ after checking the point itself: feasibility, and KKT stationarity with
 nonnegative multipliers fitted by scipy's NNLS (`qp_column_check`).
 """
 
+import math
+
 import numpy as np
 import scipy.optimize
+
+from prenmf import npp3
+from prenmf.npp3 import GEOM_TOL, GeometryError, StartInsideQ
 
 # Feasibility and activity tolerance, relative to max|u| for the slack rows
 # and to max(max|x|, 1) for the bounds x >= 0.
@@ -257,6 +264,126 @@ def ray_exit_oracle(outer_poly_contains, x, d, hi=4.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _follow_inner_boundary(inner, x):
+    """Direction and touch point for a walk point on the inner boundary.
+
+    The most clockwise supporting direction from a hull boundary point is
+    along its (outgoing) edge, so the step follows the boundary to the
+    edge's end vertex; a point already at (or within the noise band of)
+    that vertex continues toward the next one instead.
+    """
+    k = len(inner.vertices)
+    t_in = inner.param_of(x, tol=1e-6)
+    i = inner.edge_of_param(t_in)
+    v_end = inner.vertices[(i + 1) % k]
+    if np.hypot(*(x - v_end)) <= 1e-7:
+        v_end = inner.vertices[(i + 2) % k]
+    d = v_end - x
+    return d / np.linalg.norm(d), v_end
+
+
+def _tangent_direction(inner, x):
+    """Rightmost direction from x with the inner polygon weakly on the left.
+
+    Returns (direction, touch_point).  The touch point is the farthest inner
+    vertex on the supporting ray, so a chord containing an inner edge
+    reports the edge's trailing vertex.  Points on (or within tolerance of)
+    the inner boundary follow the boundary instead.
+    """
+    s_in = inner.signed_inside(x)
+    if s_in >= -10 * GEOM_TOL:
+        return _follow_inner_boundary(inner, x)
+
+    Q = inner.vertices
+    diffs = Q - x
+    dists = np.linalg.norm(diffs, axis=1)
+    ok = dists > GEOM_TOL
+    D = np.zeros_like(diffs)
+    D[ok] = diffs[ok] / dists[ok][:, None]
+    # cross[j, l]: inner vertex l relative to the ray toward vertex j.
+    cross = (D[:, 0][:, None] * diffs[:, 1][None, :]
+             - D[:, 1][:, None] * diffs[:, 0][None, :])
+    cross[:, ok] /= dists[ok][None, :]
+    cross[:, ~ok] = 0.0
+    tol_j = GEOM_TOL + 1e-13 / np.where(ok, dists, 1.0)
+    valid = ok & (cross.min(axis=1) >= -tol_j)
+
+    best = None  # (direction, vertex, distance)
+    for j in np.flatnonzero(valid):
+        d = D[j]
+        if best is None:
+            best = (d, Q[j], dists[j])
+            continue
+        c = d[0] * best[0][1] - d[1] * best[0][0]  # cross(d, best_d)
+        if c > GEOM_TOL:
+            # best is strictly left of d: d is more clockwise.
+            best = (d, Q[j], dists[j])
+        elif abs(c) <= GEOM_TOL and float(d @ best[0]) > 0 and dists[j] > best[2]:
+            best = (d, Q[j], dists[j])
+    if best is None:
+        if s_in >= -100 * GEOM_TOL:
+            return _follow_inner_boundary(inner, x)
+        raise GeometryError("no supporting direction found from "
+                            f"distance {-s_in:.2e} outside the inner polygon")
+    return best[0], best[1]
+
+
+def _ray_exit(outer, x, d):
+    """Farthest boundary point of the ray x + s d inside the outer polygon."""
+    denom = outer.normals @ d
+    slack = outer.offsets - outer.normals @ x
+    out = denom > 1e-12
+    if not np.any(out):
+        raise GeometryError("tangent ray does not exit the outer polygon")
+    s = slack[out] / denom[out]
+    behind = s <= GEOM_TOL
+    if np.any(behind & (denom[out] > 1e-6)):
+        # Decisively transversal crossing at (or before) the start point:
+        # the ray leaves the polygon immediately.
+        raise GeometryError("tangent ray leaves the polygon immediately")
+    ahead = s[~behind]
+    if ahead.size == 0:
+        raise GeometryError("tangent ray does not exit the outer polygon")
+    return x + float(ahead.min()) * d
+
+
+def tangent_step_oracle(npp, t):
+    """One tangent step of the boundary walk from the single start t.
+
+    Returns (t_next, q): the unwrapped parameter after the step and the
+    inner touch point q.  When the boundary coincides with the inner
+    polygon locally, the step follows the boundary to the next vertex.
+    """
+    outer, inner = npp.outer, npp.inner
+    x = outer.point_at(t)
+    if inner.signed_inside(x) > 10 * GEOM_TOL:
+        raise StartInsideQ(f"walk start at t={t % 1.0:.6f} lies strictly inside "
+                           "the inner polygon")
+    d, q = _tangent_direction(inner, x)
+    exit_pt = _ray_exit(outer, x, d)
+    t_exit = outer.param_of(exit_pt, tol=1e-7)
+    delta = (t_exit - (t % 1.0)) % 1.0
+    if delta <= 1e-12:
+        raise GeometryError(f"tangent walk stalled at t={t % 1.0:.6f}")
+    return t + delta, q
+
+
+def rotated_chart(npp, angle):
+    """Equivalent instance with the 2-d chart rotated by ``angle`` radians.
+
+    Feasibility verdicts and solution counts must not depend on the chart
+    orientation.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    outer = npp3.Polygon2(npp.outer.vertices @ R.T)
+    inner = npp3.Polygon2(npp.inner.vertices @ R.T)
+    chart = npp3.Chart(origin=npp.chart.origin, basis=npp.chart.basis @ R.T,
+                       scale=npp.chart.scale)
+    return npp3.NppInstance(outer=outer, inner=inner, chart=chart,
+                            vertex_columns=dict(npp.vertex_columns))
 
 
 def detect_duplicates_oracle(M, tol=1e-8):

@@ -182,6 +182,19 @@ class TestNppCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("flags", [["--fk", "0"], ["--fk", "1"],
+                                       ["--fk-samples", "0"],
+                                       ["--fk-samples", "-3"]])
+    def test_walk_sample_flags_validated(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        code = main(["npp", "--fixture", "sepex", "--alpha", "1.0",
+                     "--out", str(out)] + flags)
+        assert code == 2
+        assert f"error: {flags[0]} must be at least" in capsys.readouterr().err
+        assert not (out / "npp.json").exists()
+        assert not (out / "fk_samples.csv").exists()
+
+
 class TestUniquenessCommand:
     def test_example_unique(self):
         res = run_cli(["uniqueness", "--fixture", "sparsity-example",

@@ -5,7 +5,8 @@ from prenmf import npp3
 from prenmf.cllsolve import preprocess_matrix
 from prenmf.preprocessing import apply_alpha
 from prenmf.matcore import pullback
-from oracles import in_hull_oracle, ray_exit_oracle, tangent_point_oracle
+from oracles import (in_hull_oracle, ray_exit_oracle, rotated_chart,
+                     tangent_point_oracle, tangent_step_oracle)
 
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
@@ -36,6 +37,37 @@ def generic_product(seed):
 def interpolated(M, alphas):
     B, _ = preprocess_matrix(M)
     return [npp3.build_npp(apply_alpha(M, B, a)) for a in alphas]
+
+
+def separable_product(seed):
+    rng = np.random.default_rng(seed)
+    W = rng.random((7, 3)) + 0.05
+    H = np.hstack([np.eye(3), rng.random((3, 7)) + 0.05])
+    return W @ H[:, rng.permutation(10)]
+
+
+def walk_instances(nested_squares, sepex):
+    """Instances for the batched walk checks, each with its mirror.
+
+    Fully preprocessed separable products put their inner vertices on the
+    outer boundary, where the walk follows the inner boundary.
+    """
+    instances = interpolated(nested_squares, [ALPHA_BAR, 0.3])
+    instances += interpolated(sepex, [1.0])
+    for seed in range(2):
+        instances += interpolated(separable_product(seed), [1.0])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        M = rng.random((7, 3)) @ rng.random((3, 10))
+        instances += interpolated(M, [0.0, 0.5])
+    return instances + [npp3._mirror(npp) for npp in instances]
+
+
+def synthetic(outer, inner):
+    return npp3.NppInstance(outer=npp3.Polygon2(np.array(outer, float)),
+                            inner=npp3.Polygon2(np.array(inner, float)),
+                            chart=npp3.Chart(np.zeros(2), np.eye(2)),
+                            vertex_columns={})
 
 
 def cluster_count(values, tol):
@@ -224,6 +256,62 @@ class TestWalks:
             assert second.min() >= -1e-9
 
 
+class TestBatchedWalk:
+    def test_rows_match_chained_oracle_steps(self, nested_squares, sepex):
+        mixed = 0
+        for npp in walk_instances(nested_squares, sepex):
+            outer, inner = npp.outer, npp.inner
+            on_inner = [outer.param_of(v) for v in inner.vertices
+                        if abs(outer.signed_inside(v)) <= 10 * npp3.GEOM_TOL]
+            ts = np.concatenate([np.arange(64) / 64, on_inner])
+            mixed += bool(on_inner)
+            walks = npp3._walk(npp, ts, 3)
+            touches = np.stack([npp3._step(npp, walks[:, j])[1]
+                                for j in range(3)], axis=1)
+            for t, row, qs in zip(ts, walks, touches):
+                ref, ref_q = [t], []
+                for _ in range(3):
+                    t_next, q = tangent_step_oracle(npp, ref[-1])
+                    ref.append(t_next)
+                    ref_q.append(q)
+                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(qs, ref_q, rtol=0, atol=1e-12)
+        assert mixed >= 6  # the separable instances and their mirrors
+
+    def test_rows_independent_of_batch(self, nested_squares, sepex):
+        ts = np.arange(256) / 256
+        for npp in walk_instances(nested_squares, sepex)[::3]:
+            full = npp3._walk(npp, ts, 3)
+            for size in (1, 3, 17):
+                for i in range(0, len(ts), size):
+                    np.testing.assert_array_equal(
+                        npp3._walk(npp, ts[i:i + size], 3), full[i:i + size])
+
+    @pytest.mark.parametrize("outer, inner, ts, bad", [
+        # The inner triangle pokes through the bottom edge: x(0.125) = (2, 0)
+        # lies strictly inside it.
+        ([[0, 0], [4, 0], [4, 4], [0, 4]], [[1, -1], [3, -1], [2, 1]],
+         [0.5, 0.6, 0.125, 0.8], 2),
+        # A large outer square: the tangent ray from 1e-9 before the corner
+        # exits 1e-9 past it, a parameter gap below 1e-12.
+        ([[0, 0], [1000, 0], [1000, 1000], [0, 1000]],
+         [[1100, 100], [1050, 200], [1000, 150]],
+         [0.1, (1000 - 1e-9) / 4000, 0.6, 0.3], 1),
+    ], ids=["start-inside", "stalled"])
+    def test_error_names_failing_row(self, outer, inner, ts, bad):
+        npp = synthetic(outer, inner)
+        with pytest.raises(npp3.GeometryError) as ref:
+            tangent_step_oracle(npp, ts[bad])
+        for i, t in enumerate(ts):
+            if i != bad:
+                tangent_step_oracle(npp, t)
+        with pytest.raises(npp3.GeometryError) as got:
+            npp3._walk(npp, np.array(ts), 2)
+        assert type(got.value) is type(ref.value)
+        assert f"t={ts[bad]:.6f}" in str(got.value)
+        assert str(got.value) == str(ref.value)
+
+
 class TestContactChangePoints:
     def test_identity_vertex_classes(self):
         npp = npp3.build_npp(np.eye(3))
@@ -372,6 +460,6 @@ class TestChartIndependence:
         base_feasible = npp3.feasible_k(ns_critical, 3)[0]
         base_count = len(npp3.enumerate_solutions(ns_critical, 3))
         for angle in [0.3, 1.1, 2.7]:
-            rot = npp3.rotated_chart(ns_critical, angle)
+            rot = rotated_chart(ns_critical, angle)
             assert npp3.feasible_k(rot, 3)[0] == base_feasible
             assert len(npp3.enumerate_solutions(rot, 3)) == base_count

@@ -69,3 +69,26 @@ def test_alpha_search_calls_slack_through_module(monkeypatch):
     monkeypatch.setattr(npp3, "max_wrap_slack", spy)
     find_alpha_bar(get_fixture("nested-squares"))
     assert len(calls) > 2
+
+
+def test_walks_step_all_rows_at_once(monkeypatch):
+    # The rank-3 op's cost is its number of batched tangent steps; a return
+    # to one walk per start point would multiply it.
+    calls = []
+    step = npp3._step
+
+    def spy(npp, t):
+        calls.append(npp)
+        return step(npp, t)
+
+    monkeypatch.setattr(npp3, "_step", spy)
+    npp = npp3.build_npp(get_fixture("nested-squares"))
+    for k in (2, 3):
+        calls.clear()
+        npp3.sample_fk(npp, k, num=256)
+        assert len(calls) == k
+        # k steps back from the seeds on the mirror, k forward walk steps.
+        calls.clear()
+        npp3._wrap_slacks(npp, k)
+        assert sum(c is npp for c in calls) == k
+        assert len(calls) == 2 * k
