@@ -7,16 +7,22 @@ Each column i of a data matrix M defines one problem
 
 The solution subtracts from a column the best nonnegative combination of the
 other columns that keeps the (relaxed) result nonnegative; the residual
-column is the preprocessed column.  Problems for different i are independent;
-they are solved one after the other, because the solver's Python loop holds
-the interpreter lock and threads would only add overhead.
+column is the preprocessed column.  Problems for different i are independent.
+One kernel call solves all of them in lockstep: every iteration makes one
+pivot in each unfinished problem, so the numpy calls of a pivot are paid
+once per iteration rather than once per column.  Each problem still gets
+the pivots and floating-point results it would get alone (see
+``_active_set_ls``), so B* does not depend on which columns share a call.
 
 The solver is a primal active-set method on the quadratic program in b.
-Problems here are small and dense (n up to about a thousand), and the exact
+Problems here are small and dense (n up to a few hundred), and the exact
 active set matters: the tight constraints are precisely the zero entries of
 the output, so a combinatorially exact method is preferred over a first-order
-one.  Pivoting is lowest-index (Bland-style) which makes runs deterministic
-and cycle-free under degeneracy.
+one.  Pivoting is deterministic: the lowest-index negative multiplier leaves
+the working set, and the ratio test breaks ties within 1e-15 by index.  On
+degenerate vertices the anti-cycling heuristic guarantees termination, not
+optimality: on exactly low-rank inputs a column can stop at a point that is
+not optimal, which its KKT certificate then rejects with ``SolverError``.
 """
 
 import math
@@ -113,163 +119,301 @@ class CllsSolution:
     iterations: int
 
 
-def _solve_eq_qp(CtC, Ctd, A_eq, h_eq, reg):
-    """Minimize ||C x - d||^2 subject to A_eq x = h_eq.
+def _regularized_kkt(K, rhs, nf, CtC2):
+    """Least-squares solve of a singular KKT system, its 2 C^T C block
+    regularized to 2 (C^T C + reg I)."""
+    reg = 1e-12 * (np.trace(0.5 * CtC2) / CtC2.shape[0] + 1.0)
+    K = K.copy()
+    K[:nf, :nf] = 2.0 * (0.5 * K[:nf, :nf] + reg * np.eye(nf))
+    return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
-    Returns (x, nu) where nu are the equality multipliers in the convention
-    grad + A_eq^T nu = 0.  Falls back to a diagonally regularized
-    least-squares solve when the KKT matrix is singular.
+
+def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
+    """Primal active-set method for the columns ``cols`` (a slice) of M.
+
+    The problem of column i is  min ||C x - d||^2  s.t.  x >= 0, C x <= u,
+    with C = M[:, others] (the other columns, in order), d = M[:, i] and
+    u = d + epsilon ||d||_inf.  Each starts from x = 0 with all variable
+    bounds active.  Constraints are indexed bounds first (0..n-2) then rows
+    (n-1..n+m-2); ``tie_order`` optionally permutes the pivoting preference
+    over that index space (used to verify that the fitted vector C x is
+    independent of the ordering).
+
+    All problems run in lockstep, one pivot each per iteration, and each
+    takes the pivots it would take alone, with the same floating-point
+    results: the working-set KKT systems are solved in stacks of systems of
+    one exact size, every product is a per-problem BLAS call on the shapes
+    and layouts a lone problem uses, and a problem that stops leaves the
+    working stack.  Returns (others, results): the other columns of each
+    problem, and per problem (x, active, iterations) or the SolverError
+    that stopped it.
     """
-    nf = CtC.shape[0]
-    ne = A_eq.shape[0]
-    K = np.zeros((nf + ne, nf + ne))
-    K[:nf, :nf] = 2.0 * CtC
-    K[:nf, nf:] = A_eq.T
-    K[nf:, :nf] = A_eq
-    rhs = np.concatenate([2.0 * Ctd, h_eq])
-    rhs_scale = np.abs(rhs).max() + 1.0
-    try:
-        sol = np.linalg.solve(K, rhs)
-        ok = (np.all(np.isfinite(sol))
-              and np.abs(K @ sol - rhs).max() <= 1e-8 * rhs_scale)
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        K[:nf, :nf] = 2.0 * (CtC + reg * np.eye(nf))
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    return sol[:nf], sol[nf:]
+    m, n = M.shape
+    ids = np.arange(n)[cols]
+    S, n, N = ids.size, n - 1, n - 1 + m
+    others = np.arange(n) + (np.arange(n) >= ids[:, None])
+    D = M.T[cols]
+    H = D + epsilon * np.abs(D).max(axis=1, keepdims=True)
+    rank = np.arange(N)
+    if tie_order is not None:
+        rank[np.asarray(tie_order, dtype=int)] = np.arange(N)
+    results = [None] * S
+    done = H.min(axis=1) < -FEAS_TOL * np.maximum(1.0, np.abs(H).max(axis=1))
+    for s in np.flatnonzero(done).tolist():
+        results[s] = Infeasible("slack bound has negative entries; "
+                                "x = 0 is not feasible")
 
+    # Q[s] holds the rows [2 C^T C, C^T] of problem s, then a row of zeros,
+    # and ``flat`` holds Q, then a 0: every entry of a KKT matrix is
+    # Q[s, min(a, b), max(a, b)] in the constraint index space, clipped to
+    # the zero row for two rows.  C^T C and C^T d are formed as for a lone
+    # problem, on the Fortran-ordered copy C = M[:, others] and the strided
+    # d: on other layouts they round differently.  rhs_src holds 2 C^T d,
+    # then u, then the 0 that padded working-set slots read.
+    flat = np.zeros(S * (n + 1) * N + 1)
+    Q = flat[:-1].reshape(S, n + 1, N)
+    rhs_src = np.zeros((S, N + 1))
+    for s, o in enumerate(others):
+        C = M[:, o]
+        np.matmul(C.T, C, out=Q[s, :n, :n])
+        Q[s, :n, n:] = C.T
+        rhs_src[s, :n] = C.T @ D[s]
+    Q[:, :n, :n] *= 2.0
+    rhs_src[:, :n] *= 2.0
+    rhs_src[:, n:N] = H
+    Ct = Q[:, :n, n:]
+    row_scale = np.maximum(1.0, np.maximum(Ct.max(axis=1), -Ct.min(axis=1)))
+    step_tol = 1e-13 * np.maximum(1.0, np.abs(D).max(axis=1))
 
-def _active_set_ls(C, d, h, max_iter, tie_order=None):
-    """Primal active-set method for min ||C x - d||^2, x >= 0, C x <= h.
-
-    Starts from x = 0 with all variable bounds active.  Constraints are
-    indexed bounds first (0..n-1) then rows (n..n+p-1); ``tie_order``
-    optionally permutes the pivoting preference over that index space (used
-    to verify that the fitted vector C x is independent of the ordering).
-
-    Returns (x, active, iterations).
-    """
-    p, n = C.shape
-    if np.min(h) < -FEAS_TOL * max(1.0, float(np.abs(h).max())):
-        raise Infeasible("slack bound has negative entries; x = 0 is not feasible")
-
-    if tie_order is None:
-        rank = np.arange(n + p)
-    else:
-        rank = np.empty(n + p, dtype=int)
-        rank[np.asarray(tie_order, dtype=int)] = np.arange(n + p)
-
-    CtC = C.T @ C
-    Ctd = C.T @ d
-    reg = 1e-12 * (np.trace(CtC) / max(n, 1) + 1.0)
-    row_scale = np.maximum(1.0, np.abs(C).max(axis=1))
-
-    x = np.zeros(n)
-    act_bound = np.ones(n, dtype=bool)   # x_k = 0 held
-    act_row = np.zeros(p, dtype=bool)    # G_j x = h_j held
-
-    step_tol = 1e-13 * max(1.0, float(np.abs(d).max()))
+    idx = np.arange(S)            # caller problem of each working problem
+    x = np.zeros((S, n))
+    flip = np.arange(N) < n       # the bounds: held in act, free in a working set
+    act = np.repeat(flip[None], S, axis=0)   # bounds x_k = 0, rows C_j x = u_j held
     # Anti-cycling bookkeeping for linearly dependent working sets (where
     # the multiplier estimate is not unique): a dropped constraint that
     # immediately re-blocks at a zero step is excluded until real progress;
     # after a long zero-progress stretch every drop is excluded eagerly so
-    # the loop must terminate.
-    taboo = np.zeros(n + p, dtype=bool)
-    pending = None
-    stall = 0
-    aggressive = False
+    # the loop must terminate.  No pending drop is -1.
+    taboo = np.zeros((S, N), dtype=bool)
+    pending = np.full(S, -1)
+    stall = np.zeros(S, dtype=int)
+    aggressive = np.zeros(S, dtype=bool)
     it = 0
     while True:
+        if done.any():
+            keep = ~done
+            idx, x, act, taboo = idx[keep], x[keep], act[keep], taboo[keep]
+            pending, stall, aggressive = pending[keep], stall[keep], aggressive[keep]
+            rhs_src, row_scale = rhs_src[keep], row_scale[keep]
+            step_tol = step_tol[keep]
+            # Compacted in place: the kept problems move down in order.
+            for k, j in enumerate(np.flatnonzero(keep).tolist()):
+                if k != j:
+                    Q[k] = Q[j]
+            Q = flat[:idx.size * (n + 1) * N].reshape(idx.size, n + 1, N)
+            flat[Q.size] = 0.0
+        L = idx.size
+        if L == 0:
+            return others, results
         it += 1
         if it > max_iter:
-            raise MaxIterations(f"active-set method exceeded {max_iter} pivots")
+            for s in idx.tolist():
+                results[s] = MaxIterations(
+                    f"active-set method exceeded {max_iter} pivots")
+            return others, results
+        CtC2, C = Q[:, :n, :n], Q[:, :n, n:].transpose(0, 2, 1)
 
-        free = np.flatnonzero(~act_bound)
-        rows = np.flatnonzero(act_row)
-        nf, ne = free.size, rows.size
+        # Working sets: the free variables, then the active rows, by index;
+        # padded with N, which gathers zeros.
+        z = np.zeros((L, N + 1))      # x_new, then the row multipliers nu
+        order = np.flatnonzero(~act[:, :n].all(axis=1))
+        if order.size:
+            work = act[order] ^ flip
+            size = work.sum(axis=1)
+            sort = np.argsort(size, kind="stable")
+            order, size, work = order[sort], size[sort], work[sort]
+            P = np.full((order.size, size[-1]), N)
+            P[np.arange(size[-1]) < size[:, None]] = np.nonzero(work)[1]
+            Pa, Pb = P[:, :, None], P[:, None, :]
+            at = np.minimum(Pa, Pb)
+            np.minimum(at, n, out=at)
+            at *= N
+            at += np.maximum(Pa, Pb)
+            at += (order * ((n + 1) * N))[:, None, None]
+            K = flat[at]
+            rhs = rhs_src[order[:, None], P]
+            sol = np.zeros_like(rhs)
+            Ksol = np.zeros_like(rhs)
+            cuts = (np.flatnonzero(np.diff(size)) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, order.size]):
+                k = size[lo]
+                Kg, rg = K[lo:hi, :k, :k], rhs[lo:hi, :k, None]
+                try:
+                    sg = np.linalg.solve(Kg, rg)
+                except np.linalg.LinAlgError:
+                    # A singular system in the stack: solve one by one.
+                    sg = np.full(rg.shape, np.nan)
+                    for j in range(hi - lo):
+                        try:
+                            sg[j] = np.linalg.solve(Kg[j], rg[j])
+                        except np.linalg.LinAlgError:
+                            pass
+                sol[lo:hi, :k] = sg[:, :, 0]
+                Ksol[lo:hi, :k] = np.matmul(Kg, sg)[:, :, 0]
+            ok = (np.isfinite(sol).all(axis=1)
+                  & (np.abs(Ksol - rhs).max(axis=1)
+                     <= 1e-8 * (np.abs(rhs).max(axis=1) + 1.0)))
+            for j in np.flatnonzero(~ok).tolist():
+                k = size[j]
+                sol[j, :k] = _regularized_kkt(K[j, :k, :k], rhs[j, :k],
+                                              np.count_nonzero(P[j] < n),
+                                              CtC2[order[j]])
+            z[order[:, None], P] = sol
+        nu = z[:, n:N]
 
-        if nf == 0:
-            x_new = np.zeros(n)
-            nu = np.zeros(ne)
-        else:
-            A_eq = C[rows][:, free] if ne else np.zeros((0, nf))
-            h_eq = h[rows] if ne else np.zeros(0)
-            xf, nu = _solve_eq_qp(CtC[free][:, free], Ctd[free], A_eq, h_eq, reg)
-            x_new = np.zeros(n)
-            x_new[free] = xf
-
-        step = x_new - x
-        if np.abs(step).max() <= step_tol:
+        step = z[:, :n] - x
+        smax = np.abs(step).max(axis=1)
+        stat = smax <= step_tol
+        done = np.zeros(L, dtype=bool)
+        st = np.flatnonzero(stat)
+        if st.size:
             # Stationary on the working set: drop the negative multiplier
             # of lowest rank (ranks are distinct, so the choice is unique).
-            g = 2.0 * (CtC @ x - Ctd)
-            lam_bound = g.copy()
-            if ne:
-                lam_bound += C[rows].T @ nu
-            cands = np.concatenate([
-                np.flatnonzero(act_bound & (lam_bound < -KKT_TOL)),
-                n + rows[nu < -KKT_TOL]])
-            cands = cands[~taboo[cands]]
-            if cands.size == 0:
-                active = tuple(np.flatnonzero(act_bound).tolist()
-                               + (n + rows).tolist())
-                return x, active, it
-            worst = int(cands[np.argmin(rank[cands])])
-            if aggressive:
-                taboo[worst] = True
-            else:
-                pending = worst
-            if worst < n:
-                act_bound[worst] = False
-            else:
-                act_row[worst - n] = False
+            # The bound multipliers are g + C_rows^T nu, the product taken
+            # in stacks of one number of active rows.
+            ne = act[st, n:].sum(axis=1)
+            sort = np.argsort(ne, kind="stable")
+            st, ne = st[sort], ne[sort]
+            lam = np.matmul(CtC2, x[:, :, None])[st, :, 0] - rhs_src[st, :n]
+            rows = np.nonzero(act[st, n:])[1]
+            nus = nu[np.repeat(st, ne), rows]
+            cuts = (np.flatnonzero(np.diff(ne)) + 1).tolist()
+            off = 0
+            for lo, hi in zip([0, *cuts], [*cuts, st.size]):
+                e = ne[lo]
+                if e == 0:
+                    continue
+                r = rows[off:off + (hi - lo) * e].reshape(hi - lo, e)
+                v = nus[off:off + (hi - lo) * e].reshape(hi - lo, e, 1)
+                off += (hi - lo) * e
+                lam[lo:hi] += np.matmul(C[st[lo:hi, None], r].transpose(0, 2, 1),
+                                        v)[:, :, 0]
+            z[st, :n] = lam
+            cand = act[st] & ~taboo[st] & (z[st, :N] < -KKT_TOL)
+            found = cand.any(axis=1)
+            for s in st[~found].tolist():
+                results[idx[s]] = (x[s].copy(),
+                                   tuple(np.flatnonzero(act[s]).tolist()), it)
+            done[st[~found]] = True
+            st = st[found]
+            worst = np.where(cand[found], rank, N).argmin(axis=1)
+            agg = aggressive[st]
+            taboo[st[agg], worst[agg]] = True
+            pending[st] = np.where(agg, pending[st], worst)
+            act[st, worst] = False
+
+        mv = np.flatnonzero(~stat)
+        if mv.size:
+            # Ratio test against inactive constraints, after a leading 1.
+            Cstep = np.matmul(C, step[:, :, None])[mv, :, 0]
+            Cx = np.matmul(C, x[:, :, None])[mv, :, 0]
+            step, xm, am = step[mv], x[mv], act[mv]
+            dir_tol = 1e-14 * np.maximum(1.0, smax[mv])[:, None]
+            ratio = np.full((mv.size, N + 1), np.inf)
+            ratio[:, 0] = 1.0
+            np.divide(xm, -step, out=ratio[:, 1:n + 1],
+                      where=~am[:, :n] & (step < -dir_tol))
+            np.divide(rhs_src[mv, n:N] - Cx, Cstep, out=ratio[:, n + 1:],
+                      where=~am[:, n:] & (Cstep > dir_tol * row_scale[mv]))
+            # The blocker comes from a sequential fold in index order (bounds,
+            # then rows): with its 1e-15 window a later candidate can replace
+            # the current one without being the smallest ratio.  Only a ratio
+            # within a few 1e-15 of min(1, every earlier ratio) can be taken,
+            # so the fold visits just those.
+            lead = np.minimum.accumulate(ratio, axis=1)
+            alpha = np.ones(mv.size)
+            blocker = np.full(mv.size, -1)
+            prev = -1
+            rs, ks = np.nonzero(ratio[:, 1:] - lead[:, :-1] <= 1e-14)
+            for r, k, a, rk in zip(rs.tolist(), ks.tolist(),
+                                   ratio[rs, ks + 1].tolist(), rank[ks].tolist()):
+                if r != prev:
+                    prev, alpha_r, blocker_r, rank_r = r, 1.0, -1, None
+                if a < alpha_r - 1e-15 or (abs(a - alpha_r) <= 1e-15 and blocker_r >= 0
+                                           and rk < rank_r):
+                    alpha_r, blocker_r, rank_r = min(a, alpha_r), k, rk
+                    alpha[r], blocker[r] = alpha_r, blocker_r
+
+            alpha = np.maximum(alpha, 0.0)
+            xm += alpha[:, None] * step
+            np.maximum(xm, 0.0, out=xm)
+            xm[am[:, :n]] = 0.0
+            moved = alpha > 1e-12
+            # A constraint dropped at the last stationary point that blocks
+            # again at zero step: that relaxation was futile.
+            futile = ~moved & (pending[mv] == blocker) & (blocker >= 0)
+            taboo[mv[moved]] = False
+            taboo[mv[futile], blocker[futile]] = True
+            stall[mv] = np.where(moved, 0, stall[mv] + 1)
+            aggressive[mv] = ~moved & (aggressive[mv] | (stall[mv] > 20 + N))
+            pending[mv] = -1
+            add = np.flatnonzero((alpha < 1.0) & (blocker >= 0))
+            act[mv[add], blocker[add]] = True
+            add = add[blocker[add] < n]
+            xm[add, blocker[add]] = 0.0
+            x[mv] = xm
+
+
+def _column_solutions(M, cols, epsilon, max_iter=None, tie_order=None):
+    """Solve the problems of the columns ``cols`` (a slice) of M together.
+
+    One kernel call for all columns, then, in column order, the mapping to
+    full-length vectors and the certificate.  Yields each column's
+    CllsSolution; a column's kernel error or failed certificate is raised
+    when its turn comes, so the error is that of the first failing column.
+    """
+    m, n = M.shape
+    ids = range(n)[cols]
+    top = float(np.abs(M).max())
+    k = 1 - math.frexp(top)[1] if top < 1.0 else 0
+    # The kernel's tolerances are absolute at unit scale, so an M with
+    # max|M| < 1 is first lifted by a power of two into [1, 2).
+    Ml = np.ldexp(M, k) if k else M
+    problems = [CllsProblem(Ml, i, epsilon) for i in ids]
+    if n < 2:
+        # Nothing to subtract; the only feasible point is b = 0.
+        for i in ids:
+            yield CllsSolution(b=np.zeros(n),
+                               objective=float(np.dot(M[:, i], M[:, i])),
+                               kkt_residual=0.0, active_set=(0,), iterations=0)
+        return
+    others, results = _active_set_ls(Ml, cols, epsilon,
+                                     50 * n if max_iter is None else max_iter,
+                                     tie_order)
+    for p, res, oth in zip(problems, results, others):
+        i, d = p.i, p.target
+        if np.abs(d).max() == 0.0:
+            # Zero columns pass through: they cannot influence the others.
+            yield CllsSolution(b=np.zeros(n), objective=0.0, kkt_residual=0.0,
+                               active_set=tuple(range(n)), iterations=0)
             continue
-
-        # Ratio test against inactive constraints.
-        dir_tol = 1e-14 * max(1.0, float(np.abs(step).max()))
-        blk = np.flatnonzero(~act_bound & (step < -dir_tol))
-        Cstep = C @ step
-        Cx = C @ x
-        blk_row = np.flatnonzero(~act_row & (Cstep > dir_tol * row_scale))
-        ratios = np.concatenate([x[blk] / (-step[blk]),
-                                 (h[blk_row] - Cx[blk_row]) / Cstep[blk_row]])
-        cands = np.concatenate([blk, n + blk_row])
-        # The fold stays sequential: with the 1e-15 window a later candidate
-        # can replace the current one without being the smallest ratio, so
-        # the blocker depends on the order candidates are visited in
-        # (bounds, then rows, each by index), which a plain argmin loses.
-        alpha, blocker, rank_blocker = 1.0, None, None
-        for a, k, rk in zip(ratios.tolist(), cands.tolist(),
-                            rank[cands].tolist()):
-            if a < alpha - 1e-15 or (abs(a - alpha) <= 1e-15 and blocker is not None
-                                     and rk < rank_blocker):
-                alpha, blocker, rank_blocker = min(a, alpha), k, rk
-
-        alpha = max(alpha, 0.0)
-        x = x + alpha * step
-        np.maximum(x, 0.0, out=x)
-        x[act_bound] = 0.0
-        if alpha > 1e-12:
-            taboo[:] = False
-            pending = None
-            stall = 0
-            aggressive = False
-        else:
-            stall += 1
-            if pending is not None and blocker == pending:
-                # The constraint dropped at the last stationary point blocks
-                # again at zero step: that relaxation was futile.
-                taboo[pending] = True
-            pending = None
-            if stall > 20 + n + p:
-                aggressive = True
-        if alpha < 1.0 and blocker is not None:
-            if blocker < n:
-                act_bound[blocker] = True
-                x[blocker] = 0.0
-            else:
-                act_row[blocker - n] = True
+        if isinstance(res, SolverError):
+            raise res
+        x, active_red, it = res
+        b = np.zeros(n)
+        b[oth] = x
+        # Map reduced constraint indices back to full-length variable indices.
+        active = [int(oth[a]) if a < n - 1 else a + 1 for a in active_red]
+        active.append(i)
+        residual = kkt_check(p, b)
+        grad_scale = max(1.0, float(np.abs(2.0 * (Ml.T @ d)).max()))
+        if residual > KKT_TOL * grad_scale:
+            raise SolverError(f"optimality certificate failed: KKT residual "
+                              f"{residual:.3e} exceeds {KKT_TOL * grad_scale:.3e}")
+        obj = float(np.sum((d - Ml @ b) ** 2))
+        yield CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),
+                           kkt_residual=math.ldexp(residual, -2 * k),
+                           active_set=tuple(sorted(active)), iterations=it)
 
 
 def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
@@ -283,56 +427,12 @@ def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
     The kernel's tolerances are absolute at unit scale, so an M with
     max|M| < 1 is first lifted by a power of two into [1, 2).  The lift is
     exact: b and the active set do not depend on the scale of M, and the
-    objective and KKT residual are reported at the input's scale.
+    objective and KKT residual are reported at the input's scale.  This is
+    the one-column view of ``preprocess_matrix``'s batch, with the same
+    result for the column.
     """
-    M, i = p.M, p.i
-    m, n = M.shape
-    if n < 2:
-        # Nothing to subtract; the only feasible point is b = 0.
-        b = np.zeros(n)
-        obj = float(np.dot(p.target, p.target))
-        return CllsSolution(b=b, objective=obj, kkt_residual=0.0,
-                            active_set=(0,), iterations=0)
-    if max_iter is None:
-        max_iter = 50 * n
-
-    d = p.target
-    scale = np.abs(d).max()
-    others = np.delete(np.arange(n), i)
-    if scale == 0.0:
-        # Zero columns pass through: they cannot influence the other columns.
-        b = np.zeros(n)
-        return CllsSolution(b=b, objective=0.0, kkt_residual=0.0,
-                            active_set=tuple(range(n)), iterations=0)
-
-    top = float(np.abs(M).max())
-    k = 1 - math.frexp(top)[1] if top < 1.0 else 0
-    if k:
-        p = CllsProblem(np.ldexp(M, k), i, p.epsilon)
-        M, d = p.M, p.target
-    C = M[:, others]
-    u = p.slack_bound
-    x, active_red, it = _active_set_ls(C, d, u, max_iter, tie_order=tie_order)
-
-    b = np.zeros(n)
-    b[others] = x
-    # Map reduced constraint indices back to full-length variable indices.
-    active = []
-    for a in active_red:
-        if a < n - 1:
-            active.append(int(others[a]))
-        else:
-            active.append(int(n + (a - (n - 1))))
-    active.append(int(i))
-    residual = kkt_check(p, b)
-    grad_scale = max(1.0, float(np.abs(2.0 * (M.T @ d)).max()))
-    if residual > KKT_TOL * grad_scale:
-        raise SolverError(f"optimality certificate failed: KKT residual "
-                          f"{residual:.3e} exceeds {KKT_TOL * grad_scale:.3e}")
-    obj = float(np.sum((d - M @ b) ** 2))
-    return CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),
-                        kkt_residual=math.ldexp(residual, -2 * k),
-                        active_set=tuple(sorted(active)), iterations=it)
+    return next(_column_solutions(p.M, slice(p.i, p.i + 1), p.epsilon,
+                                  max_iter, tie_order))
 
 
 def kkt_check(p: CllsProblem, b):
@@ -416,21 +516,18 @@ def preprocess_matrix(M, epsilon=0.0):
 
     B* is nonnegative with zero diagonal; column i of B* is the coefficient
     vector of column i's problem.  The fitted matrix M @ B* is unique even
-    when B* is not.  Per-column failures are re-raised with the failing
-    column index attached.
+    when B* is not.  All columns go through one lockstep kernel call; the
+    first failing column's error is re-raised with its index attached.
 
     Returns (B_star, solutions).
     """
     M = as_matrix(M, "M")
-    n = M.shape[1]
-
-    def solve_one(i):
-        try:
-            return solve_column(CllsProblem(M, i, epsilon))
-        except SolverError as exc:
-            raise type(exc)(f"column {i}: {exc}") from exc
-
-    sols = [solve_one(i) for i in range(n)]
+    sols = []
+    try:
+        for sol in _column_solutions(M, slice(None), epsilon):
+            sols.append(sol)
+    except SolverError as exc:
+        raise type(exc)(f"column {len(sols)}: {exc}") from exc
 
     B = np.column_stack([s.b for s in sols])
     return B, sols

@@ -7,6 +7,9 @@ and the tangent construction through direction sampling with bisection
 refinement.  ``tangent_step_oracle`` is the rank-3 walk's former
 one-point-at-a-time stepper, kept as the reference for the batched one; it
 shares only the ``Polygon2`` boundary parametrisation with the library.
+``active_set_oracle`` is likewise the column QP kernel's former
+one-column-at-a-time loop, the reference for the lockstep kernel; it shares
+only the tolerances and exception classes with the library.
 
 The SLSQP column oracle does not trust the solver's exit status, whose
 meaning shifts between scipy versions (scipy 1.17 stops at the optimum of
@@ -21,6 +24,7 @@ import numpy as np
 import scipy.optimize
 
 from prenmf import npp3
+from prenmf.cllsolve import FEAS_TOL, KKT_TOL, Infeasible, MaxIterations
 from prenmf.npp3 import GEOM_TOL, GeometryError, StartInsideQ
 
 # Feasibility and activity tolerance, relative to max|u| for the slack rows
@@ -28,6 +32,179 @@ from prenmf.npp3 import GEOM_TOL, GeometryError, StartInsideQ
 FEAS_RTOL = 1e-8
 # Stationarity tolerance, relative to the size of the terms of the gradient.
 STAT_RTOL = 1e-6
+
+
+def _solve_eq_qp(CtC, Ctd, A_eq, h_eq, reg):
+    """Minimize ||C x - d||^2 subject to A_eq x = h_eq.
+
+    Returns (x, nu) where nu are the equality multipliers in the convention
+    grad + A_eq^T nu = 0.  Falls back to a diagonally regularized
+    least-squares solve when the KKT matrix is singular.
+    """
+    nf = CtC.shape[0]
+    ne = A_eq.shape[0]
+    K = np.zeros((nf + ne, nf + ne))
+    K[:nf, :nf] = 2.0 * CtC
+    K[:nf, nf:] = A_eq.T
+    K[nf:, :nf] = A_eq
+    rhs = np.concatenate([2.0 * Ctd, h_eq])
+    rhs_scale = np.abs(rhs).max() + 1.0
+    try:
+        sol = np.linalg.solve(K, rhs)
+        ok = (np.all(np.isfinite(sol))
+              and np.abs(K @ sol - rhs).max() <= 1e-8 * rhs_scale)
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        K[:nf, :nf] = 2.0 * (CtC + reg * np.eye(nf))
+        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+    return sol[:nf], sol[nf:]
+
+
+def active_set_oracle(C, d, h, max_iter, tie_order=None):
+    """Primal active-set method for min ||C x - d||^2, x >= 0, C x <= h.
+
+    Starts from x = 0 with all variable bounds active.  Constraints are
+    indexed bounds first (0..n-1) then rows (n..n+p-1); ``tie_order``
+    optionally permutes the pivoting preference over that index space (used
+    to verify that the fitted vector C x is independent of the ordering).
+
+    Returns (x, active, iterations).
+    """
+    p, n = C.shape
+    if np.min(h) < -FEAS_TOL * max(1.0, float(np.abs(h).max())):
+        raise Infeasible("slack bound has negative entries; x = 0 is not feasible")
+
+    if tie_order is None:
+        rank = np.arange(n + p)
+    else:
+        rank = np.empty(n + p, dtype=int)
+        rank[np.asarray(tie_order, dtype=int)] = np.arange(n + p)
+
+    CtC = C.T @ C
+    Ctd = C.T @ d
+    reg = 1e-12 * (np.trace(CtC) / max(n, 1) + 1.0)
+    row_scale = np.maximum(1.0, np.abs(C).max(axis=1))
+
+    x = np.zeros(n)
+    act_bound = np.ones(n, dtype=bool)   # x_k = 0 held
+    act_row = np.zeros(p, dtype=bool)    # G_j x = h_j held
+
+    step_tol = 1e-13 * max(1.0, float(np.abs(d).max()))
+    # Anti-cycling bookkeeping for linearly dependent working sets (where
+    # the multiplier estimate is not unique): a dropped constraint that
+    # immediately re-blocks at a zero step is excluded until real progress;
+    # after a long zero-progress stretch every drop is excluded eagerly so
+    # the loop must terminate.
+    taboo = np.zeros(n + p, dtype=bool)
+    pending = None
+    stall = 0
+    aggressive = False
+    it = 0
+    while True:
+        it += 1
+        if it > max_iter:
+            raise MaxIterations(f"active-set method exceeded {max_iter} pivots")
+
+        free = np.flatnonzero(~act_bound)
+        rows = np.flatnonzero(act_row)
+        nf, ne = free.size, rows.size
+
+        if nf == 0:
+            x_new = np.zeros(n)
+            nu = np.zeros(ne)
+        else:
+            A_eq = C[rows][:, free] if ne else np.zeros((0, nf))
+            h_eq = h[rows] if ne else np.zeros(0)
+            xf, nu = _solve_eq_qp(CtC[free][:, free], Ctd[free], A_eq, h_eq, reg)
+            x_new = np.zeros(n)
+            x_new[free] = xf
+
+        step = x_new - x
+        if np.abs(step).max() <= step_tol:
+            # Stationary on the working set: drop the negative multiplier
+            # of lowest rank (ranks are distinct, so the choice is unique).
+            g = 2.0 * (CtC @ x - Ctd)
+            lam_bound = g.copy()
+            if ne:
+                lam_bound += C[rows].T @ nu
+            cands = np.concatenate([
+                np.flatnonzero(act_bound & (lam_bound < -KKT_TOL)),
+                n + rows[nu < -KKT_TOL]])
+            cands = cands[~taboo[cands]]
+            if cands.size == 0:
+                active = tuple(np.flatnonzero(act_bound).tolist()
+                               + (n + rows).tolist())
+                return x, active, it
+            worst = int(cands[np.argmin(rank[cands])])
+            if aggressive:
+                taboo[worst] = True
+            else:
+                pending = worst
+            if worst < n:
+                act_bound[worst] = False
+            else:
+                act_row[worst - n] = False
+            continue
+
+        # Ratio test against inactive constraints.
+        dir_tol = 1e-14 * max(1.0, float(np.abs(step).max()))
+        blk = np.flatnonzero(~act_bound & (step < -dir_tol))
+        Cstep = C @ step
+        Cx = C @ x
+        blk_row = np.flatnonzero(~act_row & (Cstep > dir_tol * row_scale))
+        ratios = np.concatenate([x[blk] / (-step[blk]),
+                                 (h[blk_row] - Cx[blk_row]) / Cstep[blk_row]])
+        cands = np.concatenate([blk, n + blk_row])
+        # The fold stays sequential: with the 1e-15 window a later candidate
+        # can replace the current one without being the smallest ratio, so
+        # the blocker depends on the order candidates are visited in
+        # (bounds, then rows, each by index), which a plain argmin loses.
+        alpha, blocker, rank_blocker = 1.0, None, None
+        for a, k, rk in zip(ratios.tolist(), cands.tolist(),
+                            rank[cands].tolist()):
+            if a < alpha - 1e-15 or (abs(a - alpha) <= 1e-15 and blocker is not None
+                                     and rk < rank_blocker):
+                alpha, blocker, rank_blocker = min(a, alpha), k, rk
+
+        alpha = max(alpha, 0.0)
+        x = x + alpha * step
+        np.maximum(x, 0.0, out=x)
+        x[act_bound] = 0.0
+        if alpha > 1e-12:
+            taboo[:] = False
+            pending = None
+            stall = 0
+            aggressive = False
+        else:
+            stall += 1
+            if pending is not None and blocker == pending:
+                # The constraint dropped at the last stationary point blocks
+                # again at zero step: that relaxation was futile.
+                taboo[pending] = True
+            pending = None
+            if stall > 20 + n + p:
+                aggressive = True
+        if alpha < 1.0 and blocker is not None:
+            if blocker < n:
+                act_bound[blocker] = True
+                x[blocker] = 0.0
+            else:
+                act_row[blocker - n] = True
+
+
+def column_kernel_oracle(M, i, epsilon=0.0, tie_order=None):
+    """Column i's problem as the serial code posed it to ``active_set_oracle``.
+
+    C = M[:, others] is a Fortran-ordered copy, d = M[:, i] a strided view
+    and u = d + epsilon ||d||_inf; M is taken as already lifted to
+    max|M| >= 1.  Returns (x, active, iterations) of the reduced problem.
+    """
+    n = M.shape[1]
+    d = M[:, i]
+    others = np.delete(np.arange(n), i)
+    u = d + epsilon * np.abs(d).max()
+    return active_set_oracle(M[:, others], d, u, 50 * n, tie_order=tie_order)
 
 
 def _column_qp(M, i, epsilon):

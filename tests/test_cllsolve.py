@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from prenmf import cllsolve
 from prenmf.cllsolve import (CllsProblem, Infeasible, InfeasiblePoint,
-                             MaxIterations, kkt_check, nnls_columns,
-                             preprocess_matrix, solve_column)
-from oracles import (grid_column_oracle, nnls_kkt_check, qp_column_check,
-                     qp_column_oracle)
+                             MaxIterations, SolverError, kkt_check,
+                             nnls_columns, preprocess_matrix, solve_column)
+from prenmf.fixtures import fixture_names, get_fixture
+from oracles import (column_kernel_oracle, grid_column_oracle, nnls_kkt_check,
+                     qp_column_check, qp_column_oracle)
 
 from conftest import random_nonneg
 
@@ -171,6 +173,93 @@ class TestPreprocessMatrix:
         for eps, pivots in ((0.0, 1448), (0.05, 3191)):
             _, sols = preprocess_matrix(M, epsilon=eps)
             assert sum(s.iterations for s in sols) == pivots
+
+
+def pinned_separable():
+    """The separable 12x12 input of test_pivot_path_pinned."""
+    rng = np.random.default_rng(0)
+    W = rng.random((12, 3))
+    return W @ np.hstack([np.eye(3), rng.random((3, 9))])
+
+
+def synthetic(m, n, r, noise=0.01):
+    """The synthetic m x n input of the scale notes (seed 0)."""
+    rng = np.random.default_rng(0)
+    W = rng.random((m, r)) * (rng.random((m, r)) < 0.4)
+    M = W @ rng.random((r, n))
+    return M + noise * rng.random((m, n)) if noise else M
+
+
+def lifted(M):
+    """M times a power of two, max|M| in [1, 2): the scale the kernel runs at."""
+    return np.ldexp(M, 1 - np.frexp(np.abs(M).max())[1])
+
+
+def kernel(M, cols=slice(None), epsilon=0.0, tie_order=None):
+    """The lockstep kernel's (x, active, pivots) for the columns ``cols``."""
+    return cllsolve._active_set_ls(M, cols, epsilon, 50 * M.shape[1],
+                                   tie_order)[1]
+
+
+def assert_same_path(got, want):
+    """Bit-equal x (signed zeros included), active set and pivot count."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
+class TestLockstepKernel:
+    """The lockstep kernel against the serial one-column-at-a-time kernel."""
+
+    @pytest.mark.parametrize("M,eps,cols", [
+        pytest.param(pinned_separable(), 0.0, slice(None), id="pinned-12x12"),
+        pytest.param(synthetic(50, 40, 5), 0.0, slice(None), id="50x40"),
+        pytest.param(synthetic(50, 40, 5), 0.05, slice(None), id="50x40-eps"),
+        # Degenerate vertices: singular KKT systems take the regularized
+        # fallback, and the anti-cycling state decides pivots (column 59
+        # takes 97 pivots, and 533 if futile drops were not made taboo).
+        pytest.param(synthetic(100, 100, 8, noise=0.0), 0.0, slice(50, 60),
+                     id="noiseless-100x100"),
+    ] + [pytest.param(get_fixture(f), 0.0, slice(None), id=f)
+         for f in fixture_names()])
+    def test_matches_serial_oracle(self, M, eps, cols):
+        M = lifted(M)
+        ids = range(M.shape[1])[cols]
+        for i, got in zip(ids, kernel(M, cols, epsilon=eps)):
+            assert_same_path(got, column_kernel_oracle(M, i, eps))
+
+    def test_matches_serial_oracle_under_tie_order(self, rng):
+        M = lifted(random_nonneg(rng, 7, 6))
+        order = rng.permutation(5 + 7)
+        for i, got in enumerate(kernel(M, tie_order=order)):
+            assert_same_path(got, column_kernel_oracle(M, i, tie_order=order))
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_batch_invariance(self, width):
+        # A column's path does not depend on which columns share its batch.
+        M = lifted(synthetic(50, 40, 5))
+        full = kernel(M, epsilon=0.05)
+        for lo in range(0, 40, width):
+            part = kernel(M, slice(lo, lo + width), epsilon=0.05)
+            for got, want in zip(part, full[lo:lo + width]):
+                assert_same_path(got, want)
+
+    def test_first_failing_column_is_reported(self, rng):
+        # Columns 2 and 5 have negative entries, so their slack bounds
+        # exclude x = 0; the error is column 2's, as in a serial loop.
+        M = rng.random((6, 7)) + 0.1
+        M[1, 2] = M[4, 5] = -0.5
+        with pytest.raises(Infeasible) as info:
+            preprocess_matrix(M)
+        assert type(info.value) is Infeasible
+        assert str(info.value) == ("column 2: slack bound has negative "
+                                   "entries; x = 0 is not feasible")
+
+    @pytest.mark.xfail(strict=True, raises=SolverError,
+                       reason="ROADMAP item 11")
+    def test_noiseless_low_rank_preprocesses(self):
+        # Exact rank 8: columns 53, 86 and 94 stop at degenerate vertices
+        # that are not optimal, and their certificates fail.
+        preprocess_matrix(synthetic(100, 100, 8, noise=0.0))
 
 
 class TestScaleInvariance:

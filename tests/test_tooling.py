@@ -92,3 +92,27 @@ def test_walks_step_all_rows_at_once(monkeypatch):
         npp3._wrap_slacks(npp, k)
         assert sum(c is npp for c in calls) == k
         assert len(calls) == 2 * k
+
+
+def test_preprocess_runs_one_kernel_call(monkeypatch):
+    # All columns of B* go through one lockstep kernel call; a return to
+    # one call per column would multiply the op's cost.  The certificate
+    # still runs once per column through the module attribute, where
+    # perfbench counts it.
+    kernel_calls, kkt_calls = [], []
+    kernel, kkt_check = cllsolve._active_set_ls, cllsolve.kkt_check
+
+    def kernel_spy(M, cols, *args, **kwargs):
+        kernel_calls.append(range(M.shape[1])[cols])
+        return kernel(M, cols, *args, **kwargs)
+
+    def kkt_spy(p, b):
+        kkt_calls.append(p.i)
+        return kkt_check(p, b)
+
+    monkeypatch.setattr(cllsolve, "_active_set_ls", kernel_spy)
+    monkeypatch.setattr(cllsolve, "kkt_check", kkt_spy)
+    rng = np.random.default_rng(0)
+    cllsolve.preprocess_matrix(rng.random((20, 4)) @ rng.random((4, 16)))
+    assert kernel_calls == [range(16)]
+    assert kkt_calls == list(range(16))
