@@ -19,10 +19,10 @@ Problems here are small and dense (n up to a few hundred), and the exact
 active set matters: the tight constraints are precisely the zero entries of
 the output, so a combinatorially exact method is preferred over a first-order
 one.  Pivoting is deterministic: the lowest-index negative multiplier leaves
-the working set, and the ratio test breaks ties within 1e-15 by index.  On
-degenerate vertices the anti-cycling heuristic guarantees termination, not
-optimality: on exactly low-rank inputs a column can stop at a point that is
-not optimal, which its KKT certificate then rejects with ``SolverError``.
+the working set, and the ratio test breaks ties within 1e-15 by index.  At
+a degenerate point, common on exactly low-rank inputs, a step blocked at
+zero length takes one ``_escape`` pivot instead: it proves the point optimal
+or strictly lowers the objective, so the method cannot cycle.
 """
 
 import math
@@ -144,9 +144,10 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     results: the working-set KKT systems are solved in stacks of systems of
     one exact size, every product is a per-problem BLAS call on the shapes
     and layouts a lone problem uses, and a problem that stops leaves the
-    working stack.  Returns (others, results): the other columns of each
-    problem, and per problem (x, active, iterations) or the SolverError
-    that stopped it.
+    working stack.  A step blocked at zero length takes one ``_escape``
+    pivot on the problem's own C, d and u.  Returns (others, results): the
+    other columns of each problem, and per problem (x, active, iterations)
+    or the SolverError that stopped it.
     """
     m, n = M.shape
     ids = np.arange(n)[cols]
@@ -189,21 +190,11 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     x = np.zeros((S, n))
     flip = np.arange(N) < n       # the bounds: held in act, free in a working set
     act = np.repeat(flip[None], S, axis=0)   # bounds x_k = 0, rows C_j x = u_j held
-    # Anti-cycling bookkeeping for linearly dependent working sets (where
-    # the multiplier estimate is not unique): a dropped constraint that
-    # immediately re-blocks at a zero step is excluded until real progress;
-    # after a long zero-progress stretch every drop is excluded eagerly so
-    # the loop must terminate.  No pending drop is -1.
-    taboo = np.zeros((S, N), dtype=bool)
-    pending = np.full(S, -1)
-    stall = np.zeros(S, dtype=int)
-    aggressive = np.zeros(S, dtype=bool)
     it = 0
     while True:
         if done.any():
             keep = ~done
-            idx, x, act, taboo = idx[keep], x[keep], act[keep], taboo[keep]
-            pending, stall, aggressive = pending[keep], stall[keep], aggressive[keep]
+            idx, x, act = idx[keep], x[keep], act[keep]
             rhs_src, row_scale = rhs_src[keep], row_scale[keep]
             step_tol = step_tol[keep]
             # Compacted in place: the kept problems move down in order.
@@ -299,7 +290,7 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
                 lam[lo:hi] += np.matmul(C[st[lo:hi, None], r].transpose(0, 2, 1),
                                         v)[:, :, 0]
             z[st, :n] = lam
-            cand = act[st] & ~taboo[st] & (z[st, :N] < -KKT_TOL)
+            cand = act[st] & (z[st, :N] < -KKT_TOL)
             found = cand.any(axis=1)
             for s in st[~found].tolist():
                 results[idx[s]] = (x[s].copy(),
@@ -307,9 +298,6 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             done[st[~found]] = True
             st = st[found]
             worst = np.where(cand[found], rank, N).argmin(axis=1)
-            agg = aggressive[st]
-            taboo[st[agg], worst[agg]] = True
-            pending[st] = np.where(agg, pending[st], worst)
             act[st, worst] = False
 
         mv = np.flatnonzero(~stat)
@@ -344,27 +332,71 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
                     alpha_r, blocker_r, rank_r = min(a, alpha_r), k, rk
                     alpha[r], blocker[r] = alpha_r, blocker_r
 
-            alpha = np.maximum(alpha, 0.0)
             xm += alpha[:, None] * step
             np.maximum(xm, 0.0, out=xm)
-            xm[am[:, :n]] = 0.0
-            moved = alpha > 1e-12
-            # A constraint dropped at the last stationary point that blocks
-            # again at zero step: that relaxation was futile.
-            futile = ~moved & (pending[mv] == blocker) & (blocker >= 0)
-            taboo[mv[moved]] = False
-            taboo[mv[futile], blocker[futile]] = True
-            stall[mv] = np.where(moved, 0, stall[mv] + 1)
-            aggressive[mv] = ~moved & (aggressive[mv] | (stall[mv] > 20 + N))
-            pending[mv] = -1
-            add = np.flatnonzero((alpha < 1.0) & (blocker >= 0))
+            stuck = alpha <= 1e-12
+            add = np.flatnonzero((blocker >= 0) & ~stuck)
             act[mv[add], blocker[add]] = True
-            add = add[blocker[add] < n]
-            xm[add, blocker[add]] = 0.0
+            xm[act[mv, :n]] = 0.0
+            # A step blocked at zero length: x is a degenerate point.
+            for j in np.flatnonzero(stuck).tolist():
+                s, i = mv[j], idx[mv[j]]
+                try:
+                    xm[j], act[s], done[s] = _escape(M[:, others[i]], M[:, ids[i]],
+                                                     rhs_src[s, n:N], x[s])
+                except MaxIterations as exc:
+                    results[i], done[s] = exc, True
+                    continue
+                if done[s]:
+                    results[i] = (xm[j].copy(),
+                                  tuple(np.flatnonzero(act[s]).tolist()), it)
             x[mv] = xm
 
 
-def _column_solutions(M, cols, epsilon, max_iter=None, tie_order=None):
+def _escape(C, d, u, x):
+    """One pivot from x, where a step of  min ||C x - d||^2,  x >= 0,
+    C x <= u  is blocked at zero length (a degenerate point).
+
+    Fits -g by nonnegative multipliers on the normals of every constraint
+    tight at x (within ``kkt_check``'s activity tolerances), not only of
+    those in the working set.  A zero residual r proves x a KKT point:
+    returns (x, tight, True), tight a mask over bounds, then rows.
+    Otherwise r is, by the Moreau decomposition, a feasible direction with
+    g.r = -|r|^2: returns (x, work, False), x moved to the line minimum along
+    r or to the first constraint that is not tight, and work the fit's
+    support plus that blocker, whose normal is independent of the support's.
+    """
+    p, n = C.shape
+    normals = np.vstack([-np.eye(n), C])
+    Cx = C @ x
+    gap = np.concatenate([x, u - Cx])
+    tight = gap <= np.repeat([1e-10 * max(1.0, x.max()),
+                              1e-8 * max(1.0, np.abs(d).max())], [n, p])
+    g = 2.0 * (C.T @ (Cx - d))
+    lam = np.zeros(np.count_nonzero(tight))
+    if lam.size:  # scipy's nnls aborts the process on a matrix with no columns
+        try:
+            lam = scipy.optimize.nnls(normals[tight].T, -g)[0]
+        except RuntimeError as exc:
+            raise MaxIterations(f"degenerate-point projection: {exc}") from exc
+    r = -g - normals[tight].T @ lam
+    if np.linalg.norm(r) <= KKT_TOL:
+        return x, tight, True
+    rate = normals @ r
+    ratio = np.full(n + p, np.inf)
+    np.divide(gap, rate, out=ratio, where=~tight & (rate > 0.0))
+    k = int(ratio.argmin())
+    t = (r @ r) / (2.0 * (rate[n:] @ rate[n:]))
+    work = np.zeros(n + p, dtype=bool)
+    work[np.flatnonzero(tight)[lam > 0.0]] = True
+    if ratio[k] < t:
+        t, work[k] = ratio[k], True
+    x = np.maximum(x + t * r, 0.0)
+    x[work[:n]] = 0.0
+    return x, work, False
+
+
+def _column_solutions(M, cols, epsilon, tie_order=None):
     """Solve the problems of the columns ``cols`` (a slice) of M together.
 
     One kernel call for all columns, then, in column order, the mapping to
@@ -387,9 +419,7 @@ def _column_solutions(M, cols, epsilon, max_iter=None, tie_order=None):
                                objective=float(np.dot(M[:, i], M[:, i])),
                                kkt_residual=0.0, active_set=(0,), iterations=0)
         return
-    others, results = _active_set_ls(Ml, cols, epsilon,
-                                     50 * n if max_iter is None else max_iter,
-                                     tie_order)
+    others, results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order)
     for p, res, oth in zip(problems, results, others):
         i, d = p.i, p.target
         if np.abs(d).max() == 0.0:
@@ -416,7 +446,7 @@ def _column_solutions(M, cols, epsilon, max_iter=None, tie_order=None):
                            active_set=tuple(sorted(active)), iterations=it)
 
 
-def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
+def solve_column(p: CllsProblem, tie_order=None):
     """Solve one column's constrained least squares problem.
 
     The fitted vector M b is the projection of the column onto a polyhedral
@@ -432,7 +462,7 @@ def solve_column(p: CllsProblem, max_iter=None, tie_order=None):
     result for the column.
     """
     return next(_column_solutions(p.M, slice(p.i, p.i + 1), p.epsilon,
-                                  max_iter, tie_order))
+                                  tie_order))
 
 
 def kkt_check(p: CllsProblem, b):

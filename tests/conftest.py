@@ -37,3 +37,17 @@ def random_nonneg(rng, m, n, distinct=True):
         if ok or not distinct:
             return M
     raise AssertionError("could not generate distinct columns")
+
+
+def synthetic(m, n, r, noise=0.01, seed=0):
+    """The synthetic m x n input of the scale notes: W sparse, H dense, and
+    with noise=0 a matrix of exact rank r."""
+    rng = np.random.default_rng(seed)
+    W = rng.random((m, r)) * (rng.random((m, r)) < 0.4)
+    M = W @ rng.random((r, n))
+    return M + noise * rng.random((m, n)) if noise else M
+
+
+def lifted(M):
+    """M times a power of two, max|M| in [1, 2): the scale the kernel runs at."""
+    return np.ldexp(M, 1 - np.frexp(np.abs(M).max())[1])

@@ -9,7 +9,8 @@ one-point-at-a-time stepper, kept as the reference for the batched one; it
 shares only the ``Polygon2`` boundary parametrisation with the library.
 ``active_set_oracle`` is likewise the column QP kernel's former
 one-column-at-a-time loop, the reference for the lockstep kernel; it shares
-only the tolerances and exception classes with the library.
+only the tolerances, the exception classes and ``cllsolve._escape`` with the
+library.
 
 The SLSQP column oracle does not trust the solver's exit status, whose
 meaning shifts between scipy versions (scipy 1.17 stops at the optimum of
@@ -23,7 +24,7 @@ import math
 import numpy as np
 import scipy.optimize
 
-from prenmf import npp3
+from prenmf import cllsolve, npp3
 from prenmf.cllsolve import FEAS_TOL, KKT_TOL, Infeasible, MaxIterations
 from prenmf.npp3 import GEOM_TOL, GeometryError, StartInsideQ
 
@@ -68,6 +69,7 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
     indexed bounds first (0..n-1) then rows (n..n+p-1); ``tie_order``
     optionally permutes the pivoting preference over that index space (used
     to verify that the fitted vector C x is independent of the ordering).
+    A step blocked at zero length takes one ``cllsolve._escape`` pivot.
 
     Returns (x, active, iterations).
     """
@@ -87,27 +89,17 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
     row_scale = np.maximum(1.0, np.abs(C).max(axis=1))
 
     x = np.zeros(n)
-    act_bound = np.ones(n, dtype=bool)   # x_k = 0 held
-    act_row = np.zeros(p, dtype=bool)    # G_j x = h_j held
+    act = np.arange(n + p) < n    # held: bounds x_k = 0, then rows C_j x = h_j
 
     step_tol = 1e-13 * max(1.0, float(np.abs(d).max()))
-    # Anti-cycling bookkeeping for linearly dependent working sets (where
-    # the multiplier estimate is not unique): a dropped constraint that
-    # immediately re-blocks at a zero step is excluded until real progress;
-    # after a long zero-progress stretch every drop is excluded eagerly so
-    # the loop must terminate.
-    taboo = np.zeros(n + p, dtype=bool)
-    pending = None
-    stall = 0
-    aggressive = False
     it = 0
     while True:
         it += 1
         if it > max_iter:
             raise MaxIterations(f"active-set method exceeded {max_iter} pivots")
 
-        free = np.flatnonzero(~act_bound)
-        rows = np.flatnonzero(act_row)
+        free = np.flatnonzero(~act[:n])
+        rows = np.flatnonzero(act[n:])
         nf, ne = free.size, rows.size
 
         if nf == 0:
@@ -129,30 +121,19 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
             if ne:
                 lam_bound += C[rows].T @ nu
             cands = np.concatenate([
-                np.flatnonzero(act_bound & (lam_bound < -KKT_TOL)),
+                np.flatnonzero(act[:n] & (lam_bound < -KKT_TOL)),
                 n + rows[nu < -KKT_TOL]])
-            cands = cands[~taboo[cands]]
             if cands.size == 0:
-                active = tuple(np.flatnonzero(act_bound).tolist()
-                               + (n + rows).tolist())
-                return x, active, it
-            worst = int(cands[np.argmin(rank[cands])])
-            if aggressive:
-                taboo[worst] = True
-            else:
-                pending = worst
-            if worst < n:
-                act_bound[worst] = False
-            else:
-                act_row[worst - n] = False
+                return x, tuple(np.flatnonzero(act).tolist()), it
+            act[cands[np.argmin(rank[cands])]] = False
             continue
 
         # Ratio test against inactive constraints.
         dir_tol = 1e-14 * max(1.0, float(np.abs(step).max()))
-        blk = np.flatnonzero(~act_bound & (step < -dir_tol))
+        blk = np.flatnonzero(~act[:n] & (step < -dir_tol))
         Cstep = C @ step
         Cx = C @ x
-        blk_row = np.flatnonzero(~act_row & (Cstep > dir_tol * row_scale))
+        blk_row = np.flatnonzero(~act[n:] & (Cstep > dir_tol * row_scale))
         ratios = np.concatenate([x[blk] / (-step[blk]),
                                  (h[blk_row] - Cx[blk_row]) / Cstep[blk_row]])
         cands = np.concatenate([blk, n + blk_row])
@@ -167,30 +148,16 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
                                      and rk < rank_blocker):
                 alpha, blocker, rank_blocker = min(a, alpha), k, rk
 
-        alpha = max(alpha, 0.0)
+        if alpha <= 1e-12:
+            x, act, stop = cllsolve._escape(C, d, h, x)
+            if stop:
+                return x, tuple(np.flatnonzero(act).tolist()), it
+            continue
         x = x + alpha * step
         np.maximum(x, 0.0, out=x)
-        x[act_bound] = 0.0
-        if alpha > 1e-12:
-            taboo[:] = False
-            pending = None
-            stall = 0
-            aggressive = False
-        else:
-            stall += 1
-            if pending is not None and blocker == pending:
-                # The constraint dropped at the last stationary point blocks
-                # again at zero step: that relaxation was futile.
-                taboo[pending] = True
-            pending = None
-            if stall > 20 + n + p:
-                aggressive = True
-        if alpha < 1.0 and blocker is not None:
-            if blocker < n:
-                act_bound[blocker] = True
-                x[blocker] = 0.0
-            else:
-                act_row[blocker - n] = True
+        if blocker is not None:
+            act[blocker] = True
+        x[act[:n]] = 0.0
 
 
 def column_kernel_oracle(M, i, epsilon=0.0, tie_order=None):

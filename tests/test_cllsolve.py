@@ -4,13 +4,13 @@ import scipy.optimize
 
 from prenmf import cllsolve
 from prenmf.cllsolve import (CllsProblem, Infeasible, InfeasiblePoint,
-                             MaxIterations, SolverError, kkt_check,
-                             nnls_columns, preprocess_matrix, solve_column)
+                             MaxIterations, kkt_check, nnls_columns,
+                             preprocess_matrix, solve_column)
 from prenmf.fixtures import fixture_names, get_fixture
 from oracles import (column_kernel_oracle, grid_column_oracle, nnls_kkt_check,
                      qp_column_check, qp_column_oracle)
 
-from conftest import random_nonneg
+from conftest import lifted, random_nonneg, synthetic
 
 
 class TestSolveColumn:
@@ -72,8 +72,9 @@ class TestSolveColumn:
             solve_column(CllsProblem(M, 0))
 
     def test_iteration_cap(self, nested_squares):
-        with pytest.raises(MaxIterations):
-            solve_column(CllsProblem(nested_squares, 0), max_iter=1)
+        _, (res,) = cllsolve._active_set_ls(lifted(nested_squares),
+                                            slice(0, 1), 0.0, max_iter=1)
+        assert isinstance(res, MaxIterations)
 
     def test_matches_qp_oracle_on_random(self, rng):
         for _ in range(10):
@@ -182,19 +183,6 @@ def pinned_separable():
     return W @ np.hstack([np.eye(3), rng.random((3, 9))])
 
 
-def synthetic(m, n, r, noise=0.01):
-    """The synthetic m x n input of the scale notes (seed 0)."""
-    rng = np.random.default_rng(0)
-    W = rng.random((m, r)) * (rng.random((m, r)) < 0.4)
-    M = W @ rng.random((r, n))
-    return M + noise * rng.random((m, n)) if noise else M
-
-
-def lifted(M):
-    """M times a power of two, max|M| in [1, 2): the scale the kernel runs at."""
-    return np.ldexp(M, 1 - np.frexp(np.abs(M).max())[1])
-
-
 def kernel(M, cols=slice(None), epsilon=0.0, tie_order=None):
     """The lockstep kernel's (x, active, pivots) for the columns ``cols``."""
     return cllsolve._active_set_ls(M, cols, epsilon, 50 * M.shape[1],
@@ -214,9 +202,8 @@ class TestLockstepKernel:
         pytest.param(pinned_separable(), 0.0, slice(None), id="pinned-12x12"),
         pytest.param(synthetic(50, 40, 5), 0.0, slice(None), id="50x40"),
         pytest.param(synthetic(50, 40, 5), 0.05, slice(None), id="50x40-eps"),
-        # Degenerate vertices: singular KKT systems take the regularized
-        # fallback, and the anti-cycling state decides pivots (column 59
-        # takes 97 pivots, and 533 if futile drops were not made taboo).
+        # Degenerate points: singular KKT systems take the regularized
+        # fallback, and columns 53, 58 and 59 take escape pivots.
         pytest.param(synthetic(100, 100, 8, noise=0.0), 0.0, slice(50, 60),
                      id="noiseless-100x100"),
     ] + [pytest.param(get_fixture(f), 0.0, slice(None), id=f)
@@ -254,12 +241,94 @@ class TestLockstepKernel:
         assert str(info.value) == ("column 2: slack bound has negative "
                                    "entries; x = 0 is not feasible")
 
-    @pytest.mark.xfail(strict=True, raises=SolverError,
-                       reason="ROADMAP item 11")
-    def test_noiseless_low_rank_preprocesses(self):
-        # Exact rank 8: columns 53, 86 and 94 stop at degenerate vertices
-        # that are not optimal, and their certificates fail.
-        preprocess_matrix(synthetic(100, 100, 8, noise=0.0))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m,n,r", [(100, 100, 8), (150, 120, 10)])
+    def test_noiseless_low_rank_preprocesses(self, m, n, r, seed):
+        # Exact rank r: points with more tight constraints than free
+        # variables abound, and a pivot rule that only prevents cycling
+        # stopped 1-7 columns of each input short of the optimum.
+        M = synthetic(m, n, r, noise=0.0, seed=seed)
+        B, _ = preprocess_matrix(M)
+        for i in range(n):
+            assert qp_column_check(M, i, B[:, i]) is None, f"column {i}"
+
+
+def escape_calls(monkeypatch, M, i):
+    """Arguments and result of each ``_escape`` pivot of column i of M."""
+    calls = []
+    escape = cllsolve._escape
+
+    def spy(C, d, u, x):
+        out = escape(C, d, u, x)
+        calls.append(((C, d, u, x.copy()), out))
+        return out
+
+    monkeypatch.setattr(cllsolve, "_escape", spy)
+    kernel(M, slice(i, i + 1))
+    monkeypatch.undo()
+    return calls
+
+
+class TestEscape:
+    """The degenerate-point pivot.  Column 53 of noiseless 100x100 takes
+    two: one from a point that is not optimal, where a pivot rule that only
+    prevented cycling used to stop, then one that proves the optimum."""
+
+    @pytest.fixture(scope="class")
+    def M(self):
+        return lifted(synthetic(100, 100, 8, noise=0.0))
+
+    def test_non_optimal_point_strictly_descends(self, M, monkeypatch):
+        ((C, d, u, x), (x_new, work, stop)), _ = escape_calls(monkeypatch, M, 53)
+        assert not stop
+        assert qp_column_check(M, 53, np.insert(x, 53, 0.0)) is not None
+        assert x_new.min() >= 0.0
+        assert (C @ x_new - u).max() <= 1e-9 * np.abs(u).max()
+        f = np.sum((C @ x - d) ** 2)
+        assert np.sum((C @ x_new - d) ** 2) < f - 1e-6 * f
+        # The new working set holds independent normals: bounds fix their
+        # variables, and the rows have full rank on the free ones.
+        rows = C[work[x.size:]][:, ~work[:x.size]]
+        assert np.linalg.matrix_rank(rows) == rows.shape[0]
+
+    def test_optimal_point_is_proved_in_place(self, M, monkeypatch):
+        _, ((C, d, u, x), (x_new, work, stop)) = escape_calls(monkeypatch, M, 53)
+        assert stop
+        assert x_new.tobytes() == x.tobytes()
+        assert qp_column_check(M, 53, np.insert(x, 53, 0.0)) is None
+        # Degenerate: more constraints are tight than there are variables.
+        assert np.count_nonzero(work) > x.size
+
+    def test_interior_point_takes_the_line_minimum(self, monkeypatch):
+        # Nothing is tight, so the direction is -g itself: scipy's nnls
+        # aborts the process on a matrix with no columns and must not run.
+        def no_columns(A, b):
+            raise AssertionError("nnls called")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", no_columns)
+        x, work, stop = cllsolve._escape(np.ones((1, 1)), np.array([2.0]),
+                                         np.array([10.0]), np.array([1.0]))
+        assert not stop and not work.any()
+        assert x.tolist() == [2.0]
+
+    def test_nnls_cap_raises_max_iterations(self, M, monkeypatch):
+        # scipy reports its iteration cap as a bare RuntimeError.
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        with pytest.raises(MaxIterations, match="degenerate-point"):
+            solve_column(CllsProblem(M, 53))
+
+    def test_escape_counts_as_one_pivot(self, noisy, monkeypatch):
+        # Column 0 at eps = 0: pivot 1 frees b_1, whose step row 0 blocks at
+        # zero length; pivot 2 is the escape, which proves b = 0 optimal.
+        M = lifted(noisy)
+        assert [out[2] for _, out in escape_calls(monkeypatch, M, 0)] == [True]
+        (res,) = kernel(M, slice(0, 1))
+        assert res[2] == 2
+        _, (res,) = cllsolve._active_set_ls(M, slice(0, 1), 0.0, max_iter=1)
+        assert isinstance(res, MaxIterations)
 
 
 class TestScaleInvariance:
@@ -296,6 +365,19 @@ class TestScaleInvariance:
 
 
 class TestInvariants:
+    def test_fitted_vector_unique_on_noiseless_low_rank(self, rng):
+        # Exact low rank: the pivot order decides which degenerate points
+        # the path meets and escapes from, but not where it ends.
+        M = synthetic(100, 100, 8, noise=0.0)
+        cols = range(50, 60)
+        base = [M @ solve_column(CllsProblem(M, i)).b for i in cols]
+        for _ in range(3):
+            order = rng.permutation(99 + 100)
+            for i, want in zip(cols, base):
+                got = M @ solve_column(CllsProblem(M, i), tie_order=order).b
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-8 * np.linalg.norm(M[:, i]))
+
     def test_fitted_vector_unique_across_pivot_orders(self, rng):
         # Different tie-breaking orders may return different coefficient
         # vectors, but the fitted vector M b is the projection onto a

@@ -17,6 +17,9 @@ from prenmf import cllsolve, npp3
 from prenmf.fixtures import get_fixture
 from prenmf.preprocessing import find_alpha_bar
 
+from conftest import lifted, synthetic
+from oracles import column_kernel_oracle
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -116,3 +119,28 @@ def test_preprocess_runs_one_kernel_call(monkeypatch):
     cllsolve.preprocess_matrix(rng.random((20, 4)) @ rng.random((4, 16)))
     assert kernel_calls == [range(16)]
     assert kkt_calls == list(range(16))
+
+
+def test_escape_runs_only_at_degenerate_points(monkeypatch):
+    # The lockstep kernel and its serial reference share the degenerate-point
+    # pivot and must call it at the same points.  On noisy data no step is
+    # blocked at zero length, so it never runs there.
+    calls = []
+    escape = cllsolve._escape
+
+    def spy(*args):
+        calls.append(args)
+        return escape(*args)
+
+    monkeypatch.setattr(cllsolve, "_escape", spy)
+    M = lifted(synthetic(100, 100, 8, noise=0.0))
+    cllsolve._active_set_ls(M, slice(53, 54), 0.0, 50 * 100)
+    kernel_calls = len(calls)
+    calls.clear()
+    column_kernel_oracle(M, 53)
+    assert kernel_calls == len(calls) == 2
+
+    calls.clear()
+    for eps in (0.0, 0.05):
+        cllsolve.preprocess_matrix(synthetic(50, 40, 5), epsilon=eps)
+    assert calls == []
