@@ -76,9 +76,10 @@ def _env_block(args, seeds=None):
 def _write_json(path, payload):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # NaN and infinity are not JSON; refuse them before the file is opened.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _out_dir(args):
@@ -259,7 +260,7 @@ def cmd_npp(args):
 
 def cmd_uniqueness(args):
     M, source = _load_matrix(args)
-    r = args.rank or npp3.numerical_rank(M)
+    r = npp3.numerical_rank(M) if args.rank is None else args.rank
     report = uniq.uniqueness_report(M, r, zero_tol=args.zero_tol)
     payload = {
         "environment": _env_block(args),

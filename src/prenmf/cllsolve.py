@@ -107,8 +107,12 @@ class CllsSolution:
     b:            full-length coefficient vector, b[i] == 0.
     objective:    ||M[:, i] - M b||^2.
     kkt_residual: independent optimality certificate (see kkt_check).
-    active_set:   tight constraints; entries < n are variable bounds
-                  (b_k = 0), entries >= n encode slack rows as n + row.
+    active_set:   constraints tight at b (within ``kkt_check``'s activity
+                  tolerances); entries < n are variable bounds (b_k = 0),
+                  entries >= n encode slack rows as n + row.  A regular
+                  stop reports the kernel's working set, which can leave
+                  out other tight constraints; a stop proved at a
+                  degenerate point (``_escape``) reports every tight one.
     iterations:   active-set pivots performed.
     """
 

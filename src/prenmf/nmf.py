@@ -99,7 +99,7 @@ def _norms(X):
     """Frobenius norm of every slice of a stack, bit for bit as
     ``np.linalg.norm(X[s])``: that is one BLAS dot of the slice's elements in
     memory order, and a (1, k) @ (k, 1) matmul per slice makes the same call
-    (einsum does not).  A 2-d X is one slice."""
+    (einsum does not)."""
     F = X.reshape(-1, 1, X.shape[-2] * X.shape[-1])
     return np.sqrt(np.matmul(F, F.transpose(0, 2, 1))[:, 0, 0])
 
@@ -111,9 +111,7 @@ def _update_blocks(W, G, P, n_other, mu=None, mask=None):
     G = H H^T (S, r, r) and P = M H^T (S, k, r).  Each column update is the
     exact coordinate minimizer clipped at zero; a column whose G diagonal is
     negligible is skipped.  ``mu`` (S, r) adds an l1 penalty on W's columns;
-    ``mask`` (S, k, r) freezes entries outside the support.  A stack of one
-    may come without its leading axis: numpy's call overhead, which is most
-    of the cost at desk scale, is lower on 2-d operands.
+    ``mask`` (S, k, r) freezes entries outside the support.
 
     The number of inner sweeps is capped by the cost ratio of the block
     update to the precomputations (at most 1 + floor(ACCEL * kn / (r(k+n)))),
@@ -124,26 +122,20 @@ def _update_blocks(W, G, P, n_other, mu=None, mask=None):
     cap = 1 + int(ACCEL * (k * n_other) / (r * (k + n_other)))
     gd = np.diagonal(G, axis1=-2, axis2=-1)
     use = gd > ZERO_SNAP * np.maximum(gd.max(axis=-1, keepdims=True), 1.0)
-    everywhere = bool(use.all())
-    if not everywhere:
-        gd = np.where(use, gd, 1.0)  # skipped columns must not divide by 0
+    gd = np.where(use, gd, 1.0)  # skipped columns must not divide by 0
     # Column-first views: [j] gives column j of every slice, and per-slice
     # scalars (S, 1) that broadcast against it.
-    if W.ndim == 3:
-        lift, axes, Wg = (..., None), (2, 0, 1), np.empty((len(W), k, 1))
-        Wg_col = Wg[..., 0]
-    else:
-        lift, axes, Wg = ..., None, np.empty(k)
-        Wg_col = Wg
-    Wc = W.transpose(axes)
-    Pc = np.ascontiguousarray(P.transpose(axes))
-    Gc = G.transpose(axes)[lift]
-    dc = np.ascontiguousarray(gd.T)[lift]
+    Wg = np.empty((len(W), k, 1))
+    Wg_col = Wg[..., 0]
+    Wc = W.transpose(2, 0, 1)
+    Pc = np.ascontiguousarray(P.transpose(2, 0, 1))
+    Gc = G.transpose(2, 0, 1)[..., None]
+    dc = np.ascontiguousarray(gd.T)[..., None]
     shift = ([None] * r if mu is None
-             else np.ascontiguousarray((0.5 * mu / gd).T)[lift])
-    maskc = [None] * r if mask is None else mask.transpose(axes)
+             else np.ascontiguousarray((0.5 * mu / gd).T)[..., None])
+    maskc = [None] * r if mask is None else mask.transpose(2, 0, 1)
     cols = list(zip(Gc, Pc, dc, Wc, shift, maskc))
-    plan = [True] * r if everywhere else _plan(use.reshape(-1, r))
+    plan = _plan(use)
     for it in range(cap):
         # The movement matters only where it decides whether a sweep follows.
         track = it < cap - 1 and cap > 2
@@ -243,23 +235,18 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
     Uw, Vw = U, V
     obj_prev = None
     for it in range(1, max_outer + 1):
-        # The blocks see a lone working slice as 2-d arrays.
-        one = len(idx) == 1
-        Ub, Vb = (Uw[0], Vw[0]) if one else (Uw, Vw)
-        mub = mu[0] if one and mu is not None else mu
-        maskb = mask[0] if one and mask is not None else mask
-        Vt = Vb.swapaxes(-1, -2)
-        _update_blocks(Ub, np.matmul(Vb, Vt), np.matmul(M, Vt), n, mu=mub,
-                       mask=maskb)
+        Vt = Vw.swapaxes(-1, -2)
+        _update_blocks(Uw, np.matmul(Vw, Vt), np.matmul(M, Vt), n, mu=mu,
+                       mask=mask)
         if mu is not None:
             for k, c in zip(idx.tolist(), _renormalize(M, Uw, Vw)):
                 collapses[k] += c
-        _update_blocks(Vt, np.matmul(Ub.swapaxes(-1, -2), Ub),
-                       np.matmul(Mt, Ub), m)
+        _update_blocks(Vt, np.matmul(Uw.swapaxes(-1, -2), Uw),
+                       np.matmul(Mt, Uw), m)
         # Squared as floats, by C pow(x, 2): an array's ** 2 is x * x, which
         # rounds differently in rare cases and would move the histories.
         obj = np.array([x ** 2 for x in
-                        _norms(M - np.matmul(Ub, Vb)).tolist()])
+                        _norms(M - np.matmul(Uw, Vw)).tolist()])
         if mu is not None:
             obj += (mu * np.abs(Uw).sum(axis=1)).sum(axis=1)
         for k, value in zip(idx.tolist(), obj.tolist()):
@@ -287,6 +274,8 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
 
 def _init_factors(M, r, seeds):
     """Seeded uniform starting factors, one slice per seed."""
+    if r < 1:
+        raise ValueError("rank must be at least 1")
     m, n = M.shape
     U = np.empty((len(seeds), m, r))
     V = np.empty((len(seeds), r, n))
@@ -311,8 +300,6 @@ def _pairs(M, U, V, seeds, result, zero_tol):
 def _ahals_stack(M, r, seeds, max_outer, zero_tol):
     """``ahals`` for every seed at once; one FactorPair per seed."""
     m, n = M.shape
-    if r < 1:
-        raise ValueError("rank must be at least 1")
     if r > min(m, n):
         warnings.warn(f"rank {r} exceeds min(m, n) = {min(m, n)}",
                       RankTooLargeWarning)
@@ -407,6 +394,8 @@ def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
     if not 0.0 <= target_s_u < 1.0:
         raise ValueError("target sparsity must be in [0, 1)")
     scale = float(M.max())
+    if scale <= 0.0:
+        raise ValueError("tune_mu needs a matrix with a positive entry")
     lo = 1e-6 * scale
     hi = 10.0 * scale * M.shape[0]
 
@@ -545,6 +534,8 @@ def run_pipeline(M, r, method="nmf", seeds=range(10), max_outer=1000,
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    if np.linalg.norm(M) == 0.0:
+        raise ValueError("M is all zero: relative errors are undefined")
     t0 = time.perf_counter()
     extra = {}
 

@@ -71,6 +71,8 @@ def vertex_columns_by_sparsity(M, r, zero_tol=1e-8):
     rows, define redundant facets and do not count).
     """
     M = as_matrix(M, "M")
+    if r < 1:
+        raise ValueError("rank must be at least 1")
     supp = _supports(M, zero_tol)
     row_nonzero = supp.any(axis=1)
     out = []

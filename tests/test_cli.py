@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import prenmf
-from prenmf import matio, nmf
+from prenmf import cli, matio, nmf
 from prenmf.cli import build_parser, main
 
 
@@ -130,6 +130,35 @@ class TestFactorizeCommand:
         assert pre_s_u[0.0] != pre_s_u[0.05]
         assert targets == [pre_s_u[0.0], pre_s_u[0.05]]
 
+    @pytest.mark.parametrize("method", ["nmf", "pre-nmf", "snmf"])
+    def test_rank_zero_exits_2(self, tmp_path, capsys, method):
+        code = main(["factorize", "--fixture", "sepex", "--rank", "0",
+                     "--method", method, "--snmf-target", "0.5",
+                     "--seeds", "0-1", "--max-outer", "10",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: rank must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["nmf", "pre-nmf", "snmf"])
+    def test_all_zero_input_exits_2(self, tmp_path, capsys, method):
+        src = tmp_path / "zero.csv"
+        matio.write_csv(src, np.zeros((6, 5)))
+        out = tmp_path / "o"
+        code = main(["factorize", "--input", str(src), "--rank", "2",
+                     "--method", method, "--snmf-target", "0.5",
+                     "--seeds", "0-1", "--max-outer", "10",
+                     "--out", str(out)])
+        assert code == 2
+        assert "all zero" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_reports_refuse_nan(self, tmp_path):
+        # NaN is not JSON: no report may carry one.
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"rel_error_plain": float("nan")})
+        assert not path.exists()
+
     def test_pgm_dump(self, tmp_path):
         out = tmp_path / "o"
         run_cli(["factorize", "--fixture", "sepex", "--rank", "3",
@@ -211,6 +240,15 @@ class TestUniquenessCommand:
         matio.write_csv(src, rng.random((5, 5)) + 0.2)
         res = run_cli(["uniqueness", "--input", str(src), "--rank", "5"])
         assert res["unique"] is False
+
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    def test_rank_below_one_exits_2(self, capsys, rank):
+        # Neither may fall back to the numerical rank or print a verdict.
+        code = main(["uniqueness", "--fixture", "sepex", "--rank", rank])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "error: rank must be at least 1" in err
+        assert "certified" not in out
 
 
 class TestEntryPoint:

@@ -421,6 +421,32 @@ class TestInvariants:
             _, f_grid = grid_column_oracle(M, i, grid)
             assert sol.objective <= f_grid + 1e-9
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("name", fixture_names() + ["50x40",
+                                                        "noiseless-100x100"])
+    def test_active_set_is_tight(self, name, eps):
+        # Every reported constraint is tight at b within kkt_check's
+        # activity tolerances, at the scale the kernel runs at.  The
+        # converse does not hold: a regular stop reports its working set,
+        # which leaves out tight constraints on sepex and the noiseless
+        # input at eps = 0.
+        if name == "50x40":
+            M = synthetic(50, 40, 5)
+        elif name == "noiseless-100x100":
+            M = synthetic(100, 100, 8, noise=0.0)
+        else:
+            M = get_fixture(name)
+        _, sols = preprocess_matrix(M, eps)
+        L = lifted(M)
+        n = M.shape[1]
+        for i, sol in enumerate(sols):
+            p = CllsProblem(L, i, eps)
+            b, d = sol.b, p.target
+            bound = b <= 1e-10 * max(1.0, np.abs(b).max())
+            row = p.slack_bound - L @ b <= 1e-8 * max(np.abs(d).max(), 1.0)
+            tight = np.concatenate([bound, row])
+            assert all(tight[a] for a in sol.active_set), (i, sol.active_set)
+
 
 class TestNnlsColumns:
     def test_satisfies_kkt(self, rng):

@@ -114,6 +114,11 @@ class TestSnmf:
         with pytest.raises(ValueError):
             nmf.snmf(np.array([[1.0, -2.0], [3.0, 4.0]]), 2, cfg)
 
+    def test_rejects_rank_zero(self, rng):
+        cfg = nmf.SnmfConfig(mu=np.full(1, 0.1), max_outer=10, seed=0)
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            nmf.snmf(rng.random((5, 4)), 0, cfg)
+
 
 class TestTuneMu:
     def test_target_zero_stays_at_baseline(self, rng):
@@ -147,6 +152,15 @@ class TestTuneMu:
              for mu in mus]
         for a, b in zip(s, s[1:]):
             assert b >= a - 0.02
+
+    def test_rejects_rank_zero(self, rng):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            nmf.tune_mu(rng.random((5, 4)), 0, 0.5, max_outer=10)
+
+    def test_rejects_matrix_without_positive_entry(self):
+        # The bracket [1e-6, 10 m] * max(M) would be [0, 0].
+        with pytest.raises(ValueError, match="positive entry"):
+            nmf.tune_mu(np.zeros((5, 4)), 2, 0.5, max_outer=10)
 
 
 class TestRefitV:
@@ -292,6 +306,13 @@ class TestRunPipeline:
     def test_unknown_method(self, rng):
         with pytest.raises(ValueError):
             nmf.run_pipeline(rng.random((4, 4)), 2, "other")
+
+    @pytest.mark.parametrize("method", ["nmf", "pre_nmf", "snmf"])
+    def test_all_zero_input_refused(self, method):
+        # Every relative error would be 0 / 0.
+        with pytest.raises(ValueError, match="all zero"):
+            nmf.run_pipeline(np.zeros((6, 5)), 2, method, seeds=range(2),
+                             max_outer=10, snmf_target=0.5)
 
 
 def engine_inputs():

@@ -39,6 +39,16 @@ class TestVertexColumns:
             assert uniq.is_unique_by_sparsity(M, r)
 
 
+    @pytest.mark.parametrize("r", [0, -2])
+    @pytest.mark.parametrize("check", [uniq.vertex_columns_by_sparsity,
+                                       uniq.is_unique_by_sparsity,
+                                       uniq.uniqueness_report])
+    def test_rank_below_one_refused(self, example_matrix, check, r):
+        # r - 1 < 0 zeros would certify every column as a vertex.
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            check(example_matrix, r)
+
+
 class TestIsUnique:
     def test_example_certified(self, example_matrix):
         assert uniq.is_unique_by_sparsity(example_matrix, 3)
