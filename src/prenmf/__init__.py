@@ -17,7 +17,8 @@ from .preprocessing import (PreprocessResult, preprocess, apply_alpha,
 from .npp3 import (NppInstance, build_npp, tangent_step, walk_fk, feasible_k,
                    enumerate_solutions, hull_membership)
 from .nmf import (FactorPair, SnmfConfig, ahals, snmf, tune_mu, refit_v,
-                  v_from_q, postprocess_fixed_support, run_pipeline)
+                  v_from_q, postprocess_fixed_support, run_pipeline,
+                  run_comparison)
 from .uniq import (vertex_columns_by_sparsity, is_unique_by_sparsity,
                    support_containment, uniqueness_report)
 
@@ -29,7 +30,7 @@ __all__ = [
     "NppInstance", "build_npp", "tangent_step", "walk_fk", "feasible_k",
     "enumerate_solutions", "hull_membership",
     "FactorPair", "SnmfConfig", "ahals", "snmf", "tune_mu", "refit_v",
-    "v_from_q", "postprocess_fixed_support", "run_pipeline",
+    "v_from_q", "postprocess_fixed_support", "run_pipeline", "run_comparison",
     "vertex_columns_by_sparsity", "is_unique_by_sparsity",
     "support_containment", "uniqueness_report",
 ]

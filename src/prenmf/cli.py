@@ -12,6 +12,7 @@ written as CSV.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -135,48 +136,39 @@ def cmd_preprocess(args):
 
 
 def cmd_factorize(args):
+    for method in args.method:
+        if method not in ("nmf", "pre-nmf", "snmf"):
+            raise ValueError(f"unknown method {method!r}")
     M, source = _load_matrix(args)
     if "pre-nmf" in args.method:
         _check_duplicates(M, args)
     out = _out_dir(args)
     seeds = _parse_seeds(args.seeds)
+    runs = [(method, eps) for method in args.method
+            for eps in (args.epsilon if method != "nmf" else [0.0])]
+    reps = nmf.run_comparison(
+        M, args.rank, [(m.replace("-", "_"), eps) for m, eps in runs],
+        seeds=seeds, max_outer=args.max_outer, alpha=args.alpha_value,
+        snmf_target=args.snmf_target, zero_tol=args.zero_tol)
     records = []
     factors = {}
-    pre_s_u = {}   # epsilon -> s_U of the pre-nmf run at that epsilon
-    for method in args.method:
-        for eps in (args.epsilon if method != "nmf" else [0.0]):
-            name = method.replace("-", "_")
-            kwargs = dict(seeds=seeds, max_outer=args.max_outer,
-                          zero_tol=args.zero_tol)
-            if method == "pre-nmf":
-                rep = nmf.run_pipeline(M, args.rank, "pre_nmf", epsilon=eps,
-                                       alpha=args.alpha_value, **kwargs)
-                pre_s_u[eps] = rep.s_U
-            elif method == "snmf":
-                target = pre_s_u.get(eps, args.snmf_target)
-                if target is None:
-                    raise ValueError("snmf needs --snmf-target or a pre-nmf "
-                                     "run in the same invocation")
-                rep = nmf.run_pipeline(M, args.rank, "snmf",
-                                       snmf_target=target, **kwargs)
-            else:
-                rep = nmf.run_pipeline(M, args.rank, "nmf", **kwargs)
-            tag = f"{name}_eps{eps:g}" if method != "nmf" else name
-            records.append({
-                "method": method,
-                "epsilon": eps,
-                "alpha": rep.alpha,
-                "rel_error_plain": rep.rel_error_plain,
-                "rel_error_improved": rep.rel_error_improved,
-                "rel_error_vq": rep.rel_error_vq,
-                "s_U": rep.s_U,
-                "s_V": rep.s_V,
-                "rho_B_star": rep.rho_B_star,
-                "best_seed": rep.best_seed,
-                "wall_time": rep.wall_time,
-                "factors": {"U": f"U_{tag}.csv", "V": f"V_{tag}.csv"},
-            })
-            factors[tag] = (rep.U, rep.V)
+    for (method, eps), rep in zip(runs, reps):
+        tag = rep.method if method == "nmf" else f"{rep.method}_eps{eps:g}"
+        records.append({
+            "method": method,
+            "epsilon": eps,
+            "alpha": rep.alpha,
+            "rel_error_plain": rep.rel_error_plain,
+            "rel_error_improved": rep.rel_error_improved,
+            "rel_error_vq": rep.rel_error_vq,
+            "s_U": rep.s_U,
+            "s_V": rep.s_V,
+            "rho_B_star": rep.rho_B_star,
+            "best_seed": rep.best_seed,
+            "wall_time": rep.wall_time,
+            "factors": {"U": f"U_{tag}.csv", "V": f"V_{tag}.csv"},
+        })
+        factors[tag] = (rep.U, rep.V)
     for tag, (U, V) in factors.items():
         matio.write_csv(out / f"U_{tag}.csv", U)
         matio.write_csv(out / f"V_{tag}.csv", V)
@@ -349,10 +341,19 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of this process: building one takes about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The parser holds the commands as they were when it was built; call
+    # the module attribute, which a tracer or a test may have wrapped since.
+    command = globals()[args.func.__name__]
     try:
-        args.func(args)
+        command(args)
     except (DuplicateColumns, prep.RankMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

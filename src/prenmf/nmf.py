@@ -7,9 +7,14 @@ normalization, nonnegative refits against the original matrix, and the
 fixed-support polish used to compare sparsity patterns across methods.
 The three engines (``ahals``, ``snmf`` and the polish) share one outer
 loop, ``_hals``, and differ only in its l1 weights, support mask and stop
-rule.  ``_hals`` runs a stack of factorizations of one matrix at once:
-``run_pipeline`` stacks its seeds and ``tune_mu`` its probes, and each
-slice gets exactly the result of a run on its own.
+rule.  ``_hals`` runs a stack of factorizations at once, each slice with
+its own matrix, and each slice gets exactly the result of a run on its own.
+``run_comparison`` runs every (method, epsilon) record of a comparison in
+three stacked stages: one ``ahals`` stack for the seeds of every nmf and
+pre_nmf record, then per snmf record ``tune_mu``'s probe stacks (whose
+winning probe is the run of the first seed) and one stack for the other
+seeds of every snmf record, then one fixed-support polish stack with a
+slice per record.  ``run_pipeline`` is its one-record view.
 """
 
 import time
@@ -34,6 +39,7 @@ __all__ = [
     "v_from_q",
     "postprocess_fixed_support",
     "run_pipeline",
+    "run_comparison",
 ]
 
 ZERO_SNAP = 1e-16  # entries below this snap to exact zeros (clean supports)
@@ -86,6 +92,14 @@ class SnmfConfig:
 
 def _rel_error(M, U, V):
     return float(np.linalg.norm(M - U @ V) / np.linalg.norm(M))
+
+
+def _input(M):
+    """M as a float matrix; an all-zero M has no relative errors."""
+    M = as_matrix(M, "M")
+    if np.linalg.norm(M) == 0.0:
+        raise ValueError("M is all zero: relative errors are undefined")
+    return M
 
 
 def _make_pair(M, U, V, seed, iterations, history, zero_tol=1e-8):
@@ -186,10 +200,10 @@ def _plan(upd):
 def _renormalize(M, U, V):
     """Unit-max columns of U in every slice, V's rows taking the scale.
 
-    A column that collapsed to zero is reseeded and its V row zeroed.  A
-    slice with a collapse runs column by column, because each reseed reads
-    the residual of the columns before it.  Returns the per-slice collapse
-    counts.
+    A column that collapsed to zero is reseeded from the slice's residual
+    against its matrix M[s], and its V row zeroed.  A slice with a collapse
+    runs column by column, because each reseed reads the residual of the
+    columns before it.  Returns the per-slice collapse counts.
     """
     c = U.max(axis=1)
     hit = (c <= 0.0).any(axis=1)
@@ -201,7 +215,7 @@ def _renormalize(M, U, V):
         Us, Vs = U[s], V[s]
         for j, cj in enumerate(c[s].tolist()):
             if cj <= 0.0:
-                Us[:, j] = _reseed_column(M, Us, Vs, j)
+                Us[:, j] = _reseed_column(M[s], Us, Vs, j)
                 Vs[j, :] = 0.0
                 counts[s] += 1
                 continue
@@ -213,40 +227,40 @@ def _renormalize(M, U, V):
 def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
     """Outer loop shared by every engine: alternate U's and V's blocks.
 
-    Runs a stack of S factorizations of the same M: U (S, m, r) and
-    V (S, r, n) are updated in place.  ``mu`` (S, r) adds the l1 penalty on
-    U's columns, renormalizes them to unit max after each U block (V's rows
-    take the compensating scale, a collapsed column is reseeded) and adds
-    the penalty to the recorded objective.  ``mask`` (S, m, r) freezes U's
-    zero pattern.  ``stall`` stops a slice once an outer iteration improves
-    its objective by less than STALL_TOL relatively; a stopped slice leaves
-    the working stack, so it is frozen exactly.  Every slice gets the same
-    floating-point results as a stack of one.
+    Runs a stack of S factorizations, slice s factorizing M[s] of the
+    (S, m, n) stack M (a broadcast view when the slices share one matrix):
+    U (S, m, r) and V (S, r, n) are updated in place.  ``mu`` (S, r) adds
+    the l1 penalty on U's columns, renormalizes them to unit max after each
+    U block (V's rows take the compensating scale, a collapsed column is
+    reseeded) and adds the penalty to the recorded objective.  ``mask``
+    (S, m, r) freezes U's zero pattern.  ``stall`` stops a slice once an
+    outer iteration improves its objective by less than STALL_TOL
+    relatively; a stopped slice leaves the working stack with its matrix,
+    so it is frozen exactly.  Every slice gets the same floating-point
+    results as a stack of one.
 
     Returns per-slice lists (iterations, objective histories, collapses).
     """
-    m, n = M.shape
-    S = U.shape[0]
-    Mt = M.T
+    S, m, n = M.shape
     iterations = [max(max_outer, 0)] * S
     histories = [[] for _ in range(S)]
     collapses = [0] * S
     idx = np.arange(S)  # caller slice of each working slice
-    Uw, Vw = U, V
+    Mw, Uw, Vw = M, U, V
     obj_prev = None
     for it in range(1, max_outer + 1):
         Vt = Vw.swapaxes(-1, -2)
-        _update_blocks(Uw, np.matmul(Vw, Vt), np.matmul(M, Vt), n, mu=mu,
+        _update_blocks(Uw, np.matmul(Vw, Vt), np.matmul(Mw, Vt), n, mu=mu,
                        mask=mask)
         if mu is not None:
-            for k, c in zip(idx.tolist(), _renormalize(M, Uw, Vw)):
+            for k, c in zip(idx.tolist(), _renormalize(Mw, Uw, Vw)):
                 collapses[k] += c
         _update_blocks(Vt, np.matmul(Uw.swapaxes(-1, -2), Uw),
-                       np.matmul(Mt, Uw), m)
+                       np.matmul(Mw.swapaxes(-1, -2), Uw), m)
         # Squared as floats, by C pow(x, 2): an array's ** 2 is x * x, which
         # rounds differently in rare cases and would move the histories.
         obj = np.array([x ** 2 for x in
-                        _norms(M - np.matmul(Uw, Vw)).tolist()])
+                        _norms(Mw - np.matmul(Uw, Vw)).tolist()])
         if mu is not None:
             obj += (mu * np.abs(Uw).sum(axis=1)).sum(axis=1)
         for k, value in zip(idx.tolist(), obj.tolist()):
@@ -262,7 +276,8 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
                 keep = ~done
                 if not keep.any():
                     return iterations, histories, collapses
-                idx, Uw, Vw, obj = idx[keep], Uw[keep], Vw[keep], obj[keep]
+                idx, obj = idx[keep], obj[keep]
+                Mw, Uw, Vw = Mw[keep], Uw[keep], Vw[keep]
                 mu = None if mu is None else mu[keep]
                 mask = None if mask is None else mask[keep]
         obj_prev = obj
@@ -276,7 +291,7 @@ def _init_factors(M, r, seeds):
     """Seeded uniform starting factors, one slice per seed."""
     if r < 1:
         raise ValueError("rank must be at least 1")
-    m, n = M.shape
+    m, n = M.shape[-2:]
     U = np.empty((len(seeds), m, r))
     V = np.empty((len(seeds), r, n))
     for k, seed in enumerate(seeds):
@@ -287,10 +302,11 @@ def _init_factors(M, r, seeds):
 
 
 def _pairs(M, U, V, seeds, result, zero_tol):
+    """One FactorPair per slice of the stack M (S, m, n)."""
     iterations, histories, collapses = result
     pairs = []
     for k, seed in enumerate(seeds):
-        pair = _make_pair(M, U[k], V[k], seed, iterations[k], histories[k],
+        pair = _make_pair(M[k], U[k], V[k], seed, iterations[k], histories[k],
                           zero_tol)
         pair.collapses = collapses[k]
         pairs.append(pair)
@@ -298,8 +314,8 @@ def _pairs(M, U, V, seeds, result, zero_tol):
 
 
 def _ahals_stack(M, r, seeds, max_outer, zero_tol):
-    """``ahals`` for every seed at once; one FactorPair per seed."""
-    m, n = M.shape
+    """``ahals`` of every slice M[k] (S, m, n) from seeds[k] at once."""
+    m, n = M.shape[-2:]
     if r > min(m, n):
         warnings.warn(f"rank {r} exceeds min(m, n) = {min(m, n)}",
                       RankTooLargeWarning)
@@ -309,7 +325,7 @@ def _ahals_stack(M, r, seeds, max_outer, zero_tol):
 
 
 def _snmf_stack(M, r, mu, seeds, max_outer, zero_tol):
-    """``snmf`` for every (mu[k], seeds[k]) at once; one FactorPair each."""
+    """``snmf`` of M for every (mu[k], seeds[k]) at once."""
     if M.min() < 0:
         raise ValueError("sparse variant expects a nonnegative matrix")
     if np.any(mu <= 0):
@@ -317,8 +333,23 @@ def _snmf_stack(M, r, mu, seeds, max_outer, zero_tol):
     U, V = _init_factors(M, r, seeds)
     # Unit-max columns from the start so the penalty is comparable.
     U /= np.maximum(U.max(axis=1, keepdims=True), ZERO_SNAP)
+    M = np.broadcast_to(M, (len(seeds),) + M.shape)
     result = _hals(M, U, V, max_outer, mu=mu)
     return _pairs(M, U, V, seeds, result, zero_tol)
+
+
+def _polish(M, Us, Vs, seeds, zero_tol):
+    """``postprocess_fixed_support`` of M for every (Us[k], Vs[k]) at once."""
+    U, V = np.stack(Us), np.stack(Vs)
+    mask = U > zero_tol * np.abs(U).max(axis=(1, 2), keepdims=True)
+    mask = mask.astype(float)
+    U *= mask
+    starts = [float(np.linalg.norm(M - Uk @ Vk) ** 2) for Uk, Vk in zip(U, V)]
+    M = np.broadcast_to(M, U.shape[:1] + M.shape)
+    its, histories, _ = _hals(M, U, V, POLISH_ITERS, mask=mask)
+    return [_make_pair(M[k], U[k], V[k], seed, its[k],
+                       [starts[k]] + histories[k], zero_tol)
+            for k, seed in enumerate(seeds)]
 
 
 def ahals(M, r, seed=0, max_outer=1000, zero_tol=1e-8):
@@ -329,8 +360,8 @@ def ahals(M, r, seed=0, max_outer=1000, zero_tol=1e-8):
     iterations.  Stops early when an outer iteration improves the objective
     by less than ``STALL_TOL`` relatively.
     """
-    M = as_matrix(M, "M")
-    return _ahals_stack(M, r, [seed], max_outer, zero_tol)[0]
+    M = _input(M)
+    return _ahals_stack(M[None], r, [seed], max_outer, zero_tol)[0]
 
 
 def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
@@ -342,7 +373,7 @@ def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
     reseeded from the dominant nonnegative part of the residual,
     deterministically.
     """
-    M = as_matrix(M, "M")
+    M = _input(M)
     mu = np.broadcast_to(cfg.mu, (r,)).astype(float)
     return _snmf_stack(M, r, mu[None], [cfg.seed], cfg.max_outer,
                        zero_tol)[0]
@@ -390,6 +421,12 @@ def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
     the probes it needs from them, so the result is that of probing one at
     a time.
     """
+    return _tune_mu(M, r, target_s_u, seed, max_outer, zero_tol)[0]
+
+
+def _tune_mu(M, r, target_s_u, seed, max_outer, zero_tol):
+    """``tune_mu``, returning its configuration and the winning probe's
+    FactorPair: the ``snmf`` run of ``seed`` at the tuned weight."""
     M = as_matrix(M, "M")
     if not 0.0 <= target_s_u < 1.0:
         raise ValueError("target sparsity must be in [0, 1)")
@@ -401,8 +438,7 @@ def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
 
     def probe(mus):
         mu = np.repeat(np.array(mus, dtype=float)[:, None], r, axis=1)
-        pairs = _snmf_stack(M, r, mu, [seed] * len(mus), max_outer, zero_tol)
-        return [p.s_U for p in pairs]
+        return _snmf_stack(M, r, mu, [seed] * len(mus), max_outer, zero_tol)
 
     def speculate(llo, lhi, probes):
         mids = _midpoints(llo, lhi, min(3, MU_PROBES - probes))
@@ -410,33 +446,35 @@ def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
 
     llo, lhi = np.log10(lo), np.log10(hi)
     mids, mus = speculate(llo, lhi, 2)
-    s_lo, s_hi, *s_mids = probe([lo, hi] + mus)
-    seen = dict(zip(mids, s_mids))  # log10(mu) -> sparsity of its probe
-    best = None  # (gap, mu, s)
+    p_lo, p_hi, *p_mids = probe([lo, hi] + mus)
+    seen = dict(zip(mids, p_mids))  # log10(mu) -> its probe's FactorPair
+    best = None  # (gap, mu, pair)
     probes = 2
-    for mu, s in ((lo, s_lo), (hi, s_hi)):
-        gap = abs(s - target_s_u)
+    for mu, pair in ((lo, p_lo), (hi, p_hi)):
+        gap = abs(pair.s_U - target_s_u)
         if best is None or gap < best[0]:
-            best = (gap, mu, s)
+            best = (gap, mu, pair)
     # Sparsity is (noisily) nondecreasing in mu; bisect while the window
     # brackets the target, otherwise the nearer endpoint already won.
-    if s_lo - MU_WINDOW <= target_s_u <= s_hi + MU_WINDOW:
+    if p_lo.s_U - MU_WINDOW <= target_s_u <= p_hi.s_U + MU_WINDOW:
         while probes < MU_PROBES and best[0] > MU_WINDOW:
             lmid = 0.5 * (llo + lhi)
             if lmid not in seen:
                 mids, mus = speculate(llo, lhi, probes)
                 seen.update(zip(mids, probe(mus)))
-            s_mid = seen[lmid]
+            mid = seen[lmid]
             probes += 1
-            gap = abs(s_mid - target_s_u)
+            gap = abs(mid.s_U - target_s_u)
             if gap < best[0]:
-                best = (gap, 10.0 ** lmid, s_mid)
-            if s_mid < target_s_u:
+                best = (gap, 10.0 ** lmid, mid)
+            if mid.s_U < target_s_u:
                 llo = lmid
             else:
                 lhi = lmid
-    return SnmfConfig(mu=np.full(r, best[1]), max_outer=max_outer, seed=seed,
-                      achieved_s_u=best[2])
+    _, mu, pair = best
+    cfg = SnmfConfig(mu=np.full(r, mu), max_outer=max_outer, seed=seed,
+                     achieved_s_u=pair.s_U)
+    return cfg, pair
 
 
 def refit_v(M, U):
@@ -482,15 +520,10 @@ def postprocess_fixed_support(M, U, V, zero_tol=1e-8, seed=0):
     sparsity pattern is what the polished error measures.  Zero entries of
     U stay exactly zero; the error is nonincreasing.
     """
-    M = as_matrix(M, "M")
-    U = as_matrix(U, "U").copy()
-    V = as_matrix(V, "V").copy()
-    mask = (U > zero_tol * np.abs(U).max()).astype(float)
-    U *= mask
-    start = float(np.linalg.norm(M - U @ V) ** 2)
-    its, histories, _ = _hals(M, U[None], V[None], POLISH_ITERS,
-                              mask=mask[None])
-    return _make_pair(M, U, V, seed, its[0], [start] + histories[0], zero_tol)
+    M = _input(M)
+    U = as_matrix(U, "U")
+    V = as_matrix(V, "V")
+    return _polish(M, [U], [V], [seed], zero_tol)[0]
 
 
 @dataclass
@@ -528,58 +561,104 @@ def run_pipeline(M, r, method="nmf", seeds=range(10), max_outer=1000,
 
     Every record field is recomputable from (M, U, V); the polish step
     ('improved' error) fixes U's zero pattern and reruns the plain
-    objective on the support.
+    objective on the support.  This is ``run_comparison`` of one record.
     """
-    M = as_matrix(M, "M")
+    return run_comparison(M, r, [(method, epsilon)], seeds=seeds,
+                          max_outer=max_outer, alpha=alpha,
+                          snmf_target=snmf_target, zero_tol=zero_tol)[0]
+
+
+def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
+                   snmf_target=None, zero_tol=1e-8):
+    """``run_pipeline`` of every (method, epsilon) in ``records``, in order.
+
+    An snmf record targets the s_U of the last pre_nmf record at its epsilon
+    listed before it, and ``snmf_target`` when there is none.  The records
+    run in three stacked stages, each slice bit for bit the run it replaces:
+    the seeds of every nmf and pre_nmf record in one ``ahals`` stack; per
+    snmf record ``tune_mu``, whose winning probe is the run of seeds[0],
+    then seeds[1:] of every snmf record in one ``snmf`` stack; and every
+    record's polish in one stack.  Every report's ``wall_time`` is the
+    elapsed time of the whole call.
+    """
+    M = _input(M)
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    if np.linalg.norm(M) == 0.0:
-        raise ValueError("M is all zero: relative errors are undefined")
+    if not records:
+        raise ValueError("need at least one record")
+    source = {}  # snmf record -> the pre_nmf record it targets, or None
+    for k, (method, eps) in enumerate(records):
+        if method not in ("nmf", "pre_nmf", "snmf"):
+            raise ValueError(f"unknown method {method!r}")
+        if method == "snmf":
+            earlier = [j for j in range(k) if records[j] == ("pre_nmf", eps)]
+            source[k] = earlier[-1] if earlier else None
+            if source[k] is None and snmf_target is None:
+                raise ValueError("snmf needs a target sparsity (snmf_target) "
+                                 "or an earlier pre_nmf record at its epsilon")
     t0 = time.perf_counter()
-    extra = {}
+    S = len(seeds)
+    n = len(records)
+    best, V, plain = [None] * n, [None] * n, [None] * n
+    extra = [{} for _ in records]  # the method's own report fields
 
-    if method == "nmf":
-        runs = _ahals_stack(M, r, seeds, max_outer, zero_tol)
-        best = min(runs, key=lambda p: p.rel_error)
-        V, plain = best.V, best.rel_error
-        epsilon = alpha = 0.0
-    elif method == "pre_nmf":
-        prep = _pre.preprocess(M, epsilon=epsilon, alpha=alpha, rescale=True)
-        runs = _ahals_stack(prep.P_alpha_M, r, seeds, max_outer, zero_tol)
+    # Stage 1: the seeds of every nmf and pre_nmf record, one ahals stack.
+    first = [k for k, (method, _) in enumerate(records) if method != "snmf"]
+    preps = {k: _pre.preprocess(M, epsilon=records[k][1], alpha=alpha,
+                                rescale=True)
+             for k in first if records[k][0] == "pre_nmf"}
+    mats = [preps[k].P_alpha_M if k in preps else M for k in first]
+    if mats:
+        stack = (np.broadcast_to(mats[0], (S,) + M.shape) if len(mats) == 1
+                 else np.repeat(np.stack(mats), S, axis=0))
+        runs = _ahals_stack(stack, r, seeds * len(mats), max_outer, zero_tol)
+    for i, k in enumerate(first):
+        mine = runs[i * S:(i + 1) * S]
+        if k not in preps:
+            best[k] = min(mine, key=lambda p: p.rel_error)
+            V[k], plain[k] = best[k].V, best[k].rel_error
+            continue
+        prep = preps[k]
         # Rank seeds by what the method reports: the refit error against
         # the original matrix (the preprocessed objective deliberately
         # trades error for sparsity, so it is the wrong yardstick).
-        refits = [refit_v(M, p.U) for p in runs]
-        errors = [_rel_error(M, p.U, Vf) for p, Vf in zip(runs, refits)]
+        refits = [refit_v(M, p.U) for p in mine]
+        errors = [_rel_error(M, p.U, Vf) for p, Vf in zip(mine, refits)]
         ibest = int(np.argmin(errors))
-        best, V, plain = runs[ibest], refits[ibest], errors[ibest]
+        best[k], V[k], plain[k] = mine[ibest], refits[ibest], errors[ibest]
+        extra[k] = {"rho_B_star": prep.rho}
         try:
-            Vq = v_from_q(best.V / prep.rescale[None, :], prep.B_star,
+            Vq = v_from_q(best[k].V / prep.rescale[None, :], prep.B_star,
                           alpha=alpha, rho=prep.rho)
-            extra["rel_error_vq"] = _rel_error(M, best.U, Vq)
+            extra[k]["rel_error_vq"] = _rel_error(M, best[k].U, Vq)
         except SingularQ:
             pass
-        extra["rho_B_star"] = prep.rho
-    elif method == "snmf":
-        if snmf_target is None:
-            raise ValueError("snmf needs a target sparsity (snmf_target)")
-        cfg = tune_mu(M, r, snmf_target, seed=seeds[0], max_outer=max_outer,
-                      zero_tol=zero_tol)
-        mu = np.broadcast_to(cfg.mu, (len(seeds), r)).astype(float)
-        runs = _snmf_stack(M, r, mu, seeds, max_outer, zero_tol)
-        best = min(runs, key=lambda p: p.objective_history[-1])
-        V, plain = best.V, best.rel_error
-        alpha = 0.0
-        extra["mu"] = cfg.mu
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
-    improved = postprocess_fixed_support(M, best.U, V, zero_tol=zero_tol,
-                                         seed=best.seed)
-    return PipelineReport(
-        method=method, epsilon=epsilon, alpha=alpha, rel_error_plain=plain,
-        rel_error_improved=improved.rel_error,
-        s_U=sparsity(best.U, zero_tol), s_V=sparsity(V, zero_tol),
-        seeds=seeds, best_seed=best.seed, wall_time=time.perf_counter() - t0,
-        U=best.U, V=V, **extra)
+    # Stage 2: tune_mu per snmf record, then seeds[1:] of all of them.
+    tuned = [_tune_mu(M, r, snmf_target if j is None else best[j].s_U,
+                      seeds[0], max_outer, zero_tol)
+             for j in source.values()]
+    others = []
+    if tuned and S > 1:
+        mu = np.repeat([cfg.mu for cfg, _ in tuned], S - 1, axis=0)
+        others = _snmf_stack(M, r, mu, seeds[1:] * len(tuned), max_outer,
+                             zero_tol)
+    for i, (k, (cfg, won)) in enumerate(zip(source, tuned)):
+        mine = [won] + others[i * (S - 1):(i + 1) * (S - 1)]
+        best[k] = min(mine, key=lambda p: p.objective_history[-1])
+        V[k], plain[k] = best[k].V, best[k].rel_error
+        extra[k] = {"mu": cfg.mu}
+
+    # Stage 3: every record's fixed-support polish, one stack.
+    improved = _polish(M, [p.U for p in best], V, [p.seed for p in best],
+                       zero_tol)
+    wall_time = time.perf_counter() - t0
+    return [PipelineReport(
+        method=method, epsilon=0.0 if method == "nmf" else eps,
+        alpha=alpha if method == "pre_nmf" else 0.0,
+        rel_error_plain=plain[k], rel_error_improved=improved[k].rel_error,
+        s_U=sparsity(best[k].U, zero_tol), s_V=sparsity(V[k], zero_tol),
+        seeds=seeds, best_seed=best[k].seed, wall_time=wall_time,
+        U=best[k].U, V=V[k], **extra[k])
+        for k, (method, eps) in enumerate(records)]

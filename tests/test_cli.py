@@ -109,26 +109,84 @@ class TestFactorizeCommand:
             reps.append(json.dumps(rep["records"], sort_keys=True))
         assert reps[0] == reps[1]
 
-    def test_snmf_targets_pre_nmf_at_same_epsilon(self, tmp_path,
-                                                  monkeypatch):
-        pre_s_u, targets = {}, []
-        run_pipeline = nmf.run_pipeline
+    def test_main_twice_in_one_process(self, tmp_path, capsys):
+        # main parses with one parser per process; a call in between with
+        # other options must leave nothing behind for the next.
+        argv = ["factorize", "--fixture", "sepex", "--rank", "3",
+                "--method", "nmf,pre-nmf,snmf", "--seeds", "0-1",
+                "--max-outer", "60"]
+        reports = []
+        for sub in ("a", "b"):
+            assert main(argv + ["--out", str(tmp_path / sub)]) == 0
+            assert main(["factorize", "--fixture", "noisy", "--rank", "1",
+                         "--method", "nmf", "--epsilon", "0.05",
+                         "--out", str(tmp_path / "other")]) == 0
+            rep = json.loads((tmp_path / sub / "report.json").read_text())
+            for rec in rep["records"]:
+                rec.pop("wall_time")
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        assert [rec["method"] for rec in reports[0]["records"]] == [
+            "nmf", "pre-nmf", "snmf"]
 
-        def spy(M, rank, method, **kwargs):
-            rep = run_pipeline(M, rank, method, **kwargs)
-            if method == "pre_nmf":
-                pre_s_u[kwargs["epsilon"]] = rep.s_U
-            elif method == "snmf":
-                targets.append(kwargs["snmf_target"])
-            return rep
+    def test_reports_same_on_one_and_two_blas_threads(self, tmp_path):
+        parent = str(Path(prenmf.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (parent, env.get("PYTHONPATH")) if p)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS"):
+                env[var] = threads
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "prenmf", "factorize", "--fixture",
+                 "sepex", "--rank", "3", "--method", "nmf,pre-nmf,snmf",
+                 "--epsilon", "0,0.05", "--seeds", "0-2", "--max-outer",
+                 "100", "--out", str(out)],
+                check=True, capture_output=True, env=env)
+            rep = json.loads((out / "report.json").read_text())
+            for rec in rep["records"]:
+                rec.pop("wall_time")
+            outputs.append((rep["records"], {
+                f.name: f.read_bytes() for f in out.glob("*.csv")}))
+        assert outputs[0] == outputs[1]
 
-        monkeypatch.setattr(nmf, "run_pipeline", spy)
-        run_cli(["factorize", "--fixture", "sepex", "--rank", "3",
-                 "--method", "pre-nmf,snmf", "--epsilon", "0,0.05",
-                 "--seeds", "0-1", "--max-outer", "200",
-                 "--out", str(tmp_path / "o")])
+    @pytest.fixture
+    def mu_targets(self, monkeypatch):
+        """The target sparsity of every tune_mu run, in call order."""
+        targets = []
+        tune_mu = nmf._tune_mu
+
+        def spy(M, r, target_s_u, *args):
+            targets.append(target_s_u)
+            return tune_mu(M, r, target_s_u, *args)
+
+        monkeypatch.setattr(nmf, "_tune_mu", spy)
+        return targets
+
+    def test_snmf_targets_pre_nmf_at_same_epsilon(self, tmp_path, mu_targets):
+        rep = run_cli(["factorize", "--fixture", "sepex", "--rank", "3",
+                       "--method", "pre-nmf,snmf", "--epsilon", "0,0.05",
+                       "--seeds", "0-1", "--max-outer", "200",
+                       "--out", str(tmp_path / "o")])
+        pre_s_u = {rec["epsilon"]: rec["s_U"] for rec in rep["records"]
+                   if rec["method"] == "pre-nmf"}
         assert pre_s_u[0.0] != pre_s_u[0.05]
-        assert targets == [pre_s_u[0.0], pre_s_u[0.05]]
+        assert mu_targets == [pre_s_u[0.0], pre_s_u[0.05]]
+
+    def test_pre_nmf_listed_after_snmf_is_not_its_target(
+            self, tmp_path, capsys, mu_targets):
+        argv = ["factorize", "--fixture", "sepex", "--rank", "3",
+                "--method", "snmf,pre-nmf", "--epsilon", "0,0.05",
+                "--seeds", "0-1", "--max-outer", "200"]
+        run_cli(argv + ["--snmf-target", "0.3", "--out", str(tmp_path / "a")])
+        assert mu_targets == [0.3, 0.3]
+        out = tmp_path / "b"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "snmf needs a target sparsity" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("method", ["nmf", "pre-nmf", "snmf"])
     def test_rank_zero_exits_2(self, tmp_path, capsys, method):
@@ -138,6 +196,17 @@ class TestFactorizeCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error: rank must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["nmf,foo", "pre_nmf"])
+    def test_unknown_method_exits_2(self, tmp_path, capsys, method):
+        # The library's "pre_nmf" is no CLI name: it would skip the
+        # duplicate-column check that pre-nmf runs.
+        out = tmp_path / "o"
+        code = main(["factorize", "--fixture", "sepex", "--rank", "3",
+                     "--method", method, "--out", str(out)])
+        assert code == 2
+        assert "error: unknown method" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("method", ["nmf", "pre-nmf", "snmf"])
     def test_all_zero_input_exits_2(self, tmp_path, capsys, method):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from prenmf import nmf
+from prenmf import nmf, sparsity
 from prenmf.cllsolve import preprocess_matrix
-from prenmf.preprocessing import apply_alpha
+from prenmf.preprocessing import apply_alpha, preprocess
 
 from oracles import nnls_kkt_check, tune_mu_oracle
 
@@ -63,6 +63,11 @@ class TestAhals:
         recomputed = np.linalg.norm(M - pair.U @ pair.V) / np.linalg.norm(M)
         assert pair.rel_error == pytest.approx(recomputed, abs=1e-12)
 
+    def test_all_zero_input_refused(self):
+        # The relative error would be 0 / 0.
+        with pytest.raises(ValueError, match="all zero"):
+            nmf.ahals(np.zeros((4, 3)), 2, max_outer=5)
+
 
 class TestSnmf:
     def test_small_mu_matches_plain(self, rng):
@@ -118,6 +123,11 @@ class TestSnmf:
         cfg = nmf.SnmfConfig(mu=np.full(1, 0.1), max_outer=10, seed=0)
         with pytest.raises(ValueError, match="rank must be at least 1"):
             nmf.snmf(rng.random((5, 4)), 0, cfg)
+
+    def test_all_zero_input_refused(self):
+        cfg = nmf.SnmfConfig(mu=np.full(2, 0.1), max_outer=5, seed=0)
+        with pytest.raises(ValueError, match="all zero"):
+            nmf.snmf(np.zeros((4, 3)), 2, cfg)
 
 
 class TestTuneMu:
@@ -259,6 +269,11 @@ class TestPostprocess:
         assert np.all(np.diff(out.objective_history)
                       <= 1e-10 * out.objective_history[0])
 
+    def test_all_zero_input_refused(self, rng):
+        with pytest.raises(ValueError, match="all zero"):
+            nmf.postprocess_fixed_support(np.zeros((4, 3)), rng.random((4, 2)),
+                                          rng.random((2, 3)))
+
     def test_permuted_identity_unchanged(self):
         M = np.eye(3)
         U = np.eye(3)[:, [2, 0, 1]]
@@ -323,13 +338,25 @@ def engine_inputs():
     return rand, low
 
 
-def pipeline_by_seed(M, r, method, seeds, max_outer, snmf_target=None):
+def pipeline_by_seed(M, r, method, seeds, max_outer, snmf_target=None,
+                     epsilon=0.0):
     """run_pipeline's best seed and polish from one public ahals or snmf
     call per seed, with the sparse weight from the sequential oracle."""
     cfg = None
     if method == "nmf":
         runs = [nmf.ahals(M, r, seed=s, max_outer=max_outer) for s in seeds]
         best = min(runs, key=lambda p: p.rel_error)
+    elif method == "pre_nmf":
+        P = preprocess(M, epsilon=epsilon, rescale=True).P_alpha_M
+        runs = [nmf.ahals(P, r, seed=s, max_outer=max_outer) for s in seeds]
+        refits = [nmf.refit_v(M, p.U) for p in runs]
+        errors = [np.linalg.norm(M - p.U @ V) / np.linalg.norm(M)
+                  for p, V in zip(runs, refits)]
+        k = int(np.argmin(errors))
+        best = nmf.FactorPair(
+            U=runs[k].U, V=refits[k], r=r, rel_error=float(errors[k]),
+            s_U=runs[k].s_U, s_V=sparsity(refits[k], 1e-8),
+            seed=runs[k].seed, iterations=runs[k].iterations)
     else:
         cfg, _ = tune_mu_oracle(M, r, snmf_target, seed=seeds[0],
                                 max_outer=max_outer)
@@ -385,6 +412,15 @@ class TestStackedEngine:
         rep = nmf.run_pipeline(M, r, "nmf", seeds=seeds, max_outer=max_outer)
         assert_same_report(rep, best, improved)
 
+    def test_pipeline_pre_nmf_matches_per_seed_runs(self):
+        # The seeds of a lone pre_nmf record factorize P(M), not M.
+        M, _ = engine_inputs()
+        _, best, improved, _ = pipeline_by_seed(M, 3, "pre_nmf", range(4),
+                                                240, epsilon=0.05)
+        rep = nmf.run_pipeline(M, 3, "pre_nmf", seeds=range(4), max_outer=240,
+                               epsilon=0.05)
+        assert_same_report(rep, best, improved)
+
     def test_pipeline_snmf_matches_per_seed_runs(self):
         M, _ = engine_inputs()
         seeds = range(4)
@@ -414,3 +450,80 @@ class TestStackedEngine:
                                           single.objective_history)
             assert pair.collapses == single.collapses
         assert stacked[0].collapses == 0 and stacked[-1].collapses > 0
+
+    def test_stack_of_matrices_matches_per_matrix_runs(self):
+        # nmf's M and pre_nmf's P(M) in one ahals stack, as run_comparison
+        # runs them: each slice stalls on its own and drops out with its
+        # matrix.
+        M, _ = engine_inputs()
+        P = preprocess(M, epsilon=0.05, rescale=True).P_alpha_M
+        seeds = (0, 1, 2, 3)
+        stacked = nmf._ahals_stack(np.repeat(np.stack([M, P]), 4, axis=0), 3,
+                                   seeds * 2, 240, 1e-8)
+        singles = [nmf.ahals(X, 3, seed=s, max_outer=240)
+                   for X in (M, P) for s in seeds]
+        its = [p.iterations for p in singles]
+        assert len(set(its)) == len(its) and max(its) == 240
+        for pair, single in zip(stacked, singles):
+            np.testing.assert_array_equal(pair.U, single.U)
+            np.testing.assert_array_equal(pair.V, single.V)
+            np.testing.assert_array_equal(pair.objective_history,
+                                          single.objective_history)
+            assert pair.iterations == single.iterations
+            assert pair.rel_error == single.rel_error
+
+
+class TestRunComparison:
+    """One call for every record gives bit for bit the per-record runs."""
+
+    RECORDS = [("nmf", 0.0), ("pre_nmf", 0.05), ("snmf", 0.05)]
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        M, _ = engine_inputs()
+        return M, nmf.run_comparison(M, 3, self.RECORDS, seeds=range(4),
+                                     max_outer=40)
+
+    def test_records_match_run_pipeline(self, reports):
+        M, reps = reports
+        pre = nmf.run_pipeline(M, 3, "pre_nmf", seeds=range(4), max_outer=40,
+                               epsilon=0.05)
+        for rep, (method, eps) in zip(reps, self.RECORDS):
+            one = nmf.run_pipeline(M, 3, method, seeds=range(4),
+                                   max_outer=40, epsilon=eps,
+                                   snmf_target=pre.s_U)
+            for name in ("method", "epsilon", "alpha", "rel_error_plain",
+                         "rel_error_improved", "s_U", "s_V", "best_seed",
+                         "rel_error_vq", "rho_B_star"):
+                assert getattr(rep, name) == getattr(one, name), name
+            np.testing.assert_array_equal(rep.U, one.U)
+            np.testing.assert_array_equal(rep.V, one.V)
+        assert reps[0].wall_time == reps[1].wall_time == reps[2].wall_time
+
+    def test_nmf_and_snmf_match_per_seed_runs(self, reports):
+        M, (rep_nmf, rep_pre, rep_snmf) = reports
+        _, best, improved, _ = pipeline_by_seed(M, 3, "nmf", range(4), 40)
+        assert_same_report(rep_nmf, best, improved)
+        # The snmf record targets the pre_nmf record at its epsilon; its
+        # seeds[0] run is tune_mu's winning probe.
+        _, best, improved, cfg = pipeline_by_seed(
+            M, 3, "snmf", range(4), 40, snmf_target=rep_pre.s_U)
+        assert best.seed != 0  # a slice of the seeds[1:] stack wins
+        assert_same_report(rep_snmf, best, improved)
+        np.testing.assert_array_equal(rep_snmf.mu, cfg.mu)
+
+    def test_polish_stack_matches_one_call_per_record(self, reports):
+        M, reps = reports
+        for rep in reps:
+            one = nmf.postprocess_fixed_support(M, rep.U, rep.V,
+                                                seed=rep.best_seed)
+            assert rep.rel_error_improved == one.rel_error
+
+    def test_snmf_needs_a_target(self):
+        M, _ = engine_inputs()
+        # A pre_nmf record listed later, or at another epsilon, is no target.
+        for records in ([("snmf", 0.0), ("pre_nmf", 0.0)],
+                        [("pre_nmf", 0.05), ("snmf", 0.0)]):
+            with pytest.raises(ValueError, match="snmf needs a target"):
+                nmf.run_comparison(M, 3, records, seeds=range(2),
+                                   max_outer=5)

@@ -8,12 +8,13 @@ run.  The file is loaded from the checkout as it is, without changes.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prenmf import cllsolve, npp3
+from prenmf import cli, cllsolve, nmf, npp3
 from prenmf.fixtures import get_fixture
 from prenmf.preprocessing import find_alpha_bar
 
@@ -56,6 +57,17 @@ def test_counters_read_return_values(wrapped):
 
     walk = npp3.walk_fk(npp3.build_npp(M), 0.1, 3)
     assert counter(wrapped, "npp3", "walk_fk")((), {}, walk) == {"steps": 3}
+
+
+def test_main_calls_commands_through_module(monkeypatch, capsys):
+    # perfbench times cli.factorize and the other commands by wrapping the
+    # module attributes after the warm-up op, when main's parser is built.
+    argv = ["uniqueness", "--fixture", "sepex", "--rank", "3"]
+    assert cli.main(argv) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_uniqueness", calls.append)
+    assert cli.main(argv) == 0
+    assert [args.command for args in calls] == ["uniqueness"]
 
 
 def test_alpha_search_calls_slack_through_module(monkeypatch):
@@ -144,3 +156,35 @@ def test_escape_runs_only_at_degenerate_points(monkeypatch):
     for eps in (0.0, 0.05):
         cllsolve.preprocess_matrix(synthetic(50, 40, 5), epsilon=eps)
     assert calls == []
+
+
+def test_factorize_runs_three_hals_stages(monkeypatch, tmp_path, capsys):
+    # One factorize call makes one ahals stack for the nmf and pre-nmf
+    # seeds, tune_mu's probe stacks, one snmf stack for the seeds after the
+    # first (tune_mu's winning probe is the first seed's run) and one polish
+    # stack with a slice per record.  The op's cost follows the number of
+    # stacked outer iterations, so more stages would slow it down.
+    calls = []
+    hals = nmf._hals
+
+    def spy(M, U, V, max_outer, mu=None, mask=None, stall=False):
+        kind = ("ahals" if stall else "polish" if mask is not None
+                else "snmf")
+        calls.append((kind, len(U)))
+        return hals(M, U, V, max_outer, mu=mu, mask=mask, stall=stall)
+
+    monkeypatch.setattr(nmf, "_hals", spy)
+    seeds = 3
+    assert cli.main(["factorize", "--fixture", "sepex", "--rank", "3",
+                     "--method", "nmf,pre-nmf,snmf", "--seeds", "0-2",
+                     "--max-outer", "50", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    stages = list(calls)
+
+    calls.clear()
+    nmf.tune_mu(get_fixture("sepex"), 3, report["records"][1]["s_U"], seed=0,
+                max_outer=50)
+    probes = list(calls)
+    assert probes and all(kind == "snmf" for kind, _ in probes)
+    assert stages == ([("ahals", 2 * seeds)] + probes
+                      + [("snmf", seeds - 1), ("polish", 3)])
