@@ -201,6 +201,8 @@ def cmd_npp(args):
     if args.fk_samples < 1:
         raise ValueError("--fk-samples must be at least 1, "
                          f"got {args.fk_samples}")
+    alpha = (None if args.alpha == "auto"
+             else prep.check_alpha(float(args.alpha)))
     M, source = _load_matrix(args)
     out = _out_dir(args)
     r = npp3.numerical_rank(M)
@@ -208,10 +210,8 @@ def cmd_npp(args):
         raise prep.RankMismatch(f"numerical rank is {r}, need exactly 3 for "
                                 "the nested polygon analysis")
     B_star, _ = cllsolve.preprocess_matrix(M, epsilon=args.epsilon)
-    if args.alpha == "auto":
+    if alpha is None:
         alpha = prep.find_alpha_bar(M, B_star)
-    else:
-        alpha = float(args.alpha)
     P = prep.apply_alpha(M, B_star, alpha)
     npp = npp3.build_npp(P)
 

@@ -20,9 +20,12 @@ active set matters: the tight constraints are precisely the zero entries of
 the output, so a combinatorially exact method is preferred over a first-order
 one.  Pivoting is deterministic: the lowest-index negative multiplier leaves
 the working set, and the ratio test breaks ties within 1e-15 by index.  At
-a degenerate point, common on exactly low-rank inputs, a step blocked at
-zero length takes one ``_escape`` pivot instead: it proves the point optimal
-or strictly lowers the objective, so the method cannot cycle.
+a degenerate point, common on exactly low-rank inputs, the working set is
+dependent (more active rows than free variables, or a KKT system that is
+singular or solved inaccurately) or a step is blocked at zero length; one
+``_escape`` pivot then proves the point optimal or strictly lowers the
+objective.  In floating point that does not rule out cycling, so the
+pivot cap stays.
 """
 
 import math
@@ -111,8 +114,9 @@ class CllsSolution:
                   tolerances); entries < n are variable bounds (b_k = 0),
                   entries >= n encode slack rows as n + row.  A regular
                   stop reports the kernel's working set, which can leave
-                  out other tight constraints; a stop proved at a
-                  degenerate point (``_escape``) reports every tight one.
+                  out other tight constraints; a stop proved by ``_escape``
+                  at a degenerate point (a dependent working set or a
+                  blocked step) reports every tight one.
     iterations:   active-set pivots performed.
     """
 
@@ -121,15 +125,6 @@ class CllsSolution:
     kkt_residual: float
     active_set: tuple
     iterations: int
-
-
-def _regularized_kkt(K, rhs, nf, CtC2):
-    """Least-squares solve of a singular KKT system, its 2 C^T C block
-    regularized to 2 (C^T C + reg I)."""
-    reg = 1e-12 * (np.trace(0.5 * CtC2) / CtC2.shape[0] + 1.0)
-    K = K.copy()
-    K[:nf, :nf] = 2.0 * (0.5 * K[:nf, :nf] + reg * np.eye(nf))
-    return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
 def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
@@ -148,10 +143,11 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     results: the working-set KKT systems are solved in stacks of systems of
     one exact size, every product is a per-problem BLAS call on the shapes
     and layouts a lone problem uses, and a problem that stops leaves the
-    working stack.  A step blocked at zero length takes one ``_escape``
-    pivot on the problem's own C, d and u.  Returns (others, results): the
-    other columns of each problem, and per problem (x, active, iterations)
-    or the SolverError that stopped it.
+    working stack.  A problem at a degenerate point (see the module
+    docstring) takes one ``_escape`` pivot from its x, on its own C, d and
+    u, in the same iteration.  Returns (others, results): the other columns
+    of each problem, and per problem (x, active, iterations) or the
+    SolverError that stopped it.
     """
     m, n = M.shape
     ids = np.arange(n)[cols]
@@ -219,9 +215,11 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         CtC2, C = Q[:, :n, :n], Q[:, :n, n:].transpose(0, 2, 1)
 
         # Working sets: the free variables, then the active rows, by index;
-        # padded with N, which gathers zeros.
+        # padded with N, which gathers zeros.  One holding more than n
+        # constraints is dependent, and its problem escapes.
         z = np.zeros((L, N + 1))      # x_new, then the row multipliers nu
-        order = np.flatnonzero(~act[:, :n].all(axis=1))
+        esc = act.sum(axis=1) > n
+        order = np.flatnonzero(~act[:, :n].all(axis=1) & ~esc)
         if order.size:
             work = act[order] ^ flip
             size = work.sum(axis=1)
@@ -255,20 +253,18 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
                             pass
                 sol[lo:hi, :k] = sg[:, :, 0]
                 Ksol[lo:hi, :k] = np.matmul(Kg, sg)[:, :, 0]
+            # A singular or inaccurately solved system is dependent too.
             ok = (np.isfinite(sol).all(axis=1)
                   & (np.abs(Ksol - rhs).max(axis=1)
                      <= 1e-8 * (np.abs(rhs).max(axis=1) + 1.0)))
-            for j in np.flatnonzero(~ok).tolist():
-                k = size[j]
-                sol[j, :k] = _regularized_kkt(K[j, :k, :k], rhs[j, :k],
-                                              np.count_nonzero(P[j] < n),
-                                              CtC2[order[j]])
+            esc[order[~ok]] = True
+            sol[~ok] = 0.0
             z[order[:, None], P] = sol
         nu = z[:, n:N]
 
         step = z[:, :n] - x
         smax = np.abs(step).max(axis=1)
-        stat = smax <= step_tol
+        stat = (smax <= step_tol) & ~esc
         done = np.zeros(L, dtype=bool)
         st = np.flatnonzero(stat)
         if st.size:
@@ -304,7 +300,7 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             worst = np.where(cand[found], rank, N).argmin(axis=1)
             act[st, worst] = False
 
-        mv = np.flatnonzero(~stat)
+        mv = np.flatnonzero(~stat & ~esc)
         if mv.size:
             # Ratio test against inactive constraints, after a leading 1.
             Cstep = np.matmul(C, step[:, :, None])[mv, :, 0]
@@ -342,19 +338,21 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             add = np.flatnonzero((blocker >= 0) & ~stuck)
             act[mv[add], blocker[add]] = True
             xm[act[mv, :n]] = 0.0
+            x[mv[~stuck]] = xm[~stuck]
             # A step blocked at zero length: x is a degenerate point.
-            for j in np.flatnonzero(stuck).tolist():
-                s, i = mv[j], idx[mv[j]]
-                try:
-                    xm[j], act[s], done[s] = _escape(M[:, others[i]], M[:, ids[i]],
-                                                     rhs_src[s, n:N], x[s])
-                except MaxIterations as exc:
-                    results[i], done[s] = exc, True
-                    continue
-                if done[s]:
-                    results[i] = (xm[j].copy(),
-                                  tuple(np.flatnonzero(act[s]).tolist()), it)
-            x[mv] = xm
+            esc[mv[stuck]] = True
+
+        for s in np.flatnonzero(esc).tolist():
+            i = idx[s]
+            try:
+                x[s], act[s], done[s] = _escape(M[:, others[i]], M[:, ids[i]],
+                                                rhs_src[s, n:N], x[s])
+            except MaxIterations as exc:
+                results[i], done[s] = exc, True
+                continue
+            if done[s]:
+                results[i] = (x[s].copy(),
+                              tuple(np.flatnonzero(act[s]).tolist()), it)
 
 
 def _escape(C, d, u, x):

@@ -576,10 +576,10 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
     listed before it, and ``snmf_target`` when there is none.  The records
     run in three stacked stages, each slice bit for bit the run it replaces:
     the seeds of every nmf and pre_nmf record in one ``ahals`` stack; per
-    snmf record ``tune_mu``, whose winning probe is the run of seeds[0],
-    then seeds[1:] of every snmf record in one ``snmf`` stack; and every
-    record's polish in one stack.  Every report's ``wall_time`` is the
-    elapsed time of the whole call.
+    distinct snmf target ``tune_mu``, whose winning probe is the run of
+    seeds[0], then seeds[1:] of every such target in one ``snmf`` stack;
+    and every record's polish in one stack.  Every report's ``wall_time``
+    is the elapsed time of the whole call.
     """
     M = _input(M)
     seeds = tuple(int(s) for s in seeds)
@@ -635,16 +635,22 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
         except SingularQ:
             pass
 
-    # Stage 2: tune_mu per snmf record, then seeds[1:] of all of them.
-    tuned = [_tune_mu(M, r, snmf_target if j is None else best[j].s_U,
-                      seeds[0], max_outer, zero_tol)
-             for j in source.values()]
+    # Stage 2: tune_mu per distinct snmf target, then seeds[1:] of all of
+    # them.  The runs depend on nothing else, so records that share a
+    # target share them.
+    targets = {k: snmf_target if j is None else best[j].s_U
+               for k, j in source.items()}
+    distinct = list(dict.fromkeys(targets.values()))
+    tuned = [_tune_mu(M, r, t, seeds[0], max_outer, zero_tol)
+             for t in distinct]
     others = []
     if tuned and S > 1:
         mu = np.repeat([cfg.mu for cfg, _ in tuned], S - 1, axis=0)
         others = _snmf_stack(M, r, mu, seeds[1:] * len(tuned), max_outer,
                              zero_tol)
-    for i, (k, (cfg, won)) in enumerate(zip(source, tuned)):
+    for k, t in targets.items():
+        i = distinct.index(t)
+        cfg, won = tuned[i]
         mine = [won] + others[i * (S - 1):(i + 1) * (S - 1)]
         best[k] = min(mine, key=lambda p: p.objective_history[-1])
         V[k], plain[k] = best[k].V, best[k].rel_error

@@ -20,6 +20,7 @@ from . import npp3
 __all__ = [
     "RankMismatch",
     "PreprocessResult",
+    "check_alpha",
     "apply_alpha",
     "spectral_radius",
     "rescale_columns",
@@ -50,12 +51,18 @@ class PreprocessResult:
     rescale: np.ndarray | None = None
 
 
+def check_alpha(alpha):
+    """alpha, or ValueError when it lies outside [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    return alpha
+
+
 def apply_alpha(M, B_star, alpha):
     """Interpolated preprocessing M(I - alpha B*) = M - alpha M B*."""
     M = as_matrix(M, "M")
     B_star = as_matrix(B_star, "B_star")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    check_alpha(alpha)
     if alpha == 0.0:
         return M.copy()
     return M - alpha * (M @ B_star)
@@ -139,6 +146,7 @@ def find_alpha_bar(M, B_star=None):
 def preprocess(M, epsilon=0.0, alpha=1.0, rescale=False):
     """Run the full preprocessing and collect the verification record."""
     M = as_matrix(M, "M")
+    check_alpha(alpha)
     B_star, sols = cllsolve.preprocess_matrix(M, epsilon=epsilon)
     P = apply_alpha(M, B_star, alpha)
     rho = spectral_radius(B_star)

@@ -10,7 +10,8 @@ shares only the ``Polygon2`` boundary parametrisation with the library.
 ``active_set_oracle`` is likewise the column QP kernel's former
 one-column-at-a-time loop, the reference for the lockstep kernel; it shares
 only the tolerances, the exception classes and ``cllsolve._escape`` with the
-library.
+library.  Like the kernel, it takes an ``_escape`` pivot at every degenerate
+point: a dependent working set or a step blocked at zero length.
 
 The SLSQP column oracle does not trust the solver's exit status, whose
 meaning shifts between scipy versions (scipy 1.17 stops at the optimum of
@@ -35,30 +36,30 @@ FEAS_RTOL = 1e-8
 STAT_RTOL = 1e-6
 
 
-def _solve_eq_qp(CtC, Ctd, A_eq, h_eq, reg):
+def _solve_eq_qp(CtC, Ctd, A_eq, h_eq):
     """Minimize ||C x - d||^2 subject to A_eq x = h_eq.
 
     Returns (x, nu) where nu are the equality multipliers in the convention
-    grad + A_eq^T nu = 0.  Falls back to a diagonally regularized
-    least-squares solve when the KKT matrix is singular.
+    grad + A_eq^T nu = 0, or None when the system is dependent: more
+    equalities than variables, or a KKT matrix that is singular or solved
+    inaccurately.
     """
     nf = CtC.shape[0]
     ne = A_eq.shape[0]
+    if ne > nf:
+        return None
     K = np.zeros((nf + ne, nf + ne))
     K[:nf, :nf] = 2.0 * CtC
     K[:nf, nf:] = A_eq.T
     K[nf:, :nf] = A_eq
     rhs = np.concatenate([2.0 * Ctd, h_eq])
-    rhs_scale = np.abs(rhs).max() + 1.0
     try:
         sol = np.linalg.solve(K, rhs)
-        ok = (np.all(np.isfinite(sol))
-              and np.abs(K @ sol - rhs).max() <= 1e-8 * rhs_scale)
     except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        K[:nf, :nf] = 2.0 * (CtC + reg * np.eye(nf))
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+        return None
+    if (not np.all(np.isfinite(sol))
+            or np.abs(K @ sol - rhs).max() > 1e-8 * (np.abs(rhs).max() + 1.0)):
+        return None
     return sol[:nf], sol[nf:]
 
 
@@ -69,7 +70,9 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
     indexed bounds first (0..n-1) then rows (n..n+p-1); ``tie_order``
     optionally permutes the pivoting preference over that index space (used
     to verify that the fitted vector C x is independent of the ordering).
-    A step blocked at zero length takes one ``cllsolve._escape`` pivot.
+    A degenerate point, where the working set is dependent (see
+    ``_solve_eq_qp``) or a step is blocked at zero length, takes one
+    ``cllsolve._escape`` pivot.
 
     Returns (x, active, iterations).
     """
@@ -85,7 +88,6 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
 
     CtC = C.T @ C
     Ctd = C.T @ d
-    reg = 1e-12 * (np.trace(CtC) / max(n, 1) + 1.0)
     row_scale = np.maximum(1.0, np.abs(C).max(axis=1))
 
     x = np.zeros(n)
@@ -102,15 +104,18 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
         rows = np.flatnonzero(act[n:])
         nf, ne = free.size, rows.size
 
-        if nf == 0:
-            x_new = np.zeros(n)
-            nu = np.zeros(ne)
-        else:
-            A_eq = C[rows][:, free] if ne else np.zeros((0, nf))
-            h_eq = h[rows] if ne else np.zeros(0)
-            xf, nu = _solve_eq_qp(CtC[free][:, free], Ctd[free], A_eq, h_eq, reg)
-            x_new = np.zeros(n)
-            x_new[free] = xf
+        x_new = np.zeros(n)
+        nu = np.zeros(ne)
+        if nf or ne:
+            sol = _solve_eq_qp(CtC[free][:, free], Ctd[free], C[rows][:, free],
+                               h[rows])
+            if sol is None:
+                # A dependent working set: x is a degenerate point.
+                x, act, stop = cllsolve._escape(C, d, h, x)
+                if stop:
+                    return x, tuple(np.flatnonzero(act).tolist()), it
+                continue
+            x_new[free], nu = sol
 
         step = x_new - x
         if np.abs(step).max() <= step_tol:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import prenmf
-from prenmf import cli, matio, nmf
+from prenmf import cli, cllsolve, matio, nmf
 from prenmf.cli import build_parser, main
 
 
@@ -181,8 +181,9 @@ class TestFactorizeCommand:
         argv = ["factorize", "--fixture", "sepex", "--rank", "3",
                 "--method", "snmf,pre-nmf", "--epsilon", "0,0.05",
                 "--seeds", "0-1", "--max-outer", "200"]
+        # Both snmf records target 0.3, so they share one mu search.
         run_cli(argv + ["--snmf-target", "0.3", "--out", str(tmp_path / "a")])
-        assert mu_targets == [0.3, 0.3]
+        assert mu_targets == [0.3]
         out = tmp_path / "b"
         assert main(argv + ["--out", str(out)]) == 2
         assert "snmf needs a target sparsity" in capsys.readouterr().err
@@ -237,6 +238,34 @@ class TestFactorizeCommand:
         assert len(pgms) == 3
         head = pgms[0].read_bytes()[:20]
         assert head.startswith(b"P5\n2 5\n255\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess", "--fixture", "sepex"],
+    ["npp", "--fixture", "nested-squares"],
+    ["factorize", "--fixture", "sepex", "--rank", "3", "--method", "pre-nmf",
+     "--seeds", "0", "--max-outer", "10"],
+], ids=["preprocess", "npp", "factorize"])
+def test_alpha_out_of_range_exits_before_solving(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    # alpha is checked before B* is solved for: no column QP runs.
+    calls = []
+    kernel = cllsolve._active_set_ls
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(cllsolve, "_active_set_ls", spy)
+    code = main(argv + ["--alpha", "1.5", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+    assert calls == []
+    if argv[0] == "factorize":
+        # Plain NMF has no alpha and keeps ignoring it.
+        argv = ["nmf" if a == "pre-nmf" else a for a in argv]
+        out = str(tmp_path / "n")
+        assert main(argv + ["--alpha", "1.5", "--out", out]) == 0
 
 
 class TestNppCommand:

@@ -199,17 +199,26 @@ class TestLockstepKernel:
     """The lockstep kernel against the serial one-column-at-a-time kernel."""
 
     @pytest.mark.parametrize("M,eps,cols", [
-        pytest.param(pinned_separable(), 0.0, slice(None), id="pinned-12x12"),
-        pytest.param(synthetic(50, 40, 5), 0.0, slice(None), id="50x40"),
-        pytest.param(synthetic(50, 40, 5), 0.05, slice(None), id="50x40-eps"),
-        # Degenerate points: singular KKT systems take the regularized
-        # fallback, and columns 53, 58 and 59 take escape pivots.
-        pytest.param(synthetic(100, 100, 8, noise=0.0), 0.0, slice(50, 60),
-                     id="noiseless-100x100"),
-    ] + [pytest.param(get_fixture(f), 0.0, slice(None), id=f)
+        pytest.param(lifted(pinned_separable()), 0.0, slice(None),
+                     id="pinned-12x12"),
+        pytest.param(lifted(synthetic(50, 40, 5)), 0.0, slice(None),
+                     id="50x40"),
+        pytest.param(lifted(synthetic(50, 40, 5)), 0.05, slice(None),
+                     id="50x40-eps"),
+        # Degenerate points: working sets that are dependent or block a step
+        # at zero length.  Columns 53, 55 and 57-59 take escape pivots.
+        pytest.param(lifted(synthetic(100, 100, 8, noise=0.0)), 0.0,
+                     slice(50, 60), id="noiseless-100x100"),
+        # Unlifted, as preprocess_matrix runs them (max|M| >= 1): the
+        # working set grows dependent, and a pivot rule that trusted its
+        # multipliers cycled until MaxIterations.  Each escapes once.
+        pytest.param(synthetic(150, 120, 10, noise=0.0, seed=28), 0.0,
+                     slice(45, 46), id="noiseless-150x120-seed28-col45"),
+        pytest.param(synthetic(150, 120, 10, noise=0.0, seed=50), 0.0,
+                     slice(75, 76), id="noiseless-150x120-seed50-col75"),
+    ] + [pytest.param(lifted(get_fixture(f)), 0.0, slice(None), id=f)
          for f in fixture_names()])
     def test_matches_serial_oracle(self, M, eps, cols):
-        M = lifted(M)
         ids = range(M.shape[1])[cols]
         for i, got in zip(ids, kernel(M, cols, epsilon=eps)):
             assert_same_path(got, column_kernel_oracle(M, i, eps))
@@ -241,12 +250,17 @@ class TestLockstepKernel:
         assert str(info.value) == ("column 2: slack bound has negative "
                                    "entries; x = 0 is not feasible")
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("m,n,r", [(100, 100, 8), (150, 120, 10)])
+    @pytest.mark.parametrize("m,n,r,seed", [
+        (m, n, r, seed) for m, n, r in [(100, 100, 8), (150, 120, 10)]
+        for seed in (0, 1, 2)] + [(150, 120, 10, 25), (150, 120, 10, 28),
+                                  (150, 120, 10, 50)])
     def test_noiseless_low_rank_preprocesses(self, m, n, r, seed):
         # Exact rank r: points with more tight constraints than free
         # variables abound, and a pivot rule that only prevents cycling
-        # stopped 1-7 columns of each input short of the optimum.
+        # stopped 1-7 columns of each input short of the optimum.  At seeds
+        # 25, 28 and 50 a working set grew dependent (column 21 of seed 25:
+        # 6 rows on 5 free variables), its multipliers were noise, and the
+        # column cycled until MaxIterations (seed 25 on one BLAS thread).
         M = synthetic(m, n, r, noise=0.0, seed=seed)
         B, _ = preprocess_matrix(M)
         for i in range(n):

@@ -527,3 +527,28 @@ class TestRunComparison:
             with pytest.raises(ValueError, match="snmf needs a target"):
                 nmf.run_comparison(M, 3, records, seeds=range(2),
                                    max_outer=5)
+
+    def test_records_sharing_a_target_share_one_mu_search(self, monkeypatch):
+        # Two snmf records with one target: the result depends only on
+        # (M, r, target, seeds, max_outer, zero_tol), so tune_mu and the
+        # seed stack run once, and each record equals its lone run.
+        M, _ = engine_inputs()
+        targets = []
+        tune_mu = nmf._tune_mu
+
+        def spy(M, r, target_s_u, *args):
+            targets.append(target_s_u)
+            return tune_mu(M, r, target_s_u, *args)
+
+        monkeypatch.setattr(nmf, "_tune_mu", spy)
+        reps = nmf.run_comparison(M, 3, [("snmf", 0.0), ("snmf", 0.05)],
+                                  seeds=range(3), max_outer=40,
+                                  snmf_target=0.5)
+        assert targets == [0.5]
+        one = nmf.run_pipeline(M, 3, "snmf", seeds=range(3), max_outer=40,
+                               snmf_target=0.5)
+        for rep in reps:
+            assert rep.mu.tobytes() == one.mu.tobytes()
+            assert rep.U.tobytes() == one.U.tobytes()
+            assert rep.V.tobytes() == one.V.tobytes()
+            assert rep.rel_error_improved == one.rel_error_improved

@@ -135,8 +135,11 @@ def test_preprocess_runs_one_kernel_call(monkeypatch):
 
 def test_escape_runs_only_at_degenerate_points(monkeypatch):
     # The lockstep kernel and its serial reference share the degenerate-point
-    # pivot and must call it at the same points.  On noisy data no step is
-    # blocked at zero length, so it never runs there.
+    # pivot and must call it at the same points.  A degenerate point is one
+    # where a step is blocked at zero length or the working set is
+    # dependent: more active rows than free variables, or a KKT system that
+    # is singular or solved inaccurately.  On noisy data neither happens, so
+    # the pivot never runs there.
     calls = []
     escape = cllsolve._escape
 
@@ -151,6 +154,17 @@ def test_escape_runs_only_at_degenerate_points(monkeypatch):
     calls.clear()
     column_kernel_oracle(M, 53)
     assert kernel_calls == len(calls) == 2
+
+    # Column 21 of noiseless 150x120 at seed 25, at the scale
+    # preprocess_matrix runs it (max|M| >= 1): its working set grows
+    # dependent, 6 rows on 5 free variables, and one escape leaves it.
+    M = synthetic(150, 120, 10, noise=0.0, seed=25)
+    calls.clear()
+    cllsolve._active_set_ls(M, slice(21, 22), 0.0, 50 * 120)
+    kernel_calls = len(calls)
+    calls.clear()
+    column_kernel_oracle(M, 21)
+    assert kernel_calls == len(calls) == 1
 
     calls.clear()
     for eps in (0.0, 0.05):
