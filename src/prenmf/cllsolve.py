@@ -7,12 +7,16 @@ Each column i of a data matrix M defines one problem
 
 The solution subtracts from a column the best nonnegative combination of the
 other columns that keeps the (relaxed) result nonnegative; the residual
-column is the preprocessed column.  Problems for different i are independent.
+column is the preprocessed column.  Problems for different i are independent
+and share their data: each has all n variables, with b[i] = 0 a bound that
+is never released, so every problem's normal equations are slices of one
+Gram matrix G = M^T M, and all use one index space (bounds, then rows).
 One kernel call solves all of them in lockstep: every iteration makes one
 pivot in each unfinished problem, so the numpy calls of a pivot are paid
 once per iteration rather than once per column.  Each problem still gets
 the pivots and floating-point results it would get alone (see
-``_active_set_ls``), so B* does not depend on which columns share a call.
+``_active_set_ls``), so B* does not depend on which columns share a call,
+nor on the BLAS thread count.
 
 The solver is a primal active-set method on the quadratic program in b.
 Problems here are small and dense (n up to a few hundred), and the exact
@@ -130,29 +134,31 @@ class CllsSolution:
 def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     """Primal active-set method for the columns ``cols`` (a slice) of M.
 
-    The problem of column i is  min ||C x - d||^2  s.t.  x >= 0, C x <= u,
-    with C = M[:, others] (the other columns, in order), d = M[:, i] and
-    u = d + epsilon ||d||_inf.  Each starts from x = 0 with all variable
-    bounds active.  Constraints are indexed bounds first (0..n-2) then rows
-    (n-1..n+m-2); ``tie_order`` optionally permutes the pivoting preference
-    over that index space (used to verify that the fitted vector C x is
-    independent of the ordering).
+    The problem of column i is  min ||M x - d||^2  s.t.  x >= 0, x_i = 0,
+    M x <= u,  with d = M[:, i] and u = d + epsilon ||d||_inf.  Every
+    problem has all n variables and one index space, that of
+    ``CllsSolution.active_set``: bounds x_k >= 0 are 0..n-1 and rows are
+    n..n+m-1.  Each starts from x = 0 with every bound active.  Bound i pins
+    x_i = 0: it is never dropped, so variable i never enters a KKT system.
+    ``tie_order`` optionally permutes the pivoting preference over the index
+    space (used to verify that the fitted vector M x is independent of the
+    ordering).
 
-    All problems run in lockstep, one pivot each per iteration, and each
-    takes the pivots it would take alone, with the same floating-point
-    results: the working-set KKT systems are solved in stacks of systems of
-    one exact size, every product is a per-problem BLAS call on the shapes
-    and layouts a lone problem uses, and a problem that stops leaves the
-    working stack.  A problem at a degenerate point (see the module
-    docstring) takes one ``_escape`` pivot from its x, on its own C, d and
-    u, in the same iteration.  Returns (others, results): the other columns
-    of each problem, and per problem (x, active, iterations) or the
-    SolverError that stopped it.
+    All problems read one store, [2G, M^T] over a zero row, with the Gram
+    matrix G = M^T M formed without BLAS: it is symmetric bit for bit and
+    the same under any thread count.  The problems run in lockstep, one
+    pivot each per iteration, and each takes the pivots it would take alone,
+    with the same floating-point results: the KKT systems are solved in
+    stacks of systems of one exact size, every product is a per-problem
+    matrix-vector call on the shared M or G, and a problem that stops
+    leaves the working stack.  A problem at a degenerate point (see the
+    module docstring) takes one ``_escape`` pivot in the same iteration, on
+    M without column i and x without entry i.  Returns per problem
+    (x, active, iterations) or the SolverError that stopped it.
     """
     m, n = M.shape
     ids = np.arange(n)[cols]
-    S, n, N = ids.size, n - 1, n - 1 + m
-    others = np.arange(n) + (np.arange(n) >= ids[:, None])
+    S, N = ids.size, n + m
     D = M.T[cols]
     H = D + epsilon * np.abs(D).max(axis=1, keepdims=True)
     rank = np.arange(N)
@@ -164,55 +170,40 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         results[s] = Infeasible("slack bound has negative entries; "
                                 "x = 0 is not feasible")
 
-    # Q[s] holds the rows [2 C^T C, C^T] of problem s, then a row of zeros,
-    # and ``flat`` holds Q, then a 0: every entry of a KKT matrix is
-    # Q[s, min(a, b), max(a, b)] in the constraint index space, clipped to
-    # the zero row for two rows.  C^T C and C^T d are formed as for a lone
-    # problem, on the Fortran-ordered copy C = M[:, others] and the strided
-    # d: on other layouts they round differently.  rhs_src holds 2 C^T d,
+    # ``flat`` holds the store Q = [2G, M^T] over a row of zeros, then a 0:
+    # every entry of a KKT matrix is Q[min(a, b), max(a, b)] in the index
+    # space, clipped to the zero row for two rows.  rhs_src holds 2G[i],
     # then u, then the 0 that padded working-set slots read.
-    flat = np.zeros(S * (n + 1) * N + 1)
-    Q = flat[:-1].reshape(S, n + 1, N)
+    flat = np.zeros((n + 1) * N + 1)
+    Q = flat[:-1].reshape(n + 1, N)
+    Q[:n, :n] = 2.0 * np.einsum("ki,kj->ij", M, M)
+    Q[:n, n:] = M.T
+    G2 = Q[:n, :n]
     rhs_src = np.zeros((S, N + 1))
-    for s, o in enumerate(others):
-        C = M[:, o]
-        np.matmul(C.T, C, out=Q[s, :n, :n])
-        Q[s, :n, n:] = C.T
-        rhs_src[s, :n] = C.T @ D[s]
-    Q[:, :n, :n] *= 2.0
-    rhs_src[:, :n] *= 2.0
+    rhs_src[:, :n] = G2[ids]
     rhs_src[:, n:N] = H
-    Ct = Q[:, :n, n:]
-    row_scale = np.maximum(1.0, np.maximum(Ct.max(axis=1), -Ct.min(axis=1)))
+    row_scale = np.maximum(1.0, np.abs(M).max(axis=1))
     step_tol = 1e-13 * np.maximum(1.0, np.abs(D).max(axis=1))
 
     idx = np.arange(S)            # caller problem of each working problem
     x = np.zeros((S, n))
     flip = np.arange(N) < n       # the bounds: held in act, free in a working set
-    act = np.repeat(flip[None], S, axis=0)   # bounds x_k = 0, rows C_j x = u_j held
+    act = np.repeat(flip[None], S, axis=0)   # bounds x_k = 0, rows M_j x = u_j held
     it = 0
     while True:
         if done.any():
             keep = ~done
             idx, x, act = idx[keep], x[keep], act[keep]
-            rhs_src, row_scale = rhs_src[keep], row_scale[keep]
-            step_tol = step_tol[keep]
-            # Compacted in place: the kept problems move down in order.
-            for k, j in enumerate(np.flatnonzero(keep).tolist()):
-                if k != j:
-                    Q[k] = Q[j]
-            Q = flat[:idx.size * (n + 1) * N].reshape(idx.size, n + 1, N)
-            flat[Q.size] = 0.0
+            rhs_src, step_tol = rhs_src[keep], step_tol[keep]
         L = idx.size
         if L == 0:
-            return others, results
+            return results
         it += 1
         if it > max_iter:
             for s in idx.tolist():
                 results[s] = MaxIterations(
                     f"active-set method exceeded {max_iter} pivots")
-            return others, results
-        CtC2, C = Q[:, :n, :n], Q[:, :n, n:].transpose(0, 2, 1)
+            return results
 
         # Working sets: the free variables, then the active rows, by index;
         # padded with N, which gathers zeros.  One holding more than n
@@ -232,7 +223,6 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             np.minimum(at, n, out=at)
             at *= N
             at += np.maximum(Pa, Pb)
-            at += (order * ((n + 1) * N))[:, None, None]
             K = flat[at]
             rhs = rhs_src[order[:, None], P]
             sol = np.zeros_like(rhs)
@@ -260,7 +250,6 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             esc[order[~ok]] = True
             sol[~ok] = 0.0
             z[order[:, None], P] = sol
-        nu = z[:, n:N]
 
         step = z[:, :n] - x
         smax = np.abs(step).max(axis=1)
@@ -269,28 +258,14 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         st = np.flatnonzero(stat)
         if st.size:
             # Stationary on the working set: drop the negative multiplier
-            # of lowest rank (ranks are distinct, so the choice is unique).
-            # The bound multipliers are g + C_rows^T nu, the product taken
-            # in stacks of one number of active rows.
-            ne = act[st, n:].sum(axis=1)
-            sort = np.argsort(ne, kind="stable")
-            st, ne = st[sort], ne[sort]
-            lam = np.matmul(CtC2, x[:, :, None])[st, :, 0] - rhs_src[st, :n]
-            rows = np.nonzero(act[st, n:])[1]
-            nus = nu[np.repeat(st, ne), rows]
-            cuts = (np.flatnonzero(np.diff(ne)) + 1).tolist()
-            off = 0
-            for lo, hi in zip([0, *cuts], [*cuts, st.size]):
-                e = ne[lo]
-                if e == 0:
-                    continue
-                r = rows[off:off + (hi - lo) * e].reshape(hi - lo, e)
-                v = nus[off:off + (hi - lo) * e].reshape(hi - lo, e, 1)
-                off += (hi - lo) * e
-                lam[lo:hi] += np.matmul(C[st[lo:hi, None], r].transpose(0, 2, 1),
-                                        v)[:, :, 0]
+            # of lowest rank (ranks are distinct, so the choice is unique),
+            # never bound i.  The bound multipliers are 2G x - 2G[i] + M^T nu,
+            # nu zero off the active rows.
+            lam = np.matmul(G2, x[st, :, None])[:, :, 0] - rhs_src[st, :n]
+            lam += np.matmul(M.T, z[st, n:N, None])[:, :, 0]
             z[st, :n] = lam
             cand = act[st] & (z[st, :N] < -KKT_TOL)
+            cand[np.arange(st.size), ids[idx[st]]] = False
             found = cand.any(axis=1)
             for s in st[~found].tolist():
                 results[idx[s]] = (x[s].copy(),
@@ -303,16 +278,16 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         mv = np.flatnonzero(~stat & ~esc)
         if mv.size:
             # Ratio test against inactive constraints, after a leading 1.
-            Cstep = np.matmul(C, step[:, :, None])[mv, :, 0]
-            Cx = np.matmul(C, x[:, :, None])[mv, :, 0]
             step, xm, am = step[mv], x[mv], act[mv]
+            Mstep = np.matmul(M, step[:, :, None])[:, :, 0]
+            Mx = np.matmul(M, xm[:, :, None])[:, :, 0]
             dir_tol = 1e-14 * np.maximum(1.0, smax[mv])[:, None]
             ratio = np.full((mv.size, N + 1), np.inf)
             ratio[:, 0] = 1.0
             np.divide(xm, -step, out=ratio[:, 1:n + 1],
                       where=~am[:, :n] & (step < -dir_tol))
-            np.divide(rhs_src[mv, n:N] - Cx, Cstep, out=ratio[:, n + 1:],
-                      where=~am[:, n:] & (Cstep > dir_tol * row_scale[mv]))
+            np.divide(rhs_src[mv, n:N] - Mx, Mstep, out=ratio[:, n + 1:],
+                      where=~am[:, n:] & (Mstep > dir_tol * row_scale))
             # The blocker comes from a sequential fold in index order (bounds,
             # then rows): with its 1e-15 window a later candidate can replace
             # the current one without being the smallest ratio.  Only a ratio
@@ -343,16 +318,17 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             esc[mv[stuck]] = True
 
         for s in np.flatnonzero(esc).tolist():
-            i = idx[s]
+            i = ids[idx[s]]
             try:
-                x[s], act[s], done[s] = _escape(M[:, others[i]], M[:, ids[i]],
-                                                rhs_src[s, n:N], x[s])
+                xi, work, done[s] = _escape(np.delete(M, i, axis=1), M[:, i],
+                                            rhs_src[s, n:N], np.delete(x[s], i))
             except MaxIterations as exc:
-                results[i], done[s] = exc, True
+                results[idx[s]], done[s] = exc, True
                 continue
+            x[s], act[s] = np.insert(xi, i, 0.0), np.insert(work, i, True)
             if done[s]:
-                results[i] = (x[s].copy(),
-                              tuple(np.flatnonzero(act[s]).tolist()), it)
+                results[idx[s]] = (x[s].copy(),
+                                   tuple(np.flatnonzero(act[s]).tolist()), it)
 
 
 def _escape(C, d, u, x):
@@ -401,8 +377,8 @@ def _escape(C, d, u, x):
 def _column_solutions(M, cols, epsilon, tie_order=None):
     """Solve the problems of the columns ``cols`` (a slice) of M together.
 
-    One kernel call for all columns, then, in column order, the mapping to
-    full-length vectors and the certificate.  Yields each column's
+    One kernel call for all columns, then, in column order, the
+    certificate.  Yields each column's
     CllsSolution; a column's kernel error or failed certificate is raised
     when its turn comes, so the error is that of the first failing column.
     """
@@ -421,8 +397,8 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
                                objective=float(np.dot(M[:, i], M[:, i])),
                                kkt_residual=0.0, active_set=(0,), iterations=0)
         return
-    others, results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order)
-    for p, res, oth in zip(problems, results, others):
+    results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order)
+    for p, res in zip(problems, results):
         i, d = p.i, p.target
         if np.abs(d).max() == 0.0:
             # Zero columns pass through: they cannot influence the others.
@@ -431,12 +407,7 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
             continue
         if isinstance(res, SolverError):
             raise res
-        x, active_red, it = res
-        b = np.zeros(n)
-        b[oth] = x
-        # Map reduced constraint indices back to full-length variable indices.
-        active = [int(oth[a]) if a < n - 1 else a + 1 for a in active_red]
-        active.append(i)
+        b, active, it = res
         residual = kkt_check(p, b)
         grad_scale = max(1.0, float(np.abs(2.0 * (Ml.T @ d)).max()))
         if residual > KKT_TOL * grad_scale:
@@ -445,7 +416,7 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
         obj = float(np.sum((d - Ml @ b) ** 2))
         yield CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),
                            kkt_residual=math.ldexp(residual, -2 * k),
-                           active_set=tuple(sorted(active)), iterations=it)
+                           active_set=active, iterations=it)
 
 
 def solve_column(p: CllsProblem, tie_order=None):

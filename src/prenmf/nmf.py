@@ -14,7 +14,7 @@ three stacked stages: one ``ahals`` stack for the seeds of every nmf and
 pre_nmf record, then per snmf record ``tune_mu``'s probe stacks (whose
 winning probe is the run of the first seed) and one stack for the other
 seeds of every snmf record, then one fixed-support polish stack with a
-slice per record.  ``run_pipeline`` is its one-record view.
+slice per distinct best pair.  ``run_pipeline`` is its one-record view.
 """
 
 import time
@@ -578,8 +578,8 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
     the seeds of every nmf and pre_nmf record in one ``ahals`` stack; per
     distinct snmf target ``tune_mu``, whose winning probe is the run of
     seeds[0], then seeds[1:] of every such target in one ``snmf`` stack;
-    and every record's polish in one stack.  Every report's ``wall_time``
-    is the elapsed time of the whole call.
+    and the polish of each distinct best pair in one stack.  Every report's
+    ``wall_time`` is the elapsed time of the whole call.
     """
     M = _input(M)
     seeds = tuple(int(s) for s in seeds)
@@ -656,9 +656,13 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
         V[k], plain[k] = best[k].V, best[k].rel_error
         extra[k] = {"mu": cfg.mu}
 
-    # Stage 3: every record's fixed-support polish, one stack.
-    improved = _polish(M, [p.U for p in best], V, [p.seed for p in best],
-                       zero_tol)
+    # Stage 3: the fixed-support polish of each distinct best pair, one
+    # stack.  snmf records that share a target share their pair.
+    pairs = {id(p): (p, v) for p, v in zip(best, V)}
+    polished = dict(zip(pairs, _polish(
+        M, [p.U for p, _ in pairs.values()], [v for _, v in pairs.values()],
+        [p.seed for p, _ in pairs.values()], zero_tol)))
+    improved = [polished[id(p)] for p in best]
     wall_time = time.perf_counter() - t0
     return [PipelineReport(
         method=method, epsilon=0.0 if method == "nmf" else eps,

@@ -49,5 +49,10 @@ def synthetic(m, n, r, noise=0.01, seed=0):
 
 
 def lifted(M):
-    """M times a power of two, max|M| in [1, 2): the scale the kernel runs at."""
+    """M times a power of two, max|M| in [1, 2).
+
+    ``preprocess_matrix`` lifts an M with max|M| < 1 to this scale and runs
+    any other M as it is.  So for max|M| >= 2 this is a scale the library
+    never runs M at: the kernel's tolerances are absolute, and its path can
+    differ from the one M takes in ``preprocess_matrix``."""
     return np.ldexp(M, 1 - np.frexp(np.abs(M).max())[1])

@@ -7,11 +7,14 @@ and the tangent construction through direction sampling with bisection
 refinement.  ``tangent_step_oracle`` is the rank-3 walk's former
 one-point-at-a-time stepper, kept as the reference for the batched one; it
 shares only the ``Polygon2`` boundary parametrisation with the library.
-``active_set_oracle`` is likewise the column QP kernel's former
-one-column-at-a-time loop, the reference for the lockstep kernel; it shares
-only the tolerances, the exception classes and ``cllsolve._escape`` with the
-library.  Like the kernel, it takes an ``_escape`` pivot at every degenerate
-point: a dependent working set or a step blocked at zero length.
+``active_set_oracle`` is likewise the column QP kernel as one column at a
+time, the reference for the lockstep kernel; it shares only the tolerances,
+the exception classes and ``cllsolve._escape`` with the library.  Like the
+kernel, it poses column i's problem on all n variables with b[i] = 0 a bound
+that never leaves the working set, indexes constraints bounds first then
+rows, takes its KKT systems from one Gram matrix G = M^T M formed by
+``einsum``, and takes an ``_escape`` pivot at every degenerate point: a
+dependent working set or a step blocked at zero length.
 
 The SLSQP column oracle does not trust the solver's exit status, whose
 meaning shifts between scipy versions (scipy 1.17 stops at the optimum of
@@ -63,35 +66,45 @@ def _solve_eq_qp(CtC, Ctd, A_eq, h_eq):
     return sol[:nf], sol[nf:]
 
 
-def active_set_oracle(C, d, h, max_iter, tie_order=None):
-    """Primal active-set method for min ||C x - d||^2, x >= 0, C x <= h.
+def active_set_oracle(M, i, h, max_iter, tie_order=None):
+    """Primal active-set method for column i's problem
 
-    Starts from x = 0 with all variable bounds active.  Constraints are
-    indexed bounds first (0..n-1) then rows (n..n+p-1); ``tie_order``
-    optionally permutes the pivoting preference over that index space (used
-    to verify that the fitted vector C x is independent of the ordering).
-    A degenerate point, where the working set is dependent (see
-    ``_solve_eq_qp``) or a step is blocked at zero length, takes one
-    ``cllsolve._escape`` pivot.
+        min ||M x - d||^2  s.t.  x >= 0, x_i = 0, M x <= h,  d = M[:, i].
+
+    Starts from x = 0 with all variable bounds active; bound i pins x_i = 0
+    and is never dropped.  Constraints are indexed bounds first (0..n-1)
+    then rows (n..n+m-1); ``tie_order`` optionally permutes the pivoting
+    preference over that index space (used to verify that the fitted vector
+    M x is independent of the ordering).  The KKT systems are slices of
+    G = M^T M, formed by ``einsum`` as the kernel forms it.  A degenerate
+    point, where the working set is dependent (see ``_solve_eq_qp``) or a
+    step is blocked at zero length, takes one ``cllsolve._escape`` pivot on
+    M without column i and x without entry i.
 
     Returns (x, active, iterations).
     """
-    p, n = C.shape
+    m, n = M.shape
+    d = M[:, i]
     if np.min(h) < -FEAS_TOL * max(1.0, float(np.abs(h).max())):
         raise Infeasible("slack bound has negative entries; x = 0 is not feasible")
 
     if tie_order is None:
-        rank = np.arange(n + p)
+        rank = np.arange(n + m)
     else:
-        rank = np.empty(n + p, dtype=int)
-        rank[np.asarray(tie_order, dtype=int)] = np.arange(n + p)
+        rank = np.empty(n + m, dtype=int)
+        rank[np.asarray(tie_order, dtype=int)] = np.arange(n + m)
 
-    CtC = C.T @ C
-    Ctd = C.T @ d
-    row_scale = np.maximum(1.0, np.abs(C).max(axis=1))
+    G = np.einsum("ki,kj->ij", M, M)
+    G2 = 2.0 * G
+    row_scale = np.maximum(1.0, np.abs(M).max(axis=1))
 
     x = np.zeros(n)
-    act = np.arange(n + p) < n    # held: bounds x_k = 0, then rows C_j x = h_j
+    act = np.arange(n + m) < n    # held: bounds x_k = 0, then rows M_j x = h_j
+
+    def escape(x):
+        x, act, stop = cllsolve._escape(np.delete(M, i, axis=1), d, h,
+                                        np.delete(x, i))
+        return np.insert(x, i, 0.0), np.insert(act, i, True), stop
 
     step_tol = 1e-13 * max(1.0, float(np.abs(d).max()))
     it = 0
@@ -105,29 +118,26 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
         nf, ne = free.size, rows.size
 
         x_new = np.zeros(n)
-        nu = np.zeros(ne)
+        nu = np.zeros(m)
         if nf or ne:
-            sol = _solve_eq_qp(CtC[free][:, free], Ctd[free], C[rows][:, free],
+            sol = _solve_eq_qp(G[free][:, free], G[i, free], M[rows][:, free],
                                h[rows])
             if sol is None:
                 # A dependent working set: x is a degenerate point.
-                x, act, stop = cllsolve._escape(C, d, h, x)
+                x, act, stop = escape(x)
                 if stop:
                     return x, tuple(np.flatnonzero(act).tolist()), it
                 continue
-            x_new[free], nu = sol
+            x_new[free], nu[rows] = sol
 
         step = x_new - x
         if np.abs(step).max() <= step_tol:
             # Stationary on the working set: drop the negative multiplier
-            # of lowest rank (ranks are distinct, so the choice is unique).
-            g = 2.0 * (CtC @ x - Ctd)
-            lam_bound = g.copy()
-            if ne:
-                lam_bound += C[rows].T @ nu
-            cands = np.concatenate([
-                np.flatnonzero(act[:n] & (lam_bound < -KKT_TOL)),
-                n + rows[nu < -KKT_TOL]])
+            # of lowest rank (ranks are distinct, so the choice is unique),
+            # never bound i.
+            lam = np.concatenate([G2 @ x - G2[i] + M.T @ nu, nu])
+            cands = np.flatnonzero(act & (lam < -KKT_TOL))
+            cands = cands[cands != i]
             if cands.size == 0:
                 return x, tuple(np.flatnonzero(act).tolist()), it
             act[cands[np.argmin(rank[cands])]] = False
@@ -136,11 +146,11 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
         # Ratio test against inactive constraints.
         dir_tol = 1e-14 * max(1.0, float(np.abs(step).max()))
         blk = np.flatnonzero(~act[:n] & (step < -dir_tol))
-        Cstep = C @ step
-        Cx = C @ x
-        blk_row = np.flatnonzero(~act[n:] & (Cstep > dir_tol * row_scale))
+        Mstep = M @ step
+        Mx = M @ x
+        blk_row = np.flatnonzero(~act[n:] & (Mstep > dir_tol * row_scale))
         ratios = np.concatenate([x[blk] / (-step[blk]),
-                                 (h[blk_row] - Cx[blk_row]) / Cstep[blk_row]])
+                                 (h[blk_row] - Mx[blk_row]) / Mstep[blk_row]])
         cands = np.concatenate([blk, n + blk_row])
         # The fold stays sequential: with the 1e-15 window a later candidate
         # can replace the current one without being the smallest ratio, so
@@ -154,7 +164,7 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
                 alpha, blocker, rank_blocker = min(a, alpha), k, rk
 
         if alpha <= 1e-12:
-            x, act, stop = cllsolve._escape(C, d, h, x)
+            x, act, stop = escape(x)
             if stop:
                 return x, tuple(np.flatnonzero(act).tolist()), it
             continue
@@ -166,17 +176,15 @@ def active_set_oracle(C, d, h, max_iter, tie_order=None):
 
 
 def column_kernel_oracle(M, i, epsilon=0.0, tie_order=None):
-    """Column i's problem as the serial code posed it to ``active_set_oracle``.
+    """Column i's problem as the serial code poses it to ``active_set_oracle``.
 
-    C = M[:, others] is a Fortran-ordered copy, d = M[:, i] a strided view
-    and u = d + epsilon ||d||_inf; M is taken as already lifted to
-    max|M| >= 1.  Returns (x, active, iterations) of the reduced problem.
+    The slack bound is u = d + epsilon ||d||_inf with d = M[:, i]; M is
+    taken as already lifted to max|M| >= 1.  Returns (x, active, iterations)
+    with x of length n and x[i] = 0.
     """
-    n = M.shape[1]
     d = M[:, i]
-    others = np.delete(np.arange(n), i)
     u = d + epsilon * np.abs(d).max()
-    return active_set_oracle(M[:, others], d, u, 50 * n, tie_order=tie_order)
+    return active_set_oracle(M, i, u, 50 * M.shape[1], tie_order=tie_order)
 
 
 def _column_qp(M, i, epsilon):

@@ -198,7 +198,7 @@ class TestCriterion06TheoryProperties:
             p = CllsProblem(M, i)
             fitted = None
             for _ in range(2):
-                order = rng.permutation(n - 1 + m)
+                order = rng.permutation(n + m)
                 sol = solve_column(p, tie_order=order)
                 fb = M @ sol.b
                 if fitted is None:

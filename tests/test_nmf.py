@@ -552,3 +552,21 @@ class TestRunComparison:
             assert rep.U.tobytes() == one.U.tobytes()
             assert rep.V.tobytes() == one.V.tobytes()
             assert rep.rel_error_improved == one.rel_error_improved
+
+    def test_records_sharing_a_pair_share_one_polish(self, sepex,
+                                                     monkeypatch):
+        # Two snmf records with one target share their best pair, so the
+        # polish stack holds it once and both records read its result.
+        slices = []
+        polish = nmf._polish
+
+        def spy(M, Us, *args):
+            slices.append(len(Us))
+            return polish(M, Us, *args)
+
+        monkeypatch.setattr(nmf, "_polish", spy)
+        reps = nmf.run_comparison(sepex, 3, [("snmf", 0.0), ("snmf", 0.05)],
+                                  snmf_target=0.5)
+        assert slices == [1]
+        assert reps[0].U.tobytes() == reps[1].U.tobytes()
+        assert reps[0].rel_error_improved == reps[1].rel_error_improved

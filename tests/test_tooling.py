@@ -9,6 +9,7 @@ run.  The file is loaded from the checkout as it is, without changes.
 import importlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,21 @@ def test_preprocess_runs_one_kernel_call(monkeypatch):
     assert kkt_calls == list(range(16))
 
 
+def test_preprocess_memory_stays_below_a_per_column_store():
+    # All column problems read one store, [2G, M^T] over a zero row, of
+    # (n + 1)(n + m) numbers.  A copy of [2 C^T C, C^T] per column would
+    # take 8 n^2 (n + m) bytes, 16 MB at 100x100.
+    M = synthetic(100, 100, 8)
+    m, n = M.shape
+    tracemalloc.start()
+    try:
+        cllsolve.preprocess_matrix(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n * (n + m) / 4
+
+
 def test_escape_runs_only_at_degenerate_points(monkeypatch):
     # The lockstep kernel and its serial reference share the degenerate-point
     # pivot and must call it at the same points.  A degenerate point is one
@@ -153,7 +169,7 @@ def test_escape_runs_only_at_degenerate_points(monkeypatch):
     kernel_calls = len(calls)
     calls.clear()
     column_kernel_oracle(M, 53)
-    assert kernel_calls == len(calls) == 2
+    assert kernel_calls == len(calls) == 3
 
     # Column 21 of noiseless 150x120 at seed 25, at the scale
     # preprocess_matrix runs it (max|M| >= 1): its working set grows
@@ -176,8 +192,8 @@ def test_factorize_runs_three_hals_stages(monkeypatch, tmp_path, capsys):
     # One factorize call makes one ahals stack for the nmf and pre-nmf
     # seeds, tune_mu's probe stacks, one snmf stack for the seeds after the
     # first (tune_mu's winning probe is the first seed's run) and one polish
-    # stack with a slice per record.  The op's cost follows the number of
-    # stacked outer iterations, so more stages would slow it down.
+    # stack with a slice per distinct best pair.  The op's cost follows the
+    # number of stacked outer iterations, so more stages would slow it down.
     calls = []
     hals = nmf._hals
 
