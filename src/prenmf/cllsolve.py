@@ -11,25 +11,29 @@ column is the preprocessed column.  Problems for different i are independent
 and share their data: each has all n variables, with b[i] = 0 a bound that
 is never released, so every problem's normal equations are slices of one
 Gram matrix G = M^T M, and all use one index space (bounds, then rows).
-One kernel call solves all of them in lockstep: every iteration makes one
-pivot in each unfinished problem, so the numpy calls of a pivot are paid
-once per iteration rather than once per column.  Each problem still gets
-the pivots and floating-point results it would get alone (see
-``_active_set_ls``), so B* does not depend on which columns share a call,
-nor on the BLAS thread count.
+One kernel call solves all of them in lockstep, one pivot in each
+unfinished problem per iteration, and each problem still gets the pivots
+and floating-point results it would get alone (see ``_active_set_ls``), so
+B* does not depend on which columns share a call, nor on the BLAS thread
+count.
 
-The solver is a primal active-set method on the quadratic program in b.
-Problems here are small and dense (n up to a few hundred), and the exact
-active set matters: the tight constraints are precisely the zero entries of
-the output, so a combinatorially exact method is preferred over a first-order
-one.  Pivoting is deterministic: the lowest-index negative multiplier leaves
-the working set, and the ratio test breaks ties within 1e-15 by index.  At
-a degenerate point, common on exactly low-rank inputs, the working set is
-dependent (more active rows than free variables, or a KKT system that is
-singular or solved inaccurately) or a step is blocked at zero length; one
-``_escape`` pivot then proves the point optimal or strictly lowers the
-objective.  In floating point that does not rule out cycling, so the
-pivot cap stays.
+The solver is a primal active-set method on the quadratic program in b: the
+tight constraints are precisely the zero entries of the output, so a
+combinatorially exact method is preferred over a first-order one.  Pivoting
+is deterministic: the lowest-index negative multiplier leaves the working
+set, and the ratio test breaks ties within 1e-15 by index.  At a degenerate
+point, common on exactly low-rank inputs, the working set is dependent
+(more active rows than free variables, or a KKT system that is singular or
+solved inaccurately) or a step is blocked at zero length; one ``_escape``
+pivot then proves the point optimal or strictly lowers the objective.  In
+floating point that does not rule out cycling, so the pivot cap stays.
+
+Every column is certified.  For a convex QP any nonnegative multipliers that
+leave no stationarity residual and no complementarity gap prove the point
+optimal, whoever computed them.  So the multipliers the kernel stops with
+are verified for all columns at once in plain arithmetic, and a column they
+do not certify falls back to ``kkt_check``, an independent fit by scipy's
+bounded-variable least squares.
 """
 
 import math
@@ -41,16 +45,9 @@ import scipy.optimize
 from .matcore import as_matrix
 
 __all__ = [
-    "SolverError",
-    "Infeasible",
-    "MaxIterations",
-    "InfeasiblePoint",
-    "CllsProblem",
-    "CllsSolution",
-    "solve_column",
-    "preprocess_matrix",
-    "kkt_check",
-    "nnls_columns",
+    "SolverError", "Infeasible", "MaxIterations", "InfeasiblePoint",
+    "CllsProblem", "CllsSolution", "solve_column", "preprocess_matrix",
+    "kkt_check", "nnls_columns",
 ]
 
 FEAS_TOL = 1e-9
@@ -74,6 +71,12 @@ class InfeasiblePoint(ValueError):
     """A point handed to the optimality check violates the constraints."""
 
 
+def _check_epsilon(epsilon):
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError("epsilon must lie in [0, 1): values >= 1 void "
+                         "the nonnegativity rationale of the relaxation")
+
+
 @dataclass(frozen=True)
 class CllsProblem:
     """One column's constrained least squares problem.
@@ -93,9 +96,7 @@ class CllsProblem:
         object.__setattr__(self, "M", M)
         if not 0 <= self.i < M.shape[1]:
             raise ValueError(f"column index {self.i} out of range")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1): values >= 1 void "
-                             "the nonnegativity rationale of the relaxation")
+        _check_epsilon(self.epsilon)
 
     @property
     def target(self):
@@ -113,7 +114,8 @@ class CllsSolution:
 
     b:            full-length coefficient vector, b[i] == 0.
     objective:    ||M[:, i] - M b||^2.
-    kkt_residual: independent optimality certificate (see kkt_check).
+    kkt_residual: optimality certificate: the verified residual of the
+                  kernel's multipliers, or ``kkt_check``'s on a fallback.
     active_set:   constraints tight at b (within ``kkt_check``'s activity
                   tolerances); entries < n are variable bounds (b_k = 0),
                   entries >= n encode slack rows as n + row.  A regular
@@ -154,7 +156,11 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     leaves the working stack.  A problem at a degenerate point (see the
     module docstring) takes one ``_escape`` pivot in the same iteration, on
     M without column i and x without entry i.  Returns per problem
-    (x, active, iterations) or the SolverError that stopped it.
+    (x, active, iterations, multipliers) or the SolverError that stopped it.
+    The multipliers (lam on the bounds, nu on the rows, with 2G x - 2G[i] -
+    lam + M^T nu = 0 on the free variables) are those held at the stop: the
+    last KKT solve's, or the fit's of an ``_escape`` that proves the stop.
+    They are zero off the working set.
     """
     m, n = M.shape
     ids = np.arange(n)[cols]
@@ -208,7 +214,7 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         # Working sets: the free variables, then the active rows, by index;
         # padded with N, which gathers zeros.  One holding more than n
         # constraints is dependent, and its problem escapes.
-        z = np.zeros((L, N + 1))      # x_new, then the row multipliers nu
+        z = np.zeros((L, N + 1))      # x_new (later lam), then the rows' nu
         esc = act.sum(axis=1) > n
         order = np.flatnonzero(~act[:, :n].all(axis=1) & ~esc)
         if order.size:
@@ -267,9 +273,6 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             cand = act[st] & (z[st, :N] < -KKT_TOL)
             cand[np.arange(st.size), ids[idx[st]]] = False
             found = cand.any(axis=1)
-            for s in st[~found].tolist():
-                results[idx[s]] = (x[s].copy(),
-                                   tuple(np.flatnonzero(act[s]).tolist()), it)
             done[st[~found]] = True
             st = st[found]
             worst = np.where(cand[found], rank, N).argmin(axis=1)
@@ -320,15 +323,20 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         for s in np.flatnonzero(esc).tolist():
             i = ids[idx[s]]
             try:
-                xi, work, done[s] = _escape(np.delete(M, i, axis=1), M[:, i],
-                                            rhs_src[s, n:N], np.delete(x[s], i))
+                xi, work, done[s], mult = _escape(
+                    np.delete(M, i, axis=1), M[:, i], rhs_src[s, n:N],
+                    np.delete(x[s], i))
             except MaxIterations as exc:
                 results[idx[s]], done[s] = exc, True
                 continue
             x[s], act[s] = np.insert(xi, i, 0.0), np.insert(work, i, True)
-            if done[s]:
+            z[s, :N] = np.insert(mult, i, 0.0)
+
+        for s in np.flatnonzero(done).tolist():
+            if results[idx[s]] is None:       # stopped without an error
                 results[idx[s]] = (x[s].copy(),
-                                   tuple(np.flatnonzero(act[s]).tolist()), it)
+                                   tuple(np.flatnonzero(act[s]).tolist()), it,
+                                   np.where(act[s], z[s, :N], 0.0))
 
 
 def _escape(C, d, u, x):
@@ -338,10 +346,11 @@ def _escape(C, d, u, x):
     Fits -g by nonnegative multipliers on the normals of every constraint
     tight at x (within ``kkt_check``'s activity tolerances), not only of
     those in the working set.  A zero residual r proves x a KKT point:
-    returns (x, tight, True), tight a mask over bounds, then rows.
+    returns (x, tight, True, mult), tight a mask over bounds, then rows, and
+    mult the fit's multipliers in that index space, zero off the tight set.
     Otherwise r is, by the Moreau decomposition, a feasible direction with
-    g.r = -|r|^2: returns (x, work, False), x moved to the line minimum along
-    r or to the first constraint that is not tight, and work the fit's
+    g.r = -|r|^2: returns (x, work, False, mult), x moved to the line minimum
+    along r or to the first constraint that is not tight, and work the fit's
     support plus that blocker, whose normal is independent of the support's.
     """
     p, n = C.shape
@@ -358,8 +367,10 @@ def _escape(C, d, u, x):
         except RuntimeError as exc:
             raise MaxIterations(f"degenerate-point projection: {exc}") from exc
     r = -g - normals[tight].T @ lam
+    mult = np.zeros(n + p)
+    mult[tight] = lam
     if np.linalg.norm(r) <= KKT_TOL:
-        return x, tight, True
+        return x, tight, True, mult
     rate = normals @ r
     ratio = np.full(n + p, np.inf)
     np.divide(gap, rate, out=ratio, where=~tight & (rate > 0.0))
@@ -371,17 +382,19 @@ def _escape(C, d, u, x):
         t, work[k] = ratio[k], True
     x = np.maximum(x + t * r, 0.0)
     x[work[:n]] = 0.0
-    return x, work, False
+    return x, work, False, mult
 
 
 def _column_solutions(M, cols, epsilon, tie_order=None):
     """Solve the problems of the columns ``cols`` (a slice) of M together.
 
-    One kernel call for all columns, then, in column order, the
-    certificate.  Yields each column's
-    CllsSolution; a column's kernel error or failed certificate is raised
-    when its turn comes, so the error is that of the first failing column.
+    One kernel call for all columns, then one batched verification of the
+    multipliers it returns; a column they do not certify falls back to
+    ``kkt_check``.  Yields each column's CllsSolution; a column's kernel
+    error or failed certificate is raised when its turn comes, so the error
+    is that of the first failing column.
     """
+    _check_epsilon(epsilon)
     m, n = M.shape
     ids = range(n)[cols]
     top = float(np.abs(M).max())
@@ -389,7 +402,6 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
     # The kernel's tolerances are absolute at unit scale, so an M with
     # max|M| < 1 is first lifted by a power of two into [1, 2).
     Ml = np.ldexp(M, k) if k else M
-    problems = [CllsProblem(Ml, i, epsilon) for i in ids]
     if n < 2:
         # Nothing to subtract; the only feasible point is b = 0.
         for i in ids:
@@ -398,41 +410,81 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
                                kkt_residual=0.0, active_set=(0,), iterations=0)
         return
     results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order)
-    for p, res in zip(problems, results):
-        i, d = p.i, p.target
-        if np.abs(d).max() == 0.0:
+    # The certificate: nu the kernel's, clipped to >= 0, lam = max(g + M^T
+    # nu, 0) on the bounds tight at b (g the gradient), and the residual the
+    # larger of |g + M^T nu - lam| without entry i and the largest multiplier
+    # times its constraint's gap.  Products are per-column matrix-vector
+    # calls, as in the kernel, so the BLAS thread count moves no residual.
+    S, D = len(ids), Ml.T[cols]
+    B, nu = np.zeros((S, n)), np.zeros((S, m))
+    for s, res in enumerate(results):
+        if not isinstance(res, SolverError):
+            B[s], nu[s] = res[0], np.maximum(res[3][n:], 0.0)
+    U = D + epsilon * np.abs(D).max(axis=1, keepdims=True)
+    MB = np.matmul(Ml, B[:, :, None])[:, :, 0]
+    why, bound, _ = _feasibility(B, ids, MB, U, D)
+    r = np.matmul(Ml.T, (2.0 * (MB - D) + nu)[:, :, None])[:, :, 0]
+    lam = np.where(bound, np.maximum(r, 0.0), 0.0)
+    r -= lam
+    r[np.arange(S), ids] = 0.0
+    residuals = np.maximum.reduce([np.sqrt(np.einsum("sk,sk->s", r, r)),
+                                   (lam * np.abs(B)).max(axis=1),
+                                   (nu * np.abs(U - MB)).max(axis=1)])
+    grad_scale = np.maximum(1.0, 2.0 * np.abs(
+        np.matmul(Ml.T, D[:, :, None])[:, :, 0]).max(axis=1))
+    for s, (i, res) in enumerate(zip(ids, results)):
+        if not D[s].any():
             # Zero columns pass through: they cannot influence the others.
             yield CllsSolution(b=np.zeros(n), objective=0.0, kkt_residual=0.0,
                                active_set=tuple(range(n)), iterations=0)
             continue
         if isinstance(res, SolverError):
             raise res
-        b, active, it = res
-        residual = kkt_check(p, b)
-        grad_scale = max(1.0, float(np.abs(2.0 * (Ml.T @ d)).max()))
-        if residual > KKT_TOL * grad_scale:
-            raise SolverError(f"optimality certificate failed: KKT residual "
-                              f"{residual:.3e} exceeds {KKT_TOL * grad_scale:.3e}")
-        obj = float(np.sum((d - Ml @ b) ** 2))
+        if why[s] is not None:
+            raise InfeasiblePoint(why[s])
+        b, active, it, _ = res
+        residual, tol = float(residuals[s]), KKT_TOL * grad_scale[s]
+        if residual > tol:
+            residual = kkt_check(CllsProblem(Ml, i, epsilon), b)
+            if residual > tol:
+                raise SolverError(f"optimality certificate failed: KKT residual "
+                                  f"{residual:.3e} exceeds {tol:.3e}")
+        obj = float(np.sum((D[s] - Ml @ b) ** 2))
         yield CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),
                            kkt_residual=math.ldexp(residual, -2 * k),
                            active_set=active, iterations=it)
+
+
+def _feasibility(B, ids, MB, U, D):
+    """``kkt_check``'s feasibility tests and activity tolerances: for each
+    point B[s] of column ids[s]'s problem (M B[s] = MB[s], slack bound U[s],
+    target D[s]), why it is infeasible or None, and masks of its tight
+    bounds (never bound i) and tight rows."""
+    S = len(ids)
+    bmax = np.maximum(1.0, np.abs(B).max(axis=1))
+    scale = np.maximum(1.0, np.abs(D).max(axis=1))
+    tests = [(np.abs(B[np.arange(S), ids]) > FEAS_TOL, "b[{}] must be zero"),
+             (B.min(axis=1) < -FEAS_TOL * bmax,
+              "b has negative entries beyond tolerance"),
+             ((MB - U).max(axis=1) > FEAS_TOL * scale,
+              "slack constraint violated beyond tolerance")]
+    why = [next((msg.format(i) for bad, msg in tests if bad[s]), None)
+           for s, i in enumerate(ids)]
+    bound = B <= 1e-10 * bmax[:, None]
+    bound[np.arange(S), ids] = False
+    return why, bound, U - MB <= 1e-8 * scale[:, None]
 
 
 def solve_column(p: CllsProblem, tie_order=None):
     """Solve one column's constrained least squares problem.
 
     The fitted vector M b is the projection of the column onto a polyhedral
-    set and is unique even when b itself is not.  The result carries an
-    independently computed KKT residual which is at most ``KKT_TOL`` times
-    the gradient scale on success.
-
-    The kernel's tolerances are absolute at unit scale, so an M with
-    max|M| < 1 is first lifted by a power of two into [1, 2).  The lift is
-    exact: b and the active set do not depend on the scale of M, and the
-    objective and KKT residual are reported at the input's scale.  This is
-    the one-column view of ``preprocess_matrix``'s batch, with the same
-    result for the column.
+    set and is unique even when b itself is not.  The result carries a KKT
+    residual of at most ``KKT_TOL`` times the gradient scale.  An M with
+    max|M| < 1 is first lifted by a power of two into [1, 2), where the
+    kernel's absolute tolerances hold; the lift is exact, and the objective
+    and KKT residual are reported at the input's scale.  This is the
+    one-column view of ``preprocess_matrix``'s batch, with the same result.
     """
     return next(_column_solutions(p.M, slice(p.i, p.i + 1), p.epsilon,
                                   tie_order))
@@ -444,33 +496,23 @@ def kkt_check(p: CllsProblem, b):
     Returns the maximum of the stationarity residual (the norm of the
     gradient's unmatched part after fitting nonnegative multipliers on the
     active constraint normals, i.e. the projection of the negative gradient
-    onto the feasible cone) and the complementarity violation.  The
-    multiplier fit is a small nonnegative least squares problem solved with
-    scipy's Lawson-Hanson routine, deliberately not the active-set kernel
-    above, so the certificate stays independent of the path it checks.
+    onto the feasible cone) and the complementarity violation.  The fit is
+    solved with scipy's bounded-variable least squares, not the kernel, so
+    the certificate is independent of the path it checks.  It is the
+    reference the tests call, and the fallback for a column whose kernel
+    multipliers fail verification.
     """
-    M, i = p.M, p.i
-    m, n = M.shape
+    M, i, n = p.M, p.i, p.M.shape[1]
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"b must have length {n}")
-    d = p.target
-    u = p.slack_bound
-    scale = max(np.abs(d).max(), 1.0)
-
-    if abs(b[i]) > FEAS_TOL:
-        raise InfeasiblePoint(f"b[{p.i}] must be zero")
-    if b.min() < -FEAS_TOL * max(1.0, np.abs(b).max()):
-        raise InfeasiblePoint("b has negative entries beyond tolerance")
-    Mb = M @ b
-    viol = Mb - u
-    if viol.max() > FEAS_TOL * scale:
-        raise InfeasiblePoint("slack constraint violated beyond tolerance")
+    d, u, Mb = p.target, p.slack_bound, M @ b
+    why, bound, row = _feasibility(b[None], [i], Mb[None], u[None], d[None])
+    if why[0] is not None:
+        raise InfeasiblePoint(why[0])
 
     g = 2.0 * (M.T @ (Mb - d))
-    act_bound = np.flatnonzero(b <= 1e-10 * max(1.0, np.abs(b).max()))
-    act_bound = act_bound[act_bound != i]
-    act_row = np.flatnonzero(u - Mb <= 1e-8 * scale)
+    act_bound, act_row = np.flatnonzero(bound[0]), np.flatnonzero(row[0])
 
     # Stationarity: g restricted to the free coordinates (b_i is not a
     # variable), fit by  lam_bound - M[act_row]^T nu  with lam, nu >= 0.
@@ -531,9 +573,7 @@ def preprocess_matrix(M, epsilon=0.0):
             sols.append(sol)
     except SolverError as exc:
         raise type(exc)(f"column {len(sols)}: {exc}") from exc
-
-    B = np.column_stack([s.b for s in sols])
-    return B, sols
+    return np.column_stack([s.b for s in sols]), sols
 
 
 def nnls_columns(U, M):

@@ -102,8 +102,8 @@ def active_set_oracle(M, i, h, max_iter, tie_order=None):
     act = np.arange(n + m) < n    # held: bounds x_k = 0, then rows M_j x = h_j
 
     def escape(x):
-        x, act, stop = cllsolve._escape(np.delete(M, i, axis=1), d, h,
-                                        np.delete(x, i))
+        x, act, stop, _ = cllsolve._escape(np.delete(M, i, axis=1), d, h,
+                                           np.delete(x, i))
         return np.insert(x, i, 0.0), np.insert(act, i, True), stop
 
     step_tol = 1e-13 * max(1.0, float(np.abs(d).max()))

@@ -9,9 +9,9 @@ import pytest
 import scipy.optimize
 
 from prenmf import cllsolve
-from prenmf.cllsolve import (CllsProblem, Infeasible, InfeasiblePoint,
-                             MaxIterations, kkt_check, nnls_columns,
-                             preprocess_matrix, solve_column)
+from prenmf.cllsolve import (KKT_TOL, CllsProblem, Infeasible,
+                             InfeasiblePoint, MaxIterations, kkt_check,
+                             nnls_columns, preprocess_matrix, solve_column)
 from prenmf.fixtures import fixture_names, get_fixture
 from oracles import (column_kernel_oracle, grid_column_oracle, nnls_kkt_check,
                      qp_column_check, qp_column_oracle)
@@ -127,6 +127,117 @@ class TestKktCheck:
             kkt_check(p, np.array([0.5, 0.0, 0.0, 0.0]))
 
 
+def certificate_spies(monkeypatch, column=None, edit=None):
+    """Record the columns whose certificate falls back to ``kkt_check`` and
+    the ``_escape`` pivots that stop a column.  With ``edit``, column
+    ``column``'s kernel multipliers first pass through edit(M, x, mult)."""
+    fallbacks, stops = [], []
+    kernel, check, escape = (cllsolve._active_set_ls, cllsolve.kkt_check,
+                             cllsolve._escape)
+
+    def kernel_spy(M, cols, *args):
+        results = kernel(M, cols, *args)
+        if edit is not None:
+            s = range(M.shape[1])[cols].index(column)
+            x, active, it, mult = results[s]
+            results[s] = (x, active, it, edit(M, x, mult.copy()))
+        return results
+
+    def check_spy(p, b):
+        fallbacks.append(p.i)
+        return check(p, b)
+
+    def escape_spy(*args):
+        out = escape(*args)
+        if out[2]:
+            stops.append(args)
+        return out
+
+    monkeypatch.setattr(cllsolve, "_active_set_ls", kernel_spy)
+    monkeypatch.setattr(cllsolve, "kkt_check", check_spy)
+    monkeypatch.setattr(cllsolve, "_escape", escape_spy)
+    return fallbacks, stops
+
+
+def grad_scale(M, i):
+    """The scale of column i's certificate threshold, KKT_TOL times it."""
+    return max(1.0, float(np.abs(2.0 * (M.T @ M[:, i])).max()))
+
+
+class TestCertificate:
+    """Each column is certified by the multipliers its kernel run ends
+    with; the BVLS certificate ``kkt_check`` is the fallback."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("name", fixture_names() + [
+        "50x40", "noiseless-100x100"])
+    def test_kernel_multipliers_certify_every_column(self, monkeypatch,
+                                                     name, eps):
+        # Escape stops included: at eps = 0 some of the noiseless columns
+        # 50-59 stop at degenerate points proved by ``_escape``'s fit.
+        cols = None
+        if name == "50x40":
+            M = synthetic(50, 40, 5)
+        elif name == "noiseless-100x100":
+            M, cols = synthetic(100, 100, 8, noise=0.0), range(50, 60)
+        else:
+            M = get_fixture(name)
+        fallbacks, stops = certificate_spies(monkeypatch)
+        if cols is None:
+            _, sols = preprocess_matrix(M, eps)
+            cols = range(M.shape[1])
+        else:
+            sols = [solve_column(CllsProblem(M, i, eps)) for i in cols]
+        assert fallbacks == []
+        if name == "noiseless-100x100" and eps == 0.0:
+            assert stops
+        # At the scale the kernel runs M: lifted only when max|M| < 1.
+        L = lifted(M) if np.abs(M).max() < 1.0 else M
+        for i, sol in zip(cols, sols):
+            assert (kkt_check(CllsProblem(L, i, eps), sol.b)
+                    <= KKT_TOL * grad_scale(L, i)), i
+
+    @pytest.mark.parametrize("kind", ["flip", "double", "slack"])
+    def test_corrupted_multipliers_fall_back(self, monkeypatch, kind):
+        # Column 3 of 50x40 holds four slack rows; its largest row
+        # multiplier with the sign flipped or doubled breaks stationarity.
+        # Column 0 of noisy at eps = 0.05 leaves row 1 far from tight, and
+        # that row is zero on the free variable: a multiplier there keeps
+        # stationarity, and only complementarity can reject it.  Both
+        # inputs have max|M| >= 1, so the kernel runs M as it is.  Each
+        # corruption must fail verification; BVLS then certifies the same b
+        # once.
+        if kind == "slack":
+            M, eps, i = get_fixture("noisy"), 0.05, 0
+        else:
+            M, eps, i = synthetic(50, 40, 5), 0.0, 3
+        n = M.shape[1]
+        B, sols = preprocess_matrix(M, eps)
+
+        def edit(M, x, mult):
+            nu = mult[n:]
+            j = int(np.argmax(nu))
+            if kind == "flip":
+                nu[j] = -nu[j]
+            elif kind == "double":
+                nu[j] *= 2.0
+            else:
+                gap = M[:, i] + eps * np.abs(M[:, i]).max() - M @ x
+                (j,) = np.flatnonzero((M[:, x > 0] == 0).all(axis=1)
+                                      & (gap > 1.0))
+                nu[j] = 1.0
+            return mult
+
+        fallbacks, _ = certificate_spies(monkeypatch, i, edit)
+        B_fb, sols_fb = preprocess_matrix(M, eps)
+        assert fallbacks == [i]
+        assert B_fb.tobytes() == B.tobytes()
+        assert [s.active_set for s in sols_fb] == [s.active_set for s in sols]
+        residual = kkt_check(CllsProblem(M, i, eps), B[:, i])
+        assert sols_fb[i].kkt_residual == residual
+        assert residual <= KKT_TOL * grad_scale(M, i)
+
+
 class TestPreprocessMatrix:
     def test_nested_squares_circulant(self, nested_squares):
         B, sols = preprocess_matrix(nested_squares)
@@ -188,15 +299,20 @@ def pinned_separable(seed=0):
 
 
 def kernel(M, cols=slice(None), epsilon=0.0, tie_order=None):
-    """The lockstep kernel's (x, active, pivots) for the columns ``cols``."""
+    """The lockstep kernel's (x, active, pivots, multipliers) for the
+    columns ``cols``."""
     return cllsolve._active_set_ls(M, cols, epsilon, 50 * M.shape[1],
                                    tie_order)
 
 
 def assert_same_path(got, want):
-    """Bit-equal x (signed zeros included), active set and pivot count."""
+    """Bit-equal x (signed zeros included), active set and pivot count, and
+    bit-equal multipliers when both sides carry them (the serial oracle
+    returns only the first three)."""
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:] == want[1:]
+    assert got[1:3] == want[1:3]
+    if len(want) > 3:
+        assert got[3].tobytes() == want[3].tobytes()
 
 
 class TestLockstepKernel:
@@ -298,7 +414,7 @@ class TestEscape:
         return lifted(synthetic(100, 100, 8, noise=0.0))
 
     def test_non_optimal_point_strictly_descends(self, M, monkeypatch):
-        (C, d, u, x), (x_new, work, stop) = escape_calls(monkeypatch, M, 53)[0]
+        (C, d, u, x), (x_new, work, stop, _) = escape_calls(monkeypatch, M, 53)[0]
         assert not stop
         assert qp_column_check(M, 53, np.insert(x, 53, 0.0)) is not None
         assert x_new.min() >= 0.0
@@ -311,7 +427,7 @@ class TestEscape:
         assert np.linalg.matrix_rank(rows) == rows.shape[0]
 
     def test_optimal_point_is_proved_in_place(self, M, monkeypatch):
-        (C, d, u, x), (x_new, work, stop) = escape_calls(monkeypatch, M, 53)[-1]
+        (C, d, u, x), (x_new, work, stop, _) = escape_calls(monkeypatch, M, 53)[-1]
         assert stop
         assert x_new.tobytes() == x.tobytes()
         assert qp_column_check(M, 53, np.insert(x, 53, 0.0)) is None
@@ -325,8 +441,8 @@ class TestEscape:
             raise AssertionError("nnls called")
 
         monkeypatch.setattr(scipy.optimize, "nnls", no_columns)
-        x, work, stop = cllsolve._escape(np.ones((1, 1)), np.array([2.0]),
-                                         np.array([10.0]), np.array([1.0]))
+        x, work, stop, _ = cllsolve._escape(np.ones((1, 1)), np.array([2.0]),
+                                            np.array([10.0]), np.array([1.0]))
         assert not stop and not work.any()
         assert x.tolist() == [2.0]
 
@@ -397,13 +513,17 @@ class TestInvariants:
                 np.testing.assert_allclose(
                     got, want, rtol=0, atol=1e-8 * np.linalg.norm(M[:, i]))
 
-    def test_b_star_same_on_one_and_two_blas_threads(self):
+    def test_b_star_same_on_one_and_two_blas_threads(self, tmp_path):
         # G = M^T M is formed without BLAS, and every product that decides a
-        # pivot is one matrix-vector call per column, so the BLAS thread
-        # count moves no pivot: B* bytes, active sets and pivots agree on
-        # the synthetic 100x100 input, noisy and noiseless.
+        # pivot or certifies a column is one matrix-vector call per column,
+        # so the BLAS thread count moves no pivot and no KKT residual: B*
+        # bytes, active sets, pivots and residuals agree on the synthetic
+        # 100x100 input, noisy and noiseless, and so do the files of
+        # ``prenmf preprocess`` on the noisy one.
         script = "\n".join([
             "import hashlib, json",
+            "import numpy as np",
+            "from prenmf.cli import main",
             "from prenmf.cllsolve import preprocess_matrix",
             "from conftest import synthetic",
             "out = []",
@@ -411,7 +531,11 @@ class TestInvariants:
             "    B, sols = preprocess_matrix(synthetic(100, 100, 8, noise=noise))",
             "    out.append([hashlib.sha256(B.tobytes()).hexdigest(),",
             "                [s.active_set for s in sols],",
-            "                [s.iterations for s in sols]])",
+            "                [s.iterations for s in sols],",
+            "                [s.kkt_residual.hex() for s in sols]])",
+            "np.savetxt('M.csv', synthetic(100, 100, 8), delimiter=',',",
+            "           fmt='%.17g')",
+            "assert main(['preprocess', '--input', 'M.csv', '--out', 'o']) == 0",
             "print(json.dumps(out))"])
         paths = [str(Path(cllsolve.__file__).resolve().parents[1]),
                  str(Path(__file__).resolve().parent)]
@@ -423,9 +547,14 @@ class TestInvariants:
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                         "MKL_NUM_THREADS"):
                 env[var] = threads
+            work = tmp_path / threads
+            work.mkdir()
             run = subprocess.run([sys.executable, "-c", script], check=True,
-                                 capture_output=True, text=True, env=env)
-            outputs.append(json.loads(run.stdout))
+                                 capture_output=True, text=True, env=env,
+                                 cwd=work)
+            outputs.append((json.loads(run.stdout.splitlines()[-1]), {
+                f: (work / "o" / f).read_bytes()
+                for f in ("preprocess.json", "B_star.csv")}))
         assert outputs[0] == outputs[1]
 
     def test_fitted_vector_unique_across_pivot_orders(self, rng):
