@@ -354,7 +354,8 @@ def main(argv=None):
     command = globals()[args.func.__name__]
     try:
         command(args)
-    except (DuplicateColumns, prep.RankMismatch, ValueError, OSError) as exc:
+    except (DuplicateColumns, prep.RankMismatch, ValueError, OSError,
+            cllsolve.Infeasible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

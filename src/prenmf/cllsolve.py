@@ -15,7 +15,9 @@ One kernel call solves all of them in lockstep, one pivot in each
 unfinished problem per iteration, and each problem still gets the pivots
 and floating-point results it would get alone (see ``_active_set_ls``), so
 B* does not depend on which columns share a call, nor on the BLAS thread
-count.
+count.  Every column takes this path, a zero column or the only column of
+M included; a column's iteration count includes the final optimality
+check, so one optimal at b = 0 reports 1.
 
 The solver is a primal active-set method on the quadratic program in b: the
 tight constraints are precisely the zero entries of the output, so a
@@ -59,8 +61,8 @@ class SolverError(RuntimeError):
 
 
 class Infeasible(SolverError):
-    """No feasible starting point (numerical breakdown; b = 0 is feasible
-    whenever the slack bound is nonnegative)."""
+    """The slack bound has negative entries, so the start b = 0 is not
+    feasible: a fault of the input M, which a nonnegative M never has."""
 
 
 class MaxIterations(SolverError):
@@ -123,7 +125,8 @@ class CllsSolution:
                   out other tight constraints; a stop proved by ``_escape``
                   at a degenerate point (a dependent working set or a
                   blocked step) reports every tight one.
-    iterations:   active-set pivots performed.
+    iterations:   kernel iterations: the active-set pivots plus the final
+                  optimality check, so a column optimal at b = 0 reports 1.
     """
 
     b: np.ndarray
@@ -146,9 +149,9 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     space (used to verify that the fitted vector M x is independent of the
     ordering).
 
-    All problems read one store, [2G, M^T] over a zero row, with the Gram
-    matrix G = M^T M formed without BLAS: it is symmetric bit for bit and
-    the same under any thread count.  The problems run in lockstep, one
+    All problems read one symmetric store, [[2G, M^T], [M, 0]] bordered by
+    zeros, with G = M^T M formed without BLAS: it is symmetric bit for bit
+    and the same under any thread count.  The problems run in lockstep, one
     pivot each per iteration, and each takes the pivots it would take alone,
     with the same floating-point results: the KKT systems are solved in
     stacks of systems of one exact size, every product is a per-problem
@@ -176,15 +179,13 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         results[s] = Infeasible("slack bound has negative entries; "
                                 "x = 0 is not feasible")
 
-    # ``flat`` holds the store Q = [2G, M^T] over a row of zeros, then a 0:
-    # every entry of a KKT matrix is Q[min(a, b), max(a, b)] in the index
-    # space, clipped to the zero row for two rows.  rhs_src holds 2G[i],
-    # then u, then the 0 that padded working-set slots read.
-    flat = np.zeros((n + 1) * N + 1)
-    Q = flat[:-1].reshape(n + 1, N)
-    Q[:n, :n] = 2.0 * np.einsum("ki,kj->ij", M, M)
-    Q[:n, n:] = M.T
-    G2 = Q[:n, :n]
+    # The symmetric store [[2G, M^T, 0], [M, 0, 0], [0, 0, 0]] over the
+    # index space and a padding index N: a KKT matrix is one gather from it.
+    # rhs_src holds 2G[i], then u, then the 0 that padded slots read.
+    store = np.zeros((N + 1, N + 1))
+    G2 = store[:n, :n]
+    G2[...] = 2.0 * np.einsum("ki,kj->ij", M, M)
+    store[:n, n:N], store[n:N, :n] = M.T, M
     rhs_src = np.zeros((S, N + 1))
     rhs_src[:, :n] = G2[ids]
     rhs_src[:, n:N] = H
@@ -224,12 +225,7 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             order, size, work = order[sort], size[sort], work[sort]
             P = np.full((order.size, size[-1]), N)
             P[np.arange(size[-1]) < size[:, None]] = np.nonzero(work)[1]
-            Pa, Pb = P[:, :, None], P[:, None, :]
-            at = np.minimum(Pa, Pb)
-            np.minimum(at, n, out=at)
-            at *= N
-            at += np.maximum(Pa, Pb)
-            K = flat[at]
+            K = store[P[:, :, None], P[:, None, :]]
             rhs = rhs_src[order[:, None], P]
             sol = np.zeros_like(rhs)
             Ksol = np.zeros_like(rhs)
@@ -388,11 +384,11 @@ def _escape(C, d, u, x):
 def _column_solutions(M, cols, epsilon, tie_order=None):
     """Solve the problems of the columns ``cols`` (a slice) of M together.
 
-    One kernel call for all columns, then one batched verification of the
-    multipliers it returns; a column they do not certify falls back to
-    ``kkt_check``.  Yields each column's CllsSolution; a column's kernel
-    error or failed certificate is raised when its turn comes, so the error
-    is that of the first failing column.
+    One kernel call for all columns, zero ones and a lone one included,
+    then one batched verification of the multipliers it returns; a column
+    they do not certify falls back to ``kkt_check``.  Yields each column's
+    CllsSolution; a column's kernel error or failed certificate is raised
+    when its turn comes, so the error is that of the first failing column.
     """
     _check_epsilon(epsilon)
     m, n = M.shape
@@ -402,13 +398,6 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
     # The kernel's tolerances are absolute at unit scale, so an M with
     # max|M| < 1 is first lifted by a power of two into [1, 2).
     Ml = np.ldexp(M, k) if k else M
-    if n < 2:
-        # Nothing to subtract; the only feasible point is b = 0.
-        for i in ids:
-            yield CllsSolution(b=np.zeros(n),
-                               objective=float(np.dot(M[:, i], M[:, i])),
-                               kkt_residual=0.0, active_set=(0,), iterations=0)
-        return
     results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order)
     # The certificate: nu the kernel's, clipped to >= 0, lam = max(g + M^T
     # nu, 0) on the bounds tight at b (g the gradient), and the residual the
@@ -433,11 +422,6 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
     grad_scale = np.maximum(1.0, 2.0 * np.abs(
         np.matmul(Ml.T, D[:, :, None])[:, :, 0]).max(axis=1))
     for s, (i, res) in enumerate(zip(ids, results)):
-        if not D[s].any():
-            # Zero columns pass through: they cannot influence the others.
-            yield CllsSolution(b=np.zeros(n), objective=0.0, kkt_residual=0.0,
-                               active_set=tuple(range(n)), iterations=0)
-            continue
         if isinstance(res, SolverError):
             raise res
         if why[s] is not None:

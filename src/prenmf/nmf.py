@@ -587,6 +587,8 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
         raise ValueError("need at least one seed")
     if not records:
         raise ValueError("need at least one record")
+    if max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
     source = {}  # snmf record -> the pre_nmf record it targets, or None
     for k, (method, eps) in enumerate(records):
         if method not in ("nmf", "pre_nmf", "snmf"):

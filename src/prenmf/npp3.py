@@ -599,9 +599,9 @@ def contact_change_points(npp, k):
 
 
 def _wrap_slacks(npp, k):
-    """Map each contact change point t, in increasing order, to f_k(t) - t - 1."""
-    ts = np.array(contact_change_points(npp, k))
-    return dict(zip(ts, _walk(npp, ts, k)[:, -1] - ts - 1.0))
+    """``_walk``'s rows from the contact change points t and f_k(t) - t - 1."""
+    walks = _walk(npp, np.array(contact_change_points(npp, k)), k)
+    return walks, walks[:, -1] - walks[:, 0] - 1.0
 
 
 def max_wrap_slack(npp, k):
@@ -611,9 +611,9 @@ def max_wrap_slack(npp, k):
     so f_k(t) - t peaks at an end of its piece, and every piece end is a
     change point.  Returns (value, argmax_t); the first maximiser wins.
     """
-    slacks = _wrap_slacks(npp, k)
-    best_t = max(slacks, key=slacks.get)
-    return slacks[best_t], best_t
+    walks, slacks = _wrap_slacks(npp, k)
+    best = slacks.argmax()
+    return slacks[best], walks[best, 0]
 
 
 def feasible_k(npp, k):
@@ -638,23 +638,23 @@ def enumerate_solutions(npp, k):
     on a whole constant piece: either way the solution set is a continuum,
     not a finite list.
     """
-    vals = _wrap_slacks(npp, k)
-    max_val = max(vals.values())
+    walks, vals = _wrap_slacks(npp, k)
+    max_val = vals.max()
     if max_val < -GEOM_TOL:
         return []
     if max_val > TOUCH_SLACK:
         raise NotFinite("wrap criterion holds with interior slack: "
                         "a continuum of nested polygons exists")
-    touching = [t for t, v in vals.items() if v >= -GEOM_TOL]
+    touching = walks[vals >= -GEOM_TOL]
+    ts = touching[:, 0].tolist() + [touching[0, 0] + 1.0]
     # A full constant piece on the wrap line is also a continuum.
-    mids = np.array([0.5 * (a + b) % 1.0 for a, b in
-                     zip(touching, touching[1:] + [touching[0] + 1.0])
+    mids = np.array([0.5 * (a + b) % 1.0 for a, b in zip(ts, ts[1:])
                      if b - a > PIECE_GAP])
     if np.any(_walk(npp, mids, k)[:, -1] - mids - 1.0 >= -GEOM_TOL):
         raise NotFinite("wrap criterion holds on a continuum of starts")
 
     solutions = []
-    for walk in _walk(npp, touching, k):
+    for walk in touching:
         lifted = npp.lift_points(npp.outer.point_at(walk[:k]))
         is_dup = False
         for other in solutions:

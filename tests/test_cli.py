@@ -222,6 +222,17 @@ class TestFactorizeCommand:
         assert "all zero" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("method", ["nmf", "pre-nmf", "snmf"])
+    def test_max_outer_zero_exits_2(self, tmp_path, capsys, method):
+        out = tmp_path / "o"
+        code = main(["factorize", "--fixture", "nested-squares", "--rank",
+                     "2", "--method", method, "--snmf-target", "0.3",
+                     "--seeds", "0-1", "--max-outer", "0", "--out", str(out)])
+        assert code == 2
+        assert ("error: max_outer must be at least 1"
+                in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
+
     def test_reports_refuse_nan(self, tmp_path):
         # NaN is not JSON: no report may carry one.
         path = tmp_path / "r.json"
@@ -238,6 +249,24 @@ class TestFactorizeCommand:
         assert len(pgms) == 3
         head = pgms[0].read_bytes()[:20]
         assert head.startswith(b"P5\n2 5\n255\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess"],
+    ["factorize", "--rank", "2", "--method", "pre-nmf", "--seeds", "0",
+     "--max-outer", "10"],
+    ["npp"],
+], ids=["preprocess", "factorize", "npp"])
+def test_infeasible_slack_bound_exits_2(tmp_path, capsys, argv):
+    # Column 0's negative entry puts its slack bound below zero, so the
+    # start b = 0 of its problem is infeasible: a fault of the input.
+    src = tmp_path / "neg.csv"
+    matio.write_csv(src, np.array([[1.0, 2.0, 3.0], [-1.0, 1.0, 2.0],
+                                   [2.0, 1.0, 0.5]]))
+    code = main(argv + ["--input", str(src), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert ("error: column 0: slack bound has negative entries"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [

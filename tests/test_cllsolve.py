@@ -76,6 +76,10 @@ class TestSolveColumn:
         M = np.array([[-1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(Infeasible):
             solve_column(CllsProblem(M, 0))
+        # A lone column has nothing to subtract, but its start is checked
+        # all the same.
+        with pytest.raises(Infeasible):
+            solve_column(CllsProblem(M[:, :1], 0))
 
     def test_iteration_cap(self, nested_squares):
         (res,) = cllsolve._active_set_ls(lifted(nested_squares),
@@ -251,6 +255,27 @@ class TestPreprocessMatrix:
         B, _ = preprocess_matrix(M)
         assert B.min() >= 0.0
         np.testing.assert_allclose(np.diag(B), 0.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("M,zero", [
+        (np.array([[1.0], [2.0], [3.0]]), [0]),
+        (np.array([[0.1], [0.2]]), [0]),    # max|M| < 1: the kernel runs 8M
+        (np.insert(synthetic(10, 5, 3), 2, 0.0, axis=1), [2]),
+        (np.zeros((3, 2)), [0, 1]),
+    ], ids=["one-column", "one-column-lifted", "zero-column", "all-zero"])
+    def test_columns_optimal_at_zero(self, M, zero, eps):
+        # A lone column has nothing to subtract and a zero column has a zero
+        # target.  Both take the kernel path like any other column and stop
+        # at b = 0 with every bound in the working set, in one iteration:
+        # the optimality check that every stop counts.
+        n = M.shape[1]
+        B, sols = preprocess_matrix(M, epsilon=eps)
+        for i in zero:
+            assert not B[:, i].any()
+            assert sols[i].kkt_residual == 0.0
+            assert sols[i].active_set == tuple(range(n))
+            assert sols[i].iterations == 1
+            assert sols[i].objective == pytest.approx(M[:, i] @ M[:, i])
 
     def test_identity_unchanged(self):
         B, _ = preprocess_matrix(np.eye(4))

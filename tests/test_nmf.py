@@ -528,6 +528,16 @@ class TestRunComparison:
                 nmf.run_comparison(M, 3, records, seeds=range(2),
                                    max_outer=5)
 
+    @pytest.mark.parametrize("max_outer", [0, -1])
+    def test_max_outer_below_one_refused(self, max_outer):
+        # With no HALS iteration snmf has no objective to pick its best
+        # seed by, and nmf and pre_nmf would report their random starts.
+        M, _ = engine_inputs()
+        for method in ("nmf", "pre_nmf", "snmf"):
+            with pytest.raises(ValueError, match="max_outer must be at least"):
+                nmf.run_comparison(M, 3, [(method, 0.0)], seeds=range(2),
+                                   max_outer=max_outer, snmf_target=0.3)
+
     def test_records_sharing_a_target_share_one_mu_search(self, monkeypatch):
         # Two snmf records with one target: the result depends only on
         # (M, r, target, seeds, max_outer, zero_tol), so tune_mu and the

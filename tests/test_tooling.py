@@ -17,7 +17,7 @@ import pytest
 
 from prenmf import cli, cllsolve, nmf, npp3
 from prenmf.fixtures import get_fixture
-from prenmf.preprocessing import find_alpha_bar
+from prenmf.preprocessing import apply_alpha, find_alpha_bar
 
 from conftest import lifted, synthetic
 from oracles import column_kernel_oracle
@@ -110,6 +110,26 @@ def test_walks_step_all_rows_at_once(monkeypatch):
         assert len(calls) == 2 * k
 
 
+def test_enumeration_walks_each_start_once(monkeypatch):
+    # enumerate_solutions reads the solution walks from the table of the
+    # change-point walks: three batches (the inverse steps on the mirror,
+    # the change points, the midpoints between touching starts), not a
+    # fourth that walks the touching starts again.
+    calls = []
+    walk = npp3._walk
+
+    def spy(npp, ts, k):
+        calls.append(len(ts))
+        return walk(npp, ts, k)
+
+    M = get_fixture("nested-squares")
+    B, _ = cllsolve.preprocess_matrix(M)
+    npp = npp3.build_npp(apply_alpha(M, B, find_alpha_bar(M, B)))
+    monkeypatch.setattr(npp3, "_walk", spy)
+    assert len(npp3.enumerate_solutions(npp, 3)) == 8
+    assert len(calls) == 3
+
+
 def test_preprocess_runs_one_kernel_call(monkeypatch):
     # All columns of B* go through one lockstep kernel call; a return to
     # one call per column would multiply the op's cost.  The kernel's own
@@ -130,15 +150,21 @@ def test_preprocess_runs_one_kernel_call(monkeypatch):
     monkeypatch.setattr(cllsolve, "_active_set_ls", kernel_spy)
     monkeypatch.setattr(cllsolve, "kkt_check", kkt_spy)
     rng = np.random.default_rng(0)
-    cllsolve.preprocess_matrix(rng.random((20, 4)) @ rng.random((4, 16)))
-    assert kernel_calls == [range(16)]
-    assert kkt_calls == []
+    M = rng.random((20, 4)) @ rng.random((4, 16))
+    # A zero column takes the same path, and its multipliers certify it.
+    Z = M.copy()
+    Z[:, 5] = 0.0
+    for X in (M, Z):
+        kernel_calls.clear()
+        cllsolve.preprocess_matrix(X)
+        assert kernel_calls == [range(16)]
+        assert kkt_calls == []
 
 
 def test_preprocess_memory_stays_below_a_per_column_store():
-    # All column problems read one store, [2G, M^T] over a zero row, of
-    # (n + 1)(n + m) numbers.  A copy of [2 C^T C, C^T] per column would
-    # take 8 n^2 (n + m) bytes, 16 MB at 100x100.
+    # All column problems read one symmetric store, [[2G, M^T], [M, 0]]
+    # bordered by zeros, of (n + m + 1)^2 numbers.  A copy of [2 C^T C, C^T]
+    # per column would take 8 n^2 (n + m) bytes, 16 MB at 100x100.
     M = synthetic(100, 100, 8)
     m, n = M.shape
     tracemalloc.start()
