@@ -149,9 +149,9 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     space (used to verify that the fitted vector M x is independent of the
     ordering).
 
-    All problems read one symmetric store, [[2G, M^T], [M, 0]] bordered by
-    zeros, with G = M^T M formed without BLAS: it is symmetric bit for bit
-    and the same under any thread count.  The problems run in lockstep, one
+    All problems read one store, [2G, M^T] over a zero row, with the Gram
+    matrix G = M^T M formed without BLAS: it is symmetric bit for bit and
+    the same under any thread count.  The problems run in lockstep, one
     pivot each per iteration, and each takes the pivots it would take alone,
     with the same floating-point results: the KKT systems are solved in
     stacks of systems of one exact size, every product is a per-problem
@@ -179,13 +179,13 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         results[s] = Infeasible("slack bound has negative entries; "
                                 "x = 0 is not feasible")
 
-    # The symmetric store [[2G, M^T, 0], [M, 0, 0], [0, 0, 0]] over the
-    # index space and a padding index N: a KKT matrix is one gather from it.
-    # rhs_src holds 2G[i], then u, then the 0 that padded slots read.
-    store = np.zeros((N + 1, N + 1))
-    G2 = store[:n, :n]
-    G2[...] = 2.0 * np.einsum("ki,kj->ij", M, M)
-    store[:n, n:N], store[n:N, :n] = M.T, M
+    # The store Q = [2G, M^T, 0] over a zero row, of about n(n + m) numbers:
+    # entry (a, b) of a KKT matrix is Q[min(a, b, n), max(a, b)], 0 for two
+    # rows or the padding index N.  rhs_src: 2G[i], u, then a 0 for padding.
+    Q = np.zeros((n + 1, N + 1))
+    Q[:n, :n] = 2.0 * np.einsum("ki,kj->ij", M, M)
+    Q[:n, n:N] = M.T
+    G2 = Q[:n, :n]
     rhs_src = np.zeros((S, N + 1))
     rhs_src[:, :n] = G2[ids]
     rhs_src[:, n:N] = H
@@ -225,7 +225,8 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             order, size, work = order[sort], size[sort], work[sort]
             P = np.full((order.size, size[-1]), N)
             P[np.arange(size[-1]) < size[:, None]] = np.nonzero(work)[1]
-            K = store[P[:, :, None], P[:, None, :]]
+            Pa, Pb = P[:, :, None], P[:, None, :]
+            K = Q[np.minimum(np.minimum(Pa, Pb), n), np.maximum(Pa, Pb)]
             rhs = rhs_src[order[:, None], P]
             sol = np.zeros_like(rhs)
             Ksol = np.zeros_like(rhs)

@@ -162,18 +162,20 @@ def test_preprocess_runs_one_kernel_call(monkeypatch):
 
 
 def test_preprocess_memory_stays_below_a_per_column_store():
-    # All column problems read one symmetric store, [[2G, M^T], [M, 0]]
-    # bordered by zeros, of (n + m + 1)^2 numbers.  A copy of [2 C^T C, C^T]
-    # per column would take 8 n^2 (n + m) bytes, 16 MB at 100x100.
-    M = synthetic(100, 100, 8)
-    m, n = M.shape
-    tracemalloc.start()
-    try:
-        cllsolve.preprocess_matrix(M)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n * (n + m) / 4
+    # All column problems read one store, [2G, M^T] over a zero row, of
+    # (n + 1)(n + m + 1) numbers, so memory grows as n(n + m).  A copy of
+    # [2 C^T C, C^T] per column would take 8 n^2 (n + m) bytes, 16 MB at
+    # 100x100; on a tall input a store of (n + m)^2 numbers would take
+    # 8 (n + m)^2 bytes, 33 MB at 2000x20.  Peaks: 2.0 and 3.6 MB.
+    for M in (synthetic(100, 100, 8), synthetic(2000, 20, 4)):
+        m, n = M.shape
+        tracemalloc.start()
+        try:
+            cllsolve.preprocess_matrix(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * max(n * n * (n + m), (n + m) ** 2) / 4
 
 
 def test_escape_runs_only_at_degenerate_points(monkeypatch):
