@@ -354,8 +354,8 @@ def main(argv=None):
     command = globals()[args.func.__name__]
     try:
         command(args)
-    except (DuplicateColumns, prep.RankMismatch, ValueError, OSError,
-            cllsolve.Infeasible) as exc:
+    except (ValueError, OSError, cllsolve.SolverError,
+            npp3.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

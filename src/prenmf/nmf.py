@@ -491,9 +491,9 @@ def v_from_q(Vp, B_star, alpha=1.0, rho=None):
     """Map a right factor of the preprocessed matrix back through Q^{-1}.
 
     V = Vp (I - alpha B*)^{-1}; requires rho(alpha B*) < 1, in which case
-    the inverse is nonnegative and so is V (tiny negative roundoff is
-    clipped).  Warns when rho(alpha B*) > 0.99: the inverse is then nearly
-    singular and the mapped factor's error blows up.
+    the inverse is nonnegative and so is V up to roundoff: every negative
+    entry is clipped to zero.  Warns when rho(alpha B*) > 0.99: the inverse
+    is then nearly singular and the mapped factor's error blows up.
     """
     Vp = as_matrix(Vp, "Vp")
     B_star = as_matrix(B_star, "B_star")
@@ -507,7 +507,6 @@ def v_from_q(Vp, B_star, alpha=1.0, rho=None):
                       RuntimeWarning)
     Q = np.eye(B_star.shape[0]) - alpha * B_star
     V = np.linalg.solve(Q.T, Vp.T).T
-    V[(V < 0) & (V > -1e-9 * max(1.0, np.abs(V).max()))] = 0.0
     np.maximum(V, 0.0, out=V)
     return V
 
@@ -610,6 +609,12 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
     preps = {k: _pre.preprocess(M, epsilon=records[k][1], alpha=alpha,
                                 rescale=True)
              for k in first if records[k][0] == "pre_nmf"}
+    # A report claims a nonnegative factorization of M, so a negative M is
+    # refused before any HALS run (pre_nmf's preprocessing refuses it
+    # first, naming the column whose slack bound it makes negative).
+    if M.min() < 0:
+        raise ValueError("M has negative entries: a nonnegative "
+                         "factorization needs a nonnegative matrix")
     mats = [preps[k].P_alpha_M if k in preps else M for k in first]
     if mats:
         stack = (np.broadcast_to(mats[0], (S,) + M.shape) if len(mats) == 1

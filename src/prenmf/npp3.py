@@ -12,8 +12,11 @@ boundary tangent walk:
     a k-vertex nested polygon through x(t) exists.
 
 All computations happen in a 2-d orthonormal chart of the affine slice,
-rescaled so the outer polygon has unit perimeter; ``GEOM_TOL`` is the single
-absolute tolerance used for every incidence/tangency test in that scale.
+rescaled so the outer polygon has unit perimeter.  Tolerances are absolute
+in that scale: ``GEOM_TOL`` tests incidence and tangency and merges polygon
+vertices; ``TOUCH_SLACK`` and ``PIECE_GAP`` bound a walk's noise band; the
+half-plane clip uses 1e-13; ``Polygon2.param_of`` snaps points from up to
+1e-6 away (1e-7 for a tangent step's exit point) onto the boundary.
 """
 
 import math
@@ -251,28 +254,6 @@ def _clip_halfplane(verts, a, c, tol):
     return np.asarray(out)
 
 
-def _dedup_ring(verts, tol):
-    """Drop coincident and collinear vertices from a CCW ring."""
-    if len(verts) == 0:
-        return verts
-    keep = [verts[0]]
-    for p in verts[1:]:
-        if np.abs(p - keep[-1]).max() > tol:
-            keep.append(p)
-    while len(keep) > 1 and np.abs(keep[0] - keep[-1]).max() <= tol:
-        keep.pop()
-    if len(keep) < 3:
-        return np.asarray(keep)
-    out = []
-    k = len(keep)
-    for i in range(k):
-        a, b, c = keep[i - 1], keep[i], keep[(i + 1) % k]
-        u, w = b - a, c - b
-        if u[0] * w[1] - u[1] * w[0] > tol * max(np.linalg.norm(u), tol):
-            out.append(b)
-    return np.asarray(out)
-
-
 @dataclass(frozen=True)
 class Chart:
     """Orthonormal 2-d chart of the affine slice holding the polygons.
@@ -353,20 +334,22 @@ def build_npp(M):
 
     # Outer polygon: { y : o + W y >= 0 } clipped from a box that surely
     # contains the simplex slice (all its points satisfy |y| <= sqrt(2)).
-    box = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])
-    verts = box
-    tol = 1e-13
+    verts = np.array([[-2.0, -2.0], [2.0, -2.0], [2.0, 2.0], [-2.0, 2.0]])
     for i in range(m):
         a = -W[i]
         na = np.linalg.norm(a)
         if na <= 1e-14:
             continue
-        verts = _clip_halfplane(verts, a / na, o[i] / na, tol)
+        verts = _clip_halfplane(verts, a / na, o[i] / na, 1e-13)
         if len(verts) == 0:
             raise EmptyOuter("half-plane intersection is empty")
-    verts = _dedup_ring(verts, 1e-11)
-    if len(verts) < 3:
+    # The hull merges coincident vertices and drops collinear ones at
+    # GEOM_TOL, the rule Polygon2 enforces.  Rolling it to the vertex
+    # nearest the clip's first vertex keeps boundary fraction 0 there.
+    ring, _ = convex_hull(verts)
+    if len(ring) < 3:
         raise EmptyOuter("half-plane intersection degenerated")
+    verts = np.roll(ring, -np.argmin(np.hypot(*(ring - verts[0]).T)), axis=0)
 
     hull, index_map = convex_hull(proj)
     if len(hull) < 3:
@@ -379,16 +362,12 @@ def build_npp(M):
 
     # Clamp inner vertices that sit a hair outside the outer polygon (the
     # preprocessing keeps columns nonnegative only up to solver tolerance).
-    clamped = []
-    for p in hull:
-        s = outer.signed_inside(p)
-        if s < 0:
-            if s < -1e-7:
-                raise GeometryError(
-                    f"inner vertex exceeds the simplex slice by {-s:.2e}")
-            p = outer.point_at(outer.param_of(p, tol=1e-6))
-        clamped.append(p)
-    inner = Polygon2(np.asarray(clamped))
+    s = outer.signed_inside(hull)
+    _fail(s < -1e-7, GeometryError,
+          lambda i: f"inner vertex exceeds the simplex slice by {-s[i]:.2e}")
+    if np.any(s < 0):
+        hull[s < 0] = outer.point_at(outer.param_of(hull[s < 0], tol=1e-6))
+    inner = Polygon2(hull)
 
     vertex_columns = {v: tuple(pb.kept[j] for j in cols)
                       for v, cols in index_map.items()}
@@ -528,26 +507,6 @@ def sample_fk(npp, k, num=256):
     return np.column_stack([ts, _walk(npp, ts, k)[:, -1]])
 
 
-def _line_polygon_intersections(poly, p0, p1):
-    """Intersections of the infinite line through p0, p1 with a polygon boundary."""
-    d = p1 - p0
-    pts = []
-    k = len(poly.vertices)
-    for i in range(k):
-        a = poly.vertices[i]
-        b = poly.vertices[(i + 1) % k]
-        e = b - a
-        denom = d[0] * e[1] - d[1] * e[0]
-        if abs(denom) <= 1e-14:
-            continue
-        w = a - p0
-        s = (w[0] * e[1] - w[1] * e[0]) / denom       # along the line
-        lam = (w[0] * d[1] - w[1] * d[0]) / denom     # along the edge
-        if -1e-9 <= lam <= 1 + 1e-9:
-            pts.append(p0 + s * d)
-    return pts
-
-
 def _mirror(npp):
     """The instance reflected in the chart's second axis.
 
@@ -582,9 +541,18 @@ def contact_change_points(npp, k):
     inner vertices).
     """
     outer, Q = npp.outer, npp.inner.vertices
-    pts = [outer.vertices, Q[np.abs(outer.signed_inside(Q)) <= 10 * GEOM_TOL]]
-    for p0, p1 in zip(Q, np.roll(Q, -1, axis=0)):
-        pts += _line_polygon_intersections(outer, p0, p1)
+    # Meets of the line through each inner edge (rows) with each outer
+    # edge (columns): s runs along the inner line, lam along the outer edge.
+    d, e = npp.inner.edges[:, None], outer.edges
+    w = outer.vertices - Q[:, None]
+    denom = d[..., 0] * e[:, 1] - d[..., 1] * e[:, 0]
+    ok = np.abs(denom) > 1e-14
+    denom = np.where(ok, denom, 1.0)
+    s = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
+    lam = (w[..., 0] * d[..., 1] - w[..., 1] * d[..., 0]) / denom
+    r, c = np.nonzero(ok & (lam >= -1e-9) & (lam <= 1 + 1e-9))
+    pts = [outer.vertices, Q[np.abs(outer.signed_inside(Q)) <= 10 * GEOM_TOL],
+           Q[r] + s[r, c][:, None] * d[r, 0]]
     seeds = np.unique(outer.param_of(np.vstack(pts), tol=1e-6))
 
     back = -_walk(_mirror(npp), -seeds, k) % 1.0

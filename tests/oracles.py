@@ -7,6 +7,8 @@ and the tangent construction through direction sampling with bisection
 refinement.  ``tangent_step_oracle`` is the rank-3 walk's former
 one-point-at-a-time stepper, kept as the reference for the batched one; it
 shares only the ``Polygon2`` boundary parametrisation with the library.
+``outer_polygon_oracle`` builds the simplex slice from pairwise line meets
+and qhull; it shares only the chart with the library's half-plane clip.
 ``active_set_oracle`` is likewise the column QP kernel as one column at a
 time, the reference for the lockstep kernel; it shares only the tolerances,
 the exception classes and ``cllsolve._escape`` with the library.  Like the
@@ -27,6 +29,7 @@ import math
 
 import numpy as np
 import scipy.optimize
+import scipy.spatial
 
 from prenmf import cllsolve, npp3
 from prenmf.cllsolve import FEAS_TOL, KKT_TOL, Infeasible, MaxIterations
@@ -541,6 +544,38 @@ def rotated_chart(npp, angle):
                        scale=npp.chart.scale)
     return npp3.NppInstance(outer=outer, inner=inner, chart=chart,
                             vertex_columns=dict(npp.vertex_columns))
+
+
+def outer_polygon_oracle(chart):
+    """Vertices of the simplex slice { y : o + W y >= 0 } of ``chart``.
+
+    Every vertex of the slice is a meet of two of the m lines
+    W[a].y = -o[a] that satisfies all m constraints, so the slice is the
+    convex hull of those meets: O(m^2) points by Cramer's rule, hulled by
+    qhull, with no clipping and no bounding box.  Returned counterclockwise
+    and rescaled to unit perimeter, like ``build_npp``'s outer polygon.
+    """
+    o, W = chart.origin, chart.basis
+    norms = np.linalg.norm(W, axis=1)
+    keep = norms > 1e-14
+    A, c = W[keep] / norms[keep, None], -o[keep] / norms[keep]
+    a, b = np.triu_indices(len(A), 1)
+    det = A[a, 0] * A[b, 1] - A[a, 1] * A[b, 0]
+    # Best-conditioned meets first, so each vertex where several lines
+    # meet is represented by its most accurate meet.
+    order = np.argsort(-np.abs(det), kind="stable")
+    order = order[np.abs(det[order]) > 1e-12]
+    a, b, det = a[order], b[order], det[order]
+    y = np.column_stack([(c[a] * A[b, 1] - A[a, 1] * c[b]) / det,
+                         (A[a, 0] * c[b] - c[a] * A[b, 0]) / det])
+    y = y[(y @ A.T - c).min(axis=1) >= -1e-12]
+    reps = []
+    for p in y:
+        if all(np.linalg.norm(p - q) > 1e-9 for q in reps):
+            reps.append(p)
+    reps = np.array(reps)
+    v = reps[scipy.spatial.ConvexHull(reps).vertices]
+    return v / np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum()
 
 
 def detect_duplicates_oracle(M, tol=1e-8):

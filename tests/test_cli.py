@@ -269,6 +269,44 @@ def test_infeasible_slack_bound_exits_2(tmp_path, capsys, argv):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("method", ["nmf", "pre-nmf", "snmf", "nmf,snmf"])
+def test_negative_input_refused_before_any_hals_run(tmp_path, capsys,
+                                                    monkeypatch, method):
+    # A report of a nonnegative factorization of a matrix with a negative
+    # entry would be false, so no method may start factorizing it.
+    calls = []
+    hals = nmf._hals
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return hals(*args, **kwargs)
+
+    monkeypatch.setattr(nmf, "_hals", spy)
+    src = tmp_path / "neg.csv"
+    matio.write_csv(src, np.array([[1.0, 2.0, 3.0], [-1.0, 1.0, 2.0],
+                                   [2.0, 1.0, 0.5]]))
+    out = tmp_path / "o"
+    code = main(["factorize", "--input", str(src), "--rank", "2",
+                 "--method", method, "--snmf-target", "0.3", "--seeds", "0-1",
+                 "--max-outer", "10", "--out", str(out)])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "report.json").exists()
+
+
+def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise cllsolve.MaxIterations("column 5: active-set method exceeded "
+                                     "1250 pivots")
+
+    monkeypatch.setattr(cllsolve, "preprocess_matrix", fail)
+    code = main(["preprocess", "--fixture", "sepex",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error: column 5: active-set method" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["preprocess", "--fixture", "sepex"],
     ["npp", "--fixture", "nested-squares"],
@@ -337,6 +375,18 @@ class TestNppCommand:
                      str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("alpha", ["auto", "1"])
+    def test_degenerate_slice_exits_2(self, tmp_path, capsys, alpha):
+        # A multiple of the first column makes rho(B*) = 1, so the
+        # preprocessed matrix drops to rank 2: a geometry failure, no crash.
+        src = tmp_path / "dup.csv"
+        matio.write_csv(src, np.array([[1.0, 0.0, 0.0, 2.0],
+                                       [0.0, 1.0, 0.0, 0.0],
+                                       [0.0, 0.0, 1.0, 0.0]]))
+        code = main(["npp", "--input", str(src), "--alpha", alpha,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: numerical rank is 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--fk", "0"], ["--fk", "1"],
                                        ["--fk-samples", "0"],

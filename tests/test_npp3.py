@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from prenmf import npp3
-from prenmf.cllsolve import preprocess_matrix
+from prenmf.cllsolve import SolverError, preprocess_matrix
+from prenmf.fixtures import fixture_names, get_fixture
 from prenmf.preprocessing import apply_alpha
 from prenmf.matcore import pullback
-from oracles import (in_hull_oracle, ray_exit_oracle, rotated_chart,
-                     tangent_point_oracle, tangent_step_oracle)
+from oracles import (in_hull_oracle, outer_polygon_oracle, ray_exit_oracle,
+                     rotated_chart, tangent_point_oracle, tangent_step_oracle)
 
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
@@ -44,6 +45,25 @@ def separable_product(seed):
     W = rng.random((7, 3)) + 0.05
     H = np.hstack([np.eye(3), rng.random((3, 7)) + 0.05])
     return W @ H[:, rng.permutation(10)]
+
+
+def sweep_products():
+    """(k, M) for 300 sparse exact rank-3 products W H of random shapes.
+
+    Every third M repeats its first two rows and every fifth gains a zero
+    row, so the simplex slice gets parallel and vanishing constraints.
+    """
+    rng = np.random.default_rng(0)
+    for k in range(300):
+        m, n = rng.integers(3, 40), rng.integers(3, 30)
+        W = rng.random((m, 3)) * (rng.random((m, 3)) < 0.7)
+        H = rng.random((3, n)) * (rng.random((3, n)) < 0.8)
+        M = W @ H
+        if k % 3 == 0:
+            M = np.vstack([M, M[:2]])
+        if k % 5 == 0:
+            M = np.vstack([M, np.zeros((1, M.shape[1]))])
+        yield k, M
 
 
 def walk_instances(nested_squares, sepex):
@@ -139,6 +159,68 @@ class TestBuildNpp:
     def test_rank_validation(self, rng):
         with pytest.raises(npp3.DegenerateChart):
             npp3.build_npp(rng.random((5, 5)) + 0.1)
+
+
+class TestOuterPolygon:
+    """``build_npp``'s clipped outer polygon against pairwise line meets."""
+
+    @staticmethod
+    def mismatches(M, alphas):
+        """(alpha, error) wherever the outer polygon misses the oracle, and
+        the number of alphas compared.
+
+        Instances that ``preprocess_matrix`` or ``build_npp`` refuse are
+        skipped: they have no chart to compare in.
+        """
+        try:
+            B, _ = preprocess_matrix(M)
+        except (ValueError, SolverError):
+            return [], 0
+        bad, compared = [], 0
+        for a in alphas:
+            try:
+                npp = npp3.build_npp(apply_alpha(M, B, a))
+            except npp3.GeometryError:
+                continue
+            compared += 1
+            v, w = npp.outer.vertices, outer_polygon_oracle(npp.chart)
+            if len(v) != len(w):
+                bad.append((a, f"{len(v)} vertices, oracle {len(w)}"))
+                continue
+            # Same counterclockwise ring, from the vertex nearest vertex 0.
+            w = np.roll(w, -np.argmin(np.linalg.norm(w - v[0], axis=1)),
+                        axis=0)
+            err = np.abs(v - w).max()
+            if err > 1e-12:
+                bad.append((a, err))
+        return bad, compared
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        assert self.mismatches(get_fixture(name), [0.0, 0.5, 1.0])[0] == []
+
+    def test_nested_squares_alpha_grid(self, nested_squares):
+        alphas = np.linspace(0.0, 1.0, 21)
+        assert self.mismatches(nested_squares, alphas) == ([], 21)
+
+    def test_sweep(self):
+        bad, compared = {}, 0
+        for k, M in sweep_products():
+            e, n = self.mismatches(M, [0.0, 0.5, 1.0])
+            if e:
+                bad[k] = e
+            compared += n
+        assert bad == {}
+        assert compared >= 800  # 822 of the 900 build
+
+    def test_near_coincident_vertices_merge_at_geom_tol(self):
+        # Two clip vertices about 2e-10 apart: one merge rule for the clip
+        # and for Polygon2 lets the build reach the inner-vertex check.
+        M = next(M for k, M in sweep_products() if k == 80)
+        B, _ = preprocess_matrix(M)
+        with pytest.raises(npp3.GeometryError,
+                           match="inner vertex exceeds the simplex slice"):
+            npp3.build_npp(apply_alpha(M, B, 1.0))
 
 
 class TestTangentStep:
