@@ -12,10 +12,11 @@ __version__ = "0.1.0"
 
 from .matcore import pullback, sparsity, detect_duplicates, Pullback
 from .cllsolve import CllsProblem, CllsSolution, solve_column, preprocess_matrix
-from .preprocessing import (PreprocessResult, preprocess, apply_alpha,
-                         spectral_radius, rescale_columns, find_alpha_bar)
+from .preprocessing import (PreprocessResult, AlphaBar, preprocess,
+                            apply_alpha, spectral_radius, rescale_columns,
+                            find_alpha_bar)
 from .npp3 import (NppInstance, build_npp, tangent_step, walk_fk, feasible_k,
-                   enumerate_solutions, hull_membership)
+                   enumerate_solutions)
 from .nmf import (FactorPair, SnmfConfig, ahals, snmf, tune_mu, refit_v,
                   v_from_q, postprocess_fixed_support, run_pipeline,
                   run_comparison)
@@ -26,9 +27,9 @@ __all__ = [
     "pullback", "sparsity", "detect_duplicates", "Pullback",
     "CllsProblem", "CllsSolution", "solve_column", "preprocess_matrix",
     "PreprocessResult", "preprocess", "apply_alpha", "spectral_radius",
-    "rescale_columns", "find_alpha_bar",
+    "rescale_columns", "find_alpha_bar", "AlphaBar",
     "NppInstance", "build_npp", "tangent_step", "walk_fk", "feasible_k",
-    "enumerate_solutions", "hull_membership",
+    "enumerate_solutions",
     "FactorPair", "SnmfConfig", "ahals", "snmf", "tune_mu", "refit_v",
     "v_from_q", "postprocess_fixed_support", "run_pipeline", "run_comparison",
     "vertex_columns_by_sparsity", "is_unique_by_sparsity",

@@ -211,9 +211,10 @@ def cmd_npp(args):
                                 "the nested polygon analysis")
     B_star, _ = cllsolve.preprocess_matrix(M, epsilon=args.epsilon)
     if alpha is None:
-        alpha = prep.find_alpha_bar(M, B_star)
-    P = prep.apply_alpha(M, B_star, alpha)
-    npp = npp3.build_npp(P)
+        bar = prep.find_alpha_bar(M, B_star)
+        alpha, npp = bar.alpha, bar.npp
+    else:
+        npp = npp3.build_npp(prep.apply_alpha(M, B_star, alpha))
 
     separable = len(npp.inner.vertices) == 3
     steps = args.fk - 1  # k boundary points = k-1 chords

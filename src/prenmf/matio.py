@@ -2,13 +2,12 @@
 
 CSV layout is one matrix row per line, comma separated, '.' decimal point.
 Values are written with 17 significant digits so that read(write(M)) == M
-up to the last ulp.
+up to the last ulp.  scipy.io is imported only when a MatrixMarket file is
+read or written.
 """
 
 import io as _stdio
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .matcore import as_matrix
 
@@ -27,11 +26,16 @@ def read_csv(path):
 
 
 def write_matrix_market(path, M, comment=""):
+    import scipy.io
+
     M = as_matrix(M, "M")
     scipy.io.mmwrite(path, M, comment=comment, precision=17)
 
 
 def read_matrix_market(path):
+    import scipy.io
+    import scipy.sparse
+
     M = scipy.io.mmread(path)
     if scipy.sparse.issparse(M):
         M = M.toarray()

@@ -23,8 +23,6 @@ import math
 import numpy as np
 from dataclasses import dataclass, field
 
-import scipy.optimize
-
 from .matcore import as_matrix, pullback
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "contact_change_points",
     "feasible_k",
     "enumerate_solutions",
-    "hull_membership",
     "convex_hull",
     "numerical_rank",
 ]
@@ -277,12 +274,18 @@ class Chart:
 
 @dataclass(frozen=True)
 class NppInstance:
-    """Nested polygon instance: inner hull Q inside the simplex slice P."""
+    """Nested polygon instance: inner hull Q inside the simplex slice P.
+
+    The instance memoises its change-point walks per k, so the functions
+    that read them walk each instance once.
+    """
 
     outer: Polygon2
     inner: Polygon2
     chart: Chart
     vertex_columns: dict
+    _wrap_table: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
 
     def lift_points(self, ys):
         """Lift chart points (k, 2) to nonnegative simplex vectors (m, k)."""
@@ -567,9 +570,17 @@ def contact_change_points(npp, k):
 
 
 def _wrap_slacks(npp, k):
-    """``_walk``'s rows from the contact change points t and f_k(t) - t - 1."""
-    walks = _walk(npp, np.array(contact_change_points(npp, k)), k)
-    return walks, walks[:, -1] - walks[:, 0] - 1.0
+    """``_walk``'s rows from the contact change points t and f_k(t) - t - 1.
+
+    Computed once per instance and k; the arrays are read-only.
+    """
+    if k not in npp._wrap_table:
+        walks = _walk(npp, np.array(contact_change_points(npp, k)), k)
+        table = walks, walks[:, -1] - walks[:, 0] - 1.0
+        for a in table:
+            a.flags.writeable = False
+        npp._wrap_table[k] = table
+    return npp._wrap_table[k]
 
 
 def max_wrap_slack(npp, k):
@@ -639,10 +650,13 @@ def enumerate_solutions(npp, k):
 def hull_membership(x, X, tol=1e-7):
     """Is the stochastic vector x in the convex hull of the columns of X?
 
-    Solves the feasibility problem { X lam = x, lam >= 0, sum lam = 1 } as a
-    nonnegative least squares fit and accepts when the residual is at most
-    tol.  Works in any dimension (not only the rank-3 chart).
+    A BVLS feasibility check that nothing in the package calls; the tests
+    use their own copy, ``tests/oracles.py::hull_membership``.  It stays
+    here, outside ``__all__``, because ``perfbench/spans.py`` wraps it by
+    name, and it imports scipy only when called.
     """
+    import scipy.optimize
+
     X = as_matrix(X, "X")
     x = np.asarray(x, dtype=float).ravel()
     if x.size != X.shape[0]:
@@ -652,4 +666,3 @@ def hull_membership(x, X, tol=1e-7):
     fit = scipy.optimize.lsq_linear(A, b, bounds=(0.0, np.inf), method="bvls")
     resid = np.linalg.norm(A @ np.maximum(fit.x, 0.0) - b)
     return bool(resid <= tol)
-

@@ -20,6 +20,7 @@ from . import npp3
 __all__ = [
     "RankMismatch",
     "PreprocessResult",
+    "AlphaBar",
     "check_alpha",
     "apply_alpha",
     "spectral_radius",
@@ -49,6 +50,19 @@ class PreprocessResult:
     rho: float
     column_kkt: np.ndarray
     rescale: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class AlphaBar:
+    """Result of the alpha search.
+
+    npp is the nested polygon instance the search built at alpha, and
+    evaluations the number of distinct alpha it built and walked.
+    """
+
+    alpha: float
+    npp: npp3.NppInstance
+    evaluations: int
 
 
 def check_alpha(alpha):
@@ -108,11 +122,15 @@ def find_alpha_bar(M, B_star=None):
 
     alpha is admissible when a 3-vertex polygon still nests between the
     normalized columns of M(I - alpha B*) and the simplex slice, that is
-    when the wrap slack ``npp3.max_wrap_slack`` is nonnegative.  Returns
-    1.0 when alpha = 1 is admissible; otherwise the sign change of the
+    when the wrap slack ``npp3.max_wrap_slack`` is nonnegative.  The answer
+    is 1.0 when alpha = 1 is admissible; otherwise the sign change of the
     slack on [0, 1], found by ``brentq`` at its default ``xtol`` and then
     checked feasible (``GeometryError`` if not).  The slack is memoised:
     brentq re-reads both ends, and its root is one of its iterates.
+
+    Returns an ``AlphaBar`` holding alpha, the instance built from
+    ``apply_alpha(M, B_star, alpha)`` with its walk table, and the number
+    of slack evaluations.
     """
     M = as_matrix(M, "M")
     r = npp3.numerical_rank(M)
@@ -120,27 +138,30 @@ def find_alpha_bar(M, B_star=None):
         raise RankMismatch(f"numerical rank is {r}, need exactly 3")
     if B_star is None:
         B_star, _ = cllsolve.preprocess_matrix(M)
+    built = {}
 
     @functools.cache
     def slack(alpha):
-        P = apply_alpha(M, B_star, alpha)
-        npp = npp3.build_npp(P)
+        npp = built[alpha] = npp3.build_npp(apply_alpha(M, B_star, alpha))
         return npp3.max_wrap_slack(npp, 3)[0]
 
+    def result(alpha):
+        return AlphaBar(alpha, built[alpha], len(built))
+
     if slack(1.0) >= -npp3.GEOM_TOL:
-        return 1.0
+        return result(1.0)
     g0 = slack(0.0)
     if g0 < -npp3.GEOM_TOL:
         raise RankMismatch("no 3-vertex nested polygon exists even at alpha = 0 "
                            "(nonnegative rank exceeds 3)")
     if g0 <= 0.0:
         # Touching at alpha = 0: no strict sign change to bracket.
-        return 0.0
+        return result(0.0)
     alpha = scipy.optimize.brentq(slack, 0.0, 1.0)
     if slack(alpha) < -npp3.GEOM_TOL:
         raise npp3.GeometryError(f"wrap slack root alpha = {alpha!r} "
                                  "is not feasible")
-    return alpha
+    return result(alpha)
 
 
 def preprocess(M, epsilon=0.0, alpha=1.0, rescale=False):

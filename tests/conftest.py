@@ -48,6 +48,14 @@ def synthetic(m, n, r, noise=0.01, seed=0):
     return M + noise * rng.random((m, n)) if noise else M
 
 
+def separable_rank3(rng, m, n):
+    """A separable rank-3 product W [I | H] with shuffled columns, so that
+    alpha_bar = 1 (built as in perfbench's rank3-npp workload)."""
+    W = rng.random((m, 3)) + 0.05
+    H = np.hstack([np.eye(3), rng.random((3, n - 3)) + 0.05])
+    return W @ H[:, rng.permutation(n)]
+
+
 def lifted(M):
     """M times a power of two, max|M| in [1, 2).
 

@@ -11,6 +11,8 @@ import prenmf
 from prenmf import cli, cllsolve, matio, nmf
 from prenmf.cli import build_parser, main
 
+from conftest import separable_rank3
+
 
 def run_cli(argv):
     parser = build_parser()
@@ -367,6 +369,36 @@ class TestNppCommand:
                        "--out", str(tmp_path / "o")])
         assert res["solutions"] is None
         assert "continuum" in res["note"]
+
+    # Separable products: (6, 10) at seed 0 has one solution, (5, 8) at
+    # seed 1 a continuum.
+    @pytest.mark.parametrize("source", ["nested-squares", (6, 10, 0),
+                                        (5, 8, 1)])
+    def test_auto_matches_explicit_alpha(self, tmp_path, source):
+        # --alpha auto reports on the instance the alpha search built; an
+        # explicit alpha builds it afresh from the same bits of M(I - a B*).
+        if isinstance(source, str):
+            argv = ["npp", "--fixture", source]
+        else:
+            m, n, seed = source
+            src = tmp_path / "sep.csv"
+            matio.write_csv(src, separable_rank3(
+                np.random.default_rng([seed, 3]), m, n))
+            argv = ["npp", "--input", str(src)]
+        auto, fixed = tmp_path / "auto", tmp_path / "fixed"
+        res = run_cli(argv + ["--alpha", "auto", "--out", str(auto)])
+        run_cli(argv + ["--alpha", repr(res["alpha"]), "--out", str(fixed)])
+        reports = [json.loads((d / "npp.json").read_text())
+                   for d in (auto, fixed)]
+        for rep in reports:
+            del rep["alpha_mode"]
+        assert reports[0] == reports[1]
+        names = sorted(p.name for p in auto.iterdir())
+        assert names == sorted(p.name for p in fixed.iterdir())
+        assert len(names) == 2 + (res["solutions"] or 0)
+        for name in names:
+            if name != "npp.json":
+                assert (auto / name).read_bytes() == (fixed / name).read_bytes()
 
     def test_rank_mismatch_exit(self, tmp_path):
         src = tmp_path / "r2.csv"

@@ -6,7 +6,7 @@ from prenmf.cllsolve import preprocess_matrix
 from prenmf.preprocessing import (RankMismatch, apply_alpha, find_alpha_bar,
                                   preprocess, rescale_columns,
                                   spectral_radius)
-from oracles import nnls_oracle, spectral_radius_oracle
+from oracles import hull_membership, nnls_oracle, spectral_radius_oracle
 
 from conftest import random_nonneg
 
@@ -110,21 +110,19 @@ class TestRescaleColumns:
 
 class TestFindAlphaBar:
     def test_identity_full_alpha(self):
-        assert find_alpha_bar(np.eye(3)) == 1.0
+        assert find_alpha_bar(np.eye(3)).alpha == 1.0
 
     def test_nested_squares(self, nested_squares):
-        ab = find_alpha_bar(nested_squares)
+        ab = find_alpha_bar(nested_squares).alpha
         assert ab == pytest.approx(ALPHA_BAR, abs=1e-12)
 
     def test_nested_squares_refined(self, nested_squares):
         # The root of the wrap slack pins alpha to the critical value, so
         # enumeration at the returned value sees the eight isolated
         # touching solutions rather than a continuum with interior slack.
-        ab = find_alpha_bar(nested_squares)
-        assert ab == pytest.approx(ALPHA_BAR, abs=1e-12)
-        B, _ = preprocess_matrix(nested_squares)
-        npp = npp3.build_npp(apply_alpha(nested_squares, B, ab))
-        assert len(npp3.enumerate_solutions(npp, 3)) == 8
+        bar = find_alpha_bar(nested_squares)
+        assert bar.alpha == pytest.approx(ALPHA_BAR, abs=1e-12)
+        assert len(npp3.enumerate_solutions(bar.npp, 3)) == 8
 
     def test_generic_products_feasible_and_tight(self):
         # Generic rank-3 products: alpha_bar < 1 is admissible, and a
@@ -134,18 +132,17 @@ class TestFindAlphaBar:
             rng = np.random.default_rng([s, 6])
             M = rng.random((6, 3)) @ rng.random((3, 8))
             B, _ = preprocess_matrix(M)
-            ab = find_alpha_bar(M, B)
-            if ab == 1.0:
+            bar = find_alpha_bar(M, B)
+            if bar.alpha == 1.0:
                 continue
             tight += 1
-            at = npp3.build_npp(apply_alpha(M, B, ab))
-            past = npp3.build_npp(apply_alpha(M, B, ab + 1e-6))
-            assert npp3.feasible_k(at, 3)[0]
+            past = npp3.build_npp(apply_alpha(M, B, bar.alpha + 1e-6))
+            assert npp3.feasible_k(bar.npp, 3)[0]
             assert not npp3.feasible_k(past, 3)[0]
         assert tight > 0
 
     def test_separable_full_alpha(self, sepex):
-        assert find_alpha_bar(sepex) == 1.0
+        assert find_alpha_bar(sepex).alpha == 1.0
 
     def test_rank_mismatch(self, rng):
         with pytest.raises(RankMismatch):
@@ -205,7 +202,7 @@ class TestTheoryProperties:
             inner = pullback(apply_alpha(M, B, alphas[0])).theta
             outer = pullback(apply_alpha(M, B, alphas[1])).theta
             for j in range(inner.shape[1]):
-                assert npp3.hull_membership(inner[:, j], outer, tol=1e-7)
+                assert hull_membership(inner[:, j], outer, tol=1e-7)
 
     def test_rank_preserved(self, rng):
         for _ in range(10):

@@ -9,17 +9,21 @@ run.  The file is loaded from the checkout as it is, without changes.
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from prenmf import cli, cllsolve, nmf, npp3
+import prenmf
+from prenmf import cli, cllsolve, matio, nmf, npp3
 from prenmf.fixtures import get_fixture
 from prenmf.preprocessing import apply_alpha, find_alpha_bar
 
-from conftest import lifted, synthetic
+from conftest import lifted, separable_rank3, synthetic
 from oracles import column_kernel_oracle
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -87,6 +91,75 @@ def test_alpha_search_calls_slack_through_module(monkeypatch):
     assert len(calls) > 2
 
 
+def count_calls(monkeypatch, module, *names):
+    """Replace module.<name> by a counting spy for each name; returns the
+    counts by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("source", ["separable", "nested-squares"])
+def test_alpha_auto_builds_and_walks_each_alpha_once(monkeypatch, tmp_path,
+                                                     source):
+    # npp --alpha auto reports on the instance and walk table that the
+    # alpha search built at alpha_bar, so each evaluated alpha is built and
+    # walked once.  perfbench counts both calls as spans.
+    if source == "separable":
+        M = separable_rank3(np.random.default_rng(0), 8, 12)
+        matio.write_csv(tmp_path / "in.csv", M)
+        argv = ["--input", str(tmp_path / "in.csv")]
+    else:
+        M = get_fixture(source)
+        argv = ["--fixture", source]
+    evaluations = find_alpha_bar(M).evaluations
+    assert evaluations == (1 if source == "separable" else 13)
+    counts = count_calls(monkeypatch, npp3, "build_npp",
+                         "contact_change_points")
+    assert cli.main(["npp", *argv, "--alpha", "auto",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert counts == {"build_npp": evaluations,
+                      "contact_change_points": evaluations}
+
+
+def test_instance_walks_its_change_points_once(monkeypatch):
+    # max_wrap_slack, feasible_k and enumerate_solutions share the
+    # instance's table of change-point walks.
+    M = get_fixture("nested-squares")
+    B, _ = cllsolve.preprocess_matrix(M)
+    npp = npp3.build_npp(apply_alpha(M, B, find_alpha_bar(M, B).alpha))
+    counts = count_calls(monkeypatch, npp3, "contact_change_points")
+    npp3.max_wrap_slack(npp, 3)
+    assert npp3.feasible_k(npp, 3)[0]
+    assert len(npp3.enumerate_solutions(npp, 3)) == 8
+    assert counts == {"contact_change_points": 1}
+
+
+def test_npp3_does_not_import_scipy():
+    assert "scipy" not in vars(npp3)
+
+
+def test_cli_import_leaves_out_matrix_market_io():
+    # scipy.io is imported only when a MatrixMarket file is read or written.
+    parent = str(Path(prenmf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (parent, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, prenmf.cli; print('scipy.io' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_walks_step_all_rows_at_once(monkeypatch):
     # The rank-3 op's cost is its number of batched tangent steps; a return
     # to one walk per start point would multiply it.
@@ -124,7 +197,7 @@ def test_enumeration_walks_each_start_once(monkeypatch):
 
     M = get_fixture("nested-squares")
     B, _ = cllsolve.preprocess_matrix(M)
-    npp = npp3.build_npp(apply_alpha(M, B, find_alpha_bar(M, B)))
+    npp = npp3.build_npp(apply_alpha(M, B, find_alpha_bar(M, B).alpha))
     monkeypatch.setattr(npp3, "_walk", spy)
     assert len(npp3.enumerate_solutions(npp, 3)) == 8
     assert len(calls) == 3
