@@ -650,10 +650,11 @@ def enumerate_solutions(npp, k):
 def hull_membership(x, X, tol=1e-7):
     """Is the stochastic vector x in the convex hull of the columns of X?
 
-    A BVLS feasibility check that nothing in the package calls; the tests
-    use their own copy, ``tests/oracles.py::hull_membership``.  It stays
-    here, outside ``__all__``, because ``perfbench/spans.py`` wraps it by
-    name, and it imports scipy only when called.
+    Solves the feasibility problem { X lam = x, lam >= 0, sum lam = 1 } as a
+    nonnegative least squares fit and accepts when the residual is at most
+    tol.  Works in any dimension (not only the rank-3 chart).  Only the
+    tests call it, so it stays outside ``__all__`` and imports scipy when
+    called.
     """
     import scipy.optimize
 

@@ -7,10 +7,8 @@ and the tangent construction through direction sampling with bisection
 refinement.  ``tangent_step_oracle`` is the rank-3 walk's former
 one-point-at-a-time stepper, kept as the reference for the batched one; it
 shares only the ``Polygon2`` boundary parametrisation with the library.
-``hull_membership`` decides convex hull membership by BVLS and
-``in_hull_oracle`` by an LP.  ``outer_polygon_oracle`` builds the simplex
-slice from pairwise line meets and qhull; it shares only the chart with the
-library's half-plane clip.
+``outer_polygon_oracle`` builds the simplex slice from pairwise line meets
+and qhull; it shares only the chart with the library's half-plane clip.
 ``active_set_oracle`` is likewise the column QP kernel as one column at a
 time, the reference for the lockstep kernel; it shares only the tolerances,
 the exception classes and ``cllsolve._escape`` with the library.  Like the
@@ -350,24 +348,6 @@ def spectral_radius_oracle(B):
     lo, hi = ratios.min(), ratios.max()
     assert hi - lo <= 1e-12 * hi, f"power iteration not converged: [{lo}, {hi}]"
     return float(0.5 * (lo + hi))
-
-
-def hull_membership(x, X, tol=1e-7):
-    """Is the stochastic vector x in the convex hull of the columns of X?
-
-    Solves the feasibility problem { X lam = x, lam >= 0, sum lam = 1 } as a
-    nonnegative least squares fit (BVLS) and accepts when the residual is at
-    most tol.  Works in any dimension (not only the rank-3 chart).
-    """
-    X = np.asarray(X, dtype=float)
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != X.shape[0]:
-        raise ValueError("x and X have incompatible shapes")
-    A = np.vstack([X, np.ones((1, X.shape[1]))])
-    b = np.concatenate([x, [1.0]])
-    fit = scipy.optimize.lsq_linear(A, b, bounds=(0.0, np.inf), method="bvls")
-    resid = np.linalg.norm(A @ np.maximum(fit.x, 0.0) - b)
-    return bool(resid <= tol)
 
 
 def in_hull_oracle(x, X, tol=1e-7):

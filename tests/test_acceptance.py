@@ -15,7 +15,6 @@ from prenmf.cllsolve import CllsProblem, preprocess_matrix, solve_column
 from prenmf.fixtures import get_fixture
 from prenmf.preprocessing import (apply_alpha, find_alpha_bar, preprocess,
                                   spectral_radius)
-from oracles import hull_membership
 
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
@@ -251,7 +250,7 @@ class TestCriterion06TheoryProperties:
             inner = matcore.pullback(apply_alpha(M, B, lo)).theta
             outer = matcore.pullback(apply_alpha(M, B, hi)).theta
             for j in range(inner.shape[1]):
-                assert hull_membership(inner[:, j], outer, tol=1e-7)
+                assert npp3.hull_membership(inner[:, j], outer, tol=1e-7)
         report(6, "hull of normalized columns only inflates with alpha "
                   f"({self.N_INSTANCES} instances)")
 

@@ -6,9 +6,8 @@ from prenmf.cllsolve import SolverError, preprocess_matrix
 from prenmf.fixtures import fixture_names, get_fixture
 from prenmf.preprocessing import apply_alpha
 from prenmf.matcore import pullback
-from oracles import (hull_membership, in_hull_oracle, outer_polygon_oracle,
-                     ray_exit_oracle, rotated_chart, tangent_point_oracle,
-                     tangent_step_oracle)
+from oracles import (in_hull_oracle, outer_polygon_oracle, ray_exit_oracle,
+                     rotated_chart, tangent_point_oracle, tangent_step_oracle)
 
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
@@ -489,7 +488,7 @@ class TestEnumerate:
             assert S.min() >= -1e-9
             np.testing.assert_allclose(S.sum(axis=0), 1.0, atol=1e-7)
             for j in range(inner_cols.shape[1]):
-                assert hull_membership(inner_cols[:, j], S, tol=1e-6)
+                assert npp3.hull_membership(inner_cols[:, j], S, tol=1e-6)
 
     def test_identity_single_solution(self):
         sols = npp3.enumerate_solutions(npp3.build_npp(np.eye(3)), 3)
@@ -513,21 +512,21 @@ class TestHullMembership:
     def test_column_itself(self, rng):
         X = rng.random((5, 4)) + 0.1
         X = X / X.sum(axis=0)
-        assert hull_membership(X[:, 2], X)
+        assert npp3.hull_membership(X[:, 2], X)
 
     def test_midpoint(self, rng):
         X = rng.random((5, 4)) + 0.1
         X = X / X.sum(axis=0)
         mid = 0.5 * (X[:, 0] + X[:, 1])
-        assert hull_membership(mid, X)
+        assert npp3.hull_membership(mid, X)
 
     def test_nested_squares_separation(self, nested_squares):
         B, _ = preprocess_matrix(nested_squares)
         hull_cols = pullback(apply_alpha(nested_squares, B, ALPHA_BAR)).theta
         inner_vertex = pullback(nested_squares).theta[:, 0]
         outer_vertex = pullback(apply_alpha(nested_squares, B, 1.0)).theta[:, 0]
-        assert hull_membership(inner_vertex, hull_cols)
-        assert not hull_membership(outer_vertex, hull_cols)
+        assert npp3.hull_membership(inner_vertex, hull_cols)
+        assert not npp3.hull_membership(outer_vertex, hull_cols)
 
     def test_against_lp_oracle(self, rng):
         for _ in range(10):
@@ -535,7 +534,7 @@ class TestHullMembership:
             X = X / X.sum(axis=0)
             x = rng.random(6) + 0.05
             x = x / x.sum()
-            assert hull_membership(x, X) == in_hull_oracle(x, X)
+            assert npp3.hull_membership(x, X) == in_hull_oracle(x, X)
 
 
 class TestChartIndependence:

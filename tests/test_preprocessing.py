@@ -6,7 +6,7 @@ from prenmf.cllsolve import preprocess_matrix
 from prenmf.preprocessing import (RankMismatch, apply_alpha, find_alpha_bar,
                                   preprocess, rescale_columns,
                                   spectral_radius)
-from oracles import hull_membership, nnls_oracle, spectral_radius_oracle
+from oracles import nnls_oracle, spectral_radius_oracle
 
 from conftest import random_nonneg
 
@@ -136,9 +136,13 @@ class TestFindAlphaBar:
             if bar.alpha == 1.0:
                 continue
             tight += 1
+            at = npp3.build_npp(apply_alpha(M, B, bar.alpha))
             past = npp3.build_npp(apply_alpha(M, B, bar.alpha + 1e-6))
-            assert npp3.feasible_k(bar.npp, 3)[0]
+            assert npp3.feasible_k(at, 3)[0]
             assert not npp3.feasible_k(past, 3)[0]
+            # The instance the search hands over is the fresh build's twin.
+            assert (npp3.max_wrap_slack(bar.npp, 3)
+                    == npp3.max_wrap_slack(at, 3))
         assert tight > 0
 
     def test_separable_full_alpha(self, sepex):
@@ -202,7 +206,7 @@ class TestTheoryProperties:
             inner = pullback(apply_alpha(M, B, alphas[0])).theta
             outer = pullback(apply_alpha(M, B, alphas[1])).theta
             for j in range(inner.shape[1]):
-                assert hull_membership(inner[:, j], outer, tol=1e-7)
+                assert npp3.hull_membership(inner[:, j], outer, tol=1e-7)
 
     def test_rank_preserved(self, rng):
         for _ in range(10):
