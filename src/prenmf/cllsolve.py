@@ -556,7 +556,7 @@ def preprocess_matrix(M, epsilon=0.0):
     try:
         for sol in _column_solutions(M, slice(None), epsilon):
             sols.append(sol)
-    except SolverError as exc:
+    except (SolverError, InfeasiblePoint) as exc:
         raise type(exc)(f"column {len(sols)}: {exc}") from exc
     return np.column_stack([s.b for s in sols]), sols
 

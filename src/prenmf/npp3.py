@@ -14,9 +14,11 @@ boundary tangent walk:
 All computations happen in a 2-d orthonormal chart of the affine slice,
 rescaled so the outer polygon has unit perimeter.  Tolerances are absolute
 in that scale: ``GEOM_TOL`` tests incidence and tangency and merges polygon
-vertices; ``TOUCH_SLACK`` and ``PIECE_GAP`` bound a walk's noise band; the
+vertices, and a walk may start up to 10 ``GEOM_TOL`` inside the inner
+polygon; ``TOUCH_SLACK`` and ``PIECE_GAP`` bound a walk's noise band; the
 half-plane clip uses 1e-13; ``Polygon2.param_of`` snaps points from up to
-1e-6 away (1e-7 for a tangent step's exit point) onto the boundary.
+1e-6 away (1e-7 for a tangent step's exit point) onto the boundary, and a
+step from within 1e-7 of its touch vertex goes on to the next one.
 """
 
 import math
@@ -358,8 +360,8 @@ def build_npp(M):
     if len(hull) < 3:
         raise DegenerateChart("inner polygon is degenerate")
 
-    outer = Polygon2(verts)
-    L = outer.perimeter
+    sides = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+    L = float(np.cumsum(sides)[-1])
     outer = Polygon2(verts / L)
     hull = hull / L
 
@@ -392,60 +394,33 @@ def _step(npp, t):
     after the step and the inner touch points.  Every row is computed on
     its own, so a row's result does not depend on the batch around it.
     A failing check raises for the first failing row, naming its t.
+
+    The touch point q ends the one cyclic run of inner edges that the walk
+    point x sees: those whose lines x lies beyond or within ``GEOM_TOL`` of
+    (the nearest ones, for x just inside).  The ray x -> q is the rightmost
+    with the inner polygon on its left, and passes an edge on its line to
+    the edge's trailing vertex.  On the inner boundary the step follows the
+    boundary, and x within 1e-7 of q goes on to the next vertex.
     """
     outer, inner = npp.outer, npp.inner
     t0 = t % 1.0
     x = outer.point_at(t)
-    s_in = inner.signed_inside(x)
-    _fail(s_in > 10 * GEOM_TOL, StartInsideQ,
+    e = _dots(x, inner.normals) - inner.offsets
+    top = e.max(axis=1)
+    _fail(top < -10 * GEOM_TOL, StartInsideQ,
           lambda i: f"walk start at t={t0[i]:.6f} lies strictly inside "
                     "the inner polygon")
-
-    # Rightmost direction from x with the inner polygon weakly on the left.
-    # The touch point is the farthest inner vertex on the supporting ray, so
-    # a chord containing an inner edge reports the edge's trailing vertex.
+    seen = e >= np.minimum(top, -GEOM_TOL)[:, None]
+    ends = seen & ~np.roll(seen, -1, axis=1)
+    _fail(ends.sum(axis=1) != 1, GeometryError,
+          lambda i: f"inner edges seen from t={t0[i]:.6f} do not form "
+                    "one run")
     Q = inner.vertices
-    diffs = Q - x[:, None, :]
-    dists = np.linalg.norm(diffs, axis=2)
-    ok = dists > GEOM_TOL
-    safe = np.where(ok, dists, 1.0)
-    D = np.where(ok[..., None], diffs / safe[..., None], 0.0)
-    # cross[:, j, l]: inner vertex l relative to the ray toward vertex j.
-    cross = (D[:, :, None, 0] * diffs[:, None, :, 1]
-             - D[:, :, None, 1] * diffs[:, None, :, 0]) / safe[:, None, :]
-    cross = np.where(ok[:, None, :], cross, 0.0)
-    valid = ok & (cross.min(axis=2) >= -(GEOM_TOL + 1e-13 / safe))
-    d = np.zeros_like(x)
-    q = np.zeros_like(x)
-    dist = np.zeros(len(x))
-    found = np.zeros(len(x), dtype=bool)
-    for j in range(len(Q)):
-        dj = D[:, j]
-        c = dj[:, 0] * d[:, 1] - dj[:, 1] * d[:, 0]  # cross(dj, d)
-        dot = dj[:, 0] * d[:, 0] + dj[:, 1] * d[:, 1]
-        # Take vertex j when d is strictly left of dj (dj is more
-        # clockwise) or, on a tie, when vertex j is farther along the ray.
-        take = valid[:, j] & (~found | (c > GEOM_TOL) | (
-            (np.abs(c) <= GEOM_TOL) & (dot > 0) & (dists[:, j] > dist)))
-        d[take], q[take], dist[take] = dj[take], Q[j], dists[take, j]
-        found |= valid[:, j]
-    follow = (s_in >= -10 * GEOM_TOL) | (~found & (s_in >= -100 * GEOM_TOL))
-    _fail(~found & ~follow, GeometryError,
-          lambda i: f"no supporting direction found at t={t0[i]:.6f} from "
-                    f"distance {-s_in[i]:.2e} outside the inner polygon")
-    if np.any(follow):
-        # On (or within tolerance of) the inner boundary, the most clockwise
-        # supporting direction runs along the outgoing edge, so the step
-        # follows the boundary to the edge's end vertex; a point already at
-        # (or within the noise band of) that vertex goes on to the next one.
-        xf = x[follow]
-        i = inner.edge_of_param(inner.param_of(xf, tol=1e-6))
-        v_end = Q[(i + 1) % len(Q)]
-        at_end = np.hypot(*(xf - v_end).T) <= 1e-7
-        v_end[at_end] = Q[(i[at_end] + 2) % len(Q)]
-        df = v_end - xf
-        d[follow] = df / np.linalg.norm(df, axis=1)[:, None]
-        q[follow] = v_end
+    j = (ends.argmax(axis=1) + 1) % len(Q)
+    near = (top <= 10 * GEOM_TOL) & (np.hypot(*(x - Q[j]).T) <= 1e-7)
+    j[near] = (j[near] + 1) % len(Q)
+    q = Q[j]
+    d = (q - x) / np.linalg.norm(q - x, axis=1)[:, None]
 
     # Farthest boundary point of the ray x + s d inside the outer polygon.
     denom = _dots(d, outer.normals)

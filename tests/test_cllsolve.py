@@ -9,6 +9,7 @@ import pytest
 import scipy.optimize
 
 from prenmf import cllsolve
+from prenmf.cli import main
 from prenmf.cllsolve import (KKT_TOL, CllsProblem, Infeasible,
                              InfeasiblePoint, MaxIterations, kkt_check,
                              nnls_columns, preprocess_matrix, solve_column)
@@ -394,6 +395,30 @@ class TestLockstepKernel:
         assert type(info.value) is Infeasible
         assert str(info.value) == ("column 2: slack bound has negative "
                                    "entries; x = 0 is not feasible")
+
+    def test_infeasible_point_names_its_column(self, nested_squares,
+                                                monkeypatch, tmp_path, capsys):
+        # InfeasiblePoint is a ValueError, not a SolverError; it keeps its
+        # type and gains the index like every other column failure.
+        feasibility = cllsolve._feasibility
+
+        def flag_column_2(B, ids, MB, U, D):
+            why, bound, tight = feasibility(B, ids, MB, U, D)
+            why = ["slack constraint violated beyond tolerance" if i == 2
+                   else w for w, i in zip(why, ids)]
+            return why, bound, tight
+
+        monkeypatch.setattr(cllsolve, "_feasibility", flag_column_2)
+        with pytest.raises(InfeasiblePoint) as info:
+            preprocess_matrix(nested_squares)
+        assert type(info.value) is InfeasiblePoint
+        assert str(info.value) == ("column 2: slack constraint violated "
+                                   "beyond tolerance")
+        code = main(["preprocess", "--fixture", "nested-squares",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert ("error: column 2: slack constraint violated"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("m,n,r,seed", [
         (m, n, r, seed) for m, n, r in [(100, 100, 8), (150, 120, 10)]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,29 @@ class TestTangentStep:
                                        atol=2e-3)
             np.testing.assert_allclose(q, q_ref, atol=2e-3)
 
+    def test_touching_vertex_steps_to_a_nearly_flat_next_vertex(self):
+        # Sweep input 297 at alpha = 0.5: x(0) is an inner vertex on the
+        # outer boundary, and the line of the inner edge after the next
+        # vertex w passes 3.2e-9 from x, inside.  The edges x sees end at
+        # w, so the step touches w, as the oracle's does; a run tolerance
+        # of 10 GEOM_TOL would take that edge in and skip w.
+        M = next(M for k, M in sweep_products() if k == 297)
+        B, _ = preprocess_matrix(M)
+        npp = npp3.build_npp(apply_alpha(M, B, 0.5))
+        Q, x = npp.inner.vertices, npp.outer.point_at(0.0)
+        v = np.argmin(np.linalg.norm(Q - x, axis=1))
+        assert np.linalg.norm(Q[v] - x) <= npp3.GEOM_TOL
+        w, after = Q[(v + 1) % len(Q)], Q[(v + 2) % len(Q)]
+        edge = after - w
+        inside = (edge[0] * (x - w)[1] - edge[1] * (x - w)[0]) \
+            / np.linalg.norm(edge)
+        assert npp3.GEOM_TOL < inside < 10 * npp3.GEOM_TOL
+        t1, q = npp3.tangent_step(npp, 0.0)
+        np.testing.assert_array_equal(q, w)
+        ref_t, ref_q = tangent_step_oracle(npp, 0.0)
+        assert t1 == pytest.approx(ref_t, rel=0, abs=1e-12)
+        np.testing.assert_allclose(q, ref_q, rtol=0, atol=1e-12)
+
     def test_start_inside_raises(self):
         outer = npp3.Polygon2(np.array([[0, 0], [4, 0], [4, 4], [0, 4]], float))
         inner = npp3.Polygon2(np.array([[-1, -1], [5, -1], [5, 5], [-1, 5]], float))
@@ -338,6 +363,22 @@ class TestWalks:
             assert second.min() >= -1e-9
 
 
+def assert_walks_match_oracle(npp, ts):
+    """Three batched steps from each start in ts against three chained
+    oracle steps: walk parameters and touch points agree to 1e-12."""
+    walks = npp3._walk(npp, ts, 3)
+    touches = np.stack([npp3._step(npp, walks[:, j])[1]
+                        for j in range(3)], axis=1)
+    for t, row, qs in zip(ts, walks, touches):
+        ref, ref_q = [t], []
+        for _ in range(3):
+            t_next, q = tangent_step_oracle(npp, ref[-1])
+            ref.append(t_next)
+            ref_q.append(q)
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(qs, ref_q, rtol=0, atol=1e-12)
+
+
 class TestBatchedWalk:
     def test_rows_match_chained_oracle_steps(self, nested_squares, sepex):
         mixed = 0
@@ -347,18 +388,37 @@ class TestBatchedWalk:
                         if abs(outer.signed_inside(v)) <= 10 * npp3.GEOM_TOL]
             ts = np.concatenate([np.arange(64) / 64, on_inner])
             mixed += bool(on_inner)
-            walks = npp3._walk(npp, ts, 3)
-            touches = np.stack([npp3._step(npp, walks[:, j])[1]
-                                for j in range(3)], axis=1)
-            for t, row, qs in zip(ts, walks, touches):
-                ref, ref_q = [t], []
-                for _ in range(3):
-                    t_next, q = tangent_step_oracle(npp, ref[-1])
-                    ref.append(t_next)
-                    ref_q.append(q)
-                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(qs, ref_q, rtol=0, atol=1e-12)
+            assert_walks_match_oracle(npp, ts)
         assert mixed >= 6  # the separable instances and their mirrors
+
+    def test_sweep_rows_match_chained_oracle_steps(self):
+        # Every tenth sweep product that builds, from a grid and from the
+        # contact change points, where the walk points meet the seeds.
+        # Sweep input 290 at alpha = 0.5 has an inner edge lying along an
+        # outer edge.  A chord along it meets the outer edge's line at an
+        # angle of 1e-11, so its exit moves by 1e-8 under a one-ulp change
+        # of the chord's direction, and the oracle rounds its products
+        # differently: the ray exit's conditioning, not the touch rule.
+        bad, compared = [], 0
+        for k, M in itertools.islice(sweep_products(), 0, None, 10):
+            try:
+                B, _ = preprocess_matrix(M)
+            except (ValueError, SolverError):
+                continue
+            for a in (0.0, 0.5, 1.0):
+                try:
+                    npp = npp3.build_npp(apply_alpha(M, B, a))
+                except npp3.GeometryError:
+                    continue
+                ts = np.concatenate([np.arange(64) / 64,
+                                     npp3.contact_change_points(npp, 3)])
+                try:
+                    assert_walks_match_oracle(npp, ts)
+                except AssertionError:
+                    bad.append((k, a))
+                compared += 1
+        assert set(bad) <= {(290, 0.5)}
+        assert compared >= 80  # 82 of the 90 build
 
     def test_rows_independent_of_batch(self, nested_squares, sepex):
         ts = np.arange(256) / 256
