@@ -42,8 +42,6 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-import scipy.optimize
-
 from .matcore import as_matrix
 
 __all__ = [
@@ -359,6 +357,7 @@ def _escape(C, d, u, x):
     g = 2.0 * (C.T @ (Cx - d))
     lam = np.zeros(np.count_nonzero(tight))
     if lam.size:  # scipy's nnls aborts the process on a matrix with no columns
+        import scipy.optimize
         try:
             lam = scipy.optimize.nnls(normals[tight].T, -g)[0]
         except RuntimeError as exc:
@@ -513,6 +512,7 @@ def kkt_check(p: CllsProblem, b):
         An = A / norms
         # Bounded-variable least squares for the multiplier fit: the plain
         # Lawson-Hanson routine mis-reports on near-duplicate normals.
+        import scipy.optimize
         fit = scipy.optimize.lsq_linear(An, target, bounds=(0.0, np.inf),
                                         method="bvls")
         lam = np.maximum(fit.x, 0.0)
@@ -566,6 +566,7 @@ def nnls_columns(U, M):
 
     One call of scipy's Lawson-Hanson routine per column of V.
     """
+    import scipy.optimize
     U = as_matrix(U, "U")
     M = as_matrix(M, "M")
     if U.shape[0] != M.shape[0]:

@@ -8,13 +8,15 @@ fixed-support polish used to compare sparsity patterns across methods.
 The three engines (``ahals``, ``snmf`` and the polish) share one outer
 loop, ``_hals``, and differ only in its l1 weights, support mask and stop
 rule.  ``_hals`` runs a stack of factorizations at once, each slice with
-its own matrix, and each slice gets exactly the result of a run on its own.
-``run_comparison`` runs every (method, epsilon) record of a comparison in
-three stacked stages: one ``ahals`` stack for the seeds of every nmf and
-pre_nmf record, then per snmf record ``tune_mu``'s probe stacks (whose
-winning probe is the run of the first seed) and one stack for the other
-seeds of every snmf record, then one fixed-support polish stack with a
-slice per distinct best pair.  ``run_pipeline`` is its one-record view.
+its own matrix and l1 weights (a zero row runs it unpenalized), and each
+slice gets exactly the result of a run on its own.  ``run_comparison``
+runs every (method, epsilon) record of a comparison in three stacked
+stages: the seeds of every nmf and pre_nmf record beside ``tune_mu``'s
+opening probes, which read no target; per distinct snmf target the rest
+of ``tune_mu``'s probes (its winning probe is the first seed's run), then
+one stack for the other seeds of every target; and the fixed-support
+polish of each distinct best pair.  ``run_pipeline`` is its one-record
+view.
 """
 
 import time
@@ -197,31 +199,31 @@ def _plan(upd):
             for j, (e, s) in enumerate(zip(every, some))]
 
 
-def _renormalize(M, U, V):
-    """Unit-max columns of U in every slice, V's rows taking the scale.
-
-    A column that collapsed to zero is reseeded from the slice's residual
-    against its matrix M[s], and its V row zeroed.  A slice with a collapse
-    runs column by column, because each reseed reads the residual of the
-    columns before it.  Returns the per-slice collapse counts.
+def _renormalize(M, U, V, mu):
+    """Unit-max columns of U in every slice with a nonzero penalty row,
+    V's rows taking the scale.  A column that collapsed to zero becomes a
+    unit spike (the least harmful placement under the unit-max constraint,
+    and maximally sparse) at the dominant entry of the slice's nonnegative
+    residual against M[s], weighted by the column's V row when it carries
+    mass; its V row is zeroed.  All collapsed columns of a slice read one
+    residual, to which none of them adds anything, reseeded or not.
+    Returns the per-slice collapse counts.
     """
+    pen = mu.any(axis=1)[:, None]
     c = U.max(axis=1)
-    hit = (c <= 0.0).any(axis=1)
-    scale = np.where(hit[:, None], 1.0, c)
+    dead = pen & (c <= 0.0)
+    scale = np.where(pen & ~dead, c, 1.0)
     U /= scale[:, None, :]
     V *= scale[:, :, None]
-    counts = [0] * len(U)
-    for s in np.flatnonzero(hit).tolist():
-        Us, Vs = U[s], V[s]
-        for j, cj in enumerate(c[s].tolist()):
-            if cj <= 0.0:
-                Us[:, j] = _reseed_column(M[s], Us, Vs, j)
-                Vs[j, :] = 0.0
-                counts[s] += 1
-                continue
-            Us[:, j] /= cj
-            Vs[j, :] *= cj
-    return counts
+    s, j = np.nonzero(dead)
+    if s.size:
+        R = np.maximum(M[s] - np.matmul(U[s], V[s]), 0.0)
+        w = np.abs(V[s, j])
+        scores = np.where(w.sum(axis=1, keepdims=True) > 0,
+                          np.matmul(R, w[..., None])[..., 0], R.sum(axis=2))
+        U[s, scores.argmax(axis=1), j] = 1.0
+        V[s, j] = 0.0
+    return dead.sum(axis=1)
 
 
 def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
@@ -232,19 +234,21 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
     U (S, m, r) and V (S, r, n) are updated in place.  ``mu`` (S, r) adds
     the l1 penalty on U's columns, renormalizes them to unit max after each
     U block (V's rows take the compensating scale, a collapsed column is
-    reseeded) and adds the penalty to the recorded objective.  ``mask``
-    (S, m, r) freezes U's zero pattern.  ``stall`` stops a slice once an
-    outer iteration improves its objective by less than STALL_TOL
-    relatively; a stopped slice leaves the working stack with its matrix,
-    so it is frozen exactly.  Every slice gets the same floating-point
-    results as a stack of one.
+    reseeded) and adds the penalty to the recorded objective; a zero row
+    changes none of this for its slice, so penalized and plain runs share a
+    stack.  ``mask`` (S, m, r) freezes U's zero pattern.  ``stall`` (a bool,
+    or one per slice) stops a slice once an outer iteration improves its
+    objective by less than STALL_TOL relatively; a stopped slice leaves the
+    working stack with its matrix, so it is frozen exactly.  Every slice
+    gets the same floating-point results as a stack of one.
 
     Returns per-slice lists (iterations, objective histories, collapses).
     """
     S, m, n = M.shape
     iterations = [max(max_outer, 0)] * S
     histories = [[] for _ in range(S)]
-    collapses = [0] * S
+    collapses = np.zeros(S, dtype=int)
+    stall = np.broadcast_to(stall, (S,))
     idx = np.arange(S)  # caller slice of each working slice
     Mw, Uw, Vw = M, U, V
     obj_prev = None
@@ -253,8 +257,7 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
         _update_blocks(Uw, np.matmul(Vw, Vt), np.matmul(Mw, Vt), n, mu=mu,
                        mask=mask)
         if mu is not None:
-            for k, c in zip(idx.tolist(), _renormalize(Mw, Uw, Vw)):
-                collapses[k] += c
+            collapses[idx] += _renormalize(Mw, Uw, Vw, mu)
         _update_blocks(Vt, np.matmul(Uw.swapaxes(-1, -2), Uw),
                        np.matmul(Mw.swapaxes(-1, -2), Uw), m)
         # Squared as floats, by C pow(x, 2): an array's ** 2 is x * x, which
@@ -265,8 +268,9 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
             obj += (mu * np.abs(Uw).sum(axis=1)).sum(axis=1)
         for k, value in zip(idx.tolist(), obj.tolist()):
             histories[k].append(value)
-        if stall and it > 1:
-            done = obj_prev - obj <= STALL_TOL * np.maximum(obj_prev, 1e-300)
+        if it > 1 and stall.any():
+            done = stall & (obj_prev - obj
+                            <= STALL_TOL * np.maximum(obj_prev, 1e-300))
             if done.any():
                 for k in idx[done].tolist():
                     iterations[k] = it
@@ -274,17 +278,17 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
                     U[idx[done]] = Uw[done]
                     V[idx[done]] = Vw[done]
                 keep = ~done
-                if not keep.any():
-                    return iterations, histories, collapses
-                idx, obj = idx[keep], obj[keep]
+                idx, obj, stall = idx[keep], obj[keep], stall[keep]
                 Mw, Uw, Vw = Mw[keep], Uw[keep], Vw[keep]
                 mu = None if mu is None else mu[keep]
                 mask = None if mask is None else mask[keep]
+                if not idx.size:
+                    break
         obj_prev = obj
     if Uw is not U:
         U[idx] = Uw
         V[idx] = Vw
-    return iterations, histories, collapses
+    return iterations, histories, collapses.tolist()
 
 
 def _init_factors(M, r, seeds):
@@ -313,28 +317,20 @@ def _pairs(M, U, V, seeds, result, zero_tol):
     return pairs
 
 
-def _ahals_stack(M, r, seeds, max_outer, zero_tol):
-    """``ahals`` of every slice M[k] (S, m, n) from seeds[k] at once."""
-    m, n = M.shape[-2:]
-    if r > min(m, n):
-        warnings.warn(f"rank {r} exceeds min(m, n) = {min(m, n)}",
+def _runs(M, r, seeds, max_outer, zero_tol, mu=None):
+    """One run per slice M[k] (S, m, n) from seeds[k], all in one stack:
+    ``ahals`` (stall stop) where the row of ``mu`` (S, r) is zero or mu is
+    None, ``snmf`` (unit-max start, no stall stop) where it is positive."""
+    pen = np.zeros(len(seeds), bool) if mu is None else mu.any(axis=1)
+    if not pen.all() and r > min(M.shape[-2:]):
+        warnings.warn(f"rank {r} exceeds min(m, n) = {min(M.shape[-2:])}",
                       RankTooLargeWarning)
-    U, V = _init_factors(M, r, seeds)
-    result = _hals(M, U, V, max_outer, stall=True)
-    return _pairs(M, U, V, seeds, result, zero_tol)
-
-
-def _snmf_stack(M, r, mu, seeds, max_outer, zero_tol):
-    """``snmf`` of M for every (mu[k], seeds[k]) at once."""
-    if M.min() < 0:
+    if pen.any() and M[pen].min() < 0:
         raise ValueError("sparse variant expects a nonnegative matrix")
-    if np.any(mu <= 0):
-        raise ValueError("penalty weights must be positive")
     U, V = _init_factors(M, r, seeds)
     # Unit-max columns from the start so the penalty is comparable.
-    U /= np.maximum(U.max(axis=1, keepdims=True), ZERO_SNAP)
-    M = np.broadcast_to(M, (len(seeds),) + M.shape)
-    result = _hals(M, U, V, max_outer, mu=mu)
+    U[pen] /= np.maximum(U[pen].max(axis=1, keepdims=True), ZERO_SNAP)
+    result = _hals(M, U, V, max_outer, mu=mu, stall=~pen)
     return _pairs(M, U, V, seeds, result, zero_tol)
 
 
@@ -361,7 +357,7 @@ def ahals(M, r, seed=0, max_outer=1000, zero_tol=1e-8):
     by less than ``STALL_TOL`` relatively.
     """
     M = _input(M)
-    return _ahals_stack(M[None], r, [seed], max_outer, zero_tol)[0]
+    return _runs(M[None], r, [seed], max_outer, zero_tol)[0]
 
 
 def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
@@ -375,37 +371,37 @@ def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
     """
     M = _input(M)
     mu = np.broadcast_to(cfg.mu, (r,)).astype(float)
-    return _snmf_stack(M, r, mu[None], [cfg.seed], cfg.max_outer,
-                       zero_tol)[0]
+    if np.any(mu <= 0):
+        raise ValueError("penalty weights must be positive")
+    return _runs(M[None], r, [cfg.seed], cfg.max_outer, zero_tol,
+                 mu=mu[None])[0]
 
 
-def _reseed_column(M, U, V, j):
-    """Deterministic replacement for a collapsed column of U.
-
-    A unit spike at the dominant positive entry of the residual (weighted
-    by the column's right-factor row when it carries mass): under the
-    unit-max constraint this is the least harmful placement, and it keeps
-    the column maximally sparse.
-    """
-    R = np.maximum(M - U @ V, 0.0)
-    w = np.abs(V[j])
-    scores = R @ w if w.sum() > 0 else R.sum(axis=1)
-    u = np.zeros(M.shape[0])
-    u[int(np.argmax(scores))] = 1.0
-    return u
-
-
-def _midpoints(llo, lhi, levels):
-    """The next ``levels`` levels of bisection midpoints of [llo, lhi]."""
+def _midpoints(llo, lhi, probes):
+    """The next three levels of bisection midpoints of [llo, lhi] (fewer if
+    the budget left after ``probes`` probes is smaller), and their mu."""
     mids, brackets = [], [(llo, lhi)]
-    for _ in range(levels):
+    for _ in range(min(3, MU_PROBES - probes)):
         halves = []
         for a, b in brackets:
             mid = 0.5 * (a + b)
             mids.append(mid)
             halves += [(a, mid), (mid, b)]
         brackets = halves
-    return mids
+    return mids, [10.0 ** lmid for lmid in mids]
+
+
+def _opening(M):
+    """tune_mu's log10 bracket of mu, its first three levels of midpoints
+    and the weights of its opening probes: both ends, then the midpoints.
+    None of them reads the target sparsity."""
+    scale = float(M.max())
+    if scale <= 0.0:
+        raise ValueError("tune_mu needs a matrix with a positive entry")
+    lo, hi = 1e-6 * scale, 10.0 * scale * M.shape[0]
+    llo, lhi = np.log10(lo), np.log10(hi)
+    mids, mus = _midpoints(llo, lhi, 2)
+    return llo, lhi, mids, [lo, hi] + mus
 
 
 def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
@@ -415,42 +411,36 @@ def tune_mu(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
     Returns the configuration of the probe closest to the target (its
     achieved sparsity is recorded on the config).
 
-    The probes run speculatively, as stacks: the first holds both ends of
-    the bracket and the next three levels of midpoints, each later one the
-    three levels below the bracket reached.  The sequential rule then reads
-    the probes it needs from them, so the result is that of probing one at
-    a time.
+    The probes run speculatively, as stacks: the opening stack holds both
+    ends of the bracket and the next three levels of midpoints, each later
+    one the three levels below the bracket reached.  The sequential rule
+    then reads the probes it needs from them, so the result is that of
+    probing one at a time.  The opening does not depend on the target, so
+    ``run_comparison`` runs it once, in its first stack, for every target.
     """
     return _tune_mu(M, r, target_s_u, seed, max_outer, zero_tol)[0]
 
 
-def _tune_mu(M, r, target_s_u, seed, max_outer, zero_tol):
+def _tune_mu(M, r, target_s_u, seed, max_outer, zero_tol, opening=None):
     """``tune_mu``, returning its configuration and the winning probe's
-    FactorPair: the ``snmf`` run of ``seed`` at the tuned weight."""
+    FactorPair: the ``snmf`` run of ``seed`` at the tuned weight.
+    ``opening`` is the opening stack's FactorPairs when the caller ran it
+    already."""
     M = as_matrix(M, "M")
     if not 0.0 <= target_s_u < 1.0:
         raise ValueError("target sparsity must be in [0, 1)")
-    scale = float(M.max())
-    if scale <= 0.0:
-        raise ValueError("tune_mu needs a matrix with a positive entry")
-    lo = 1e-6 * scale
-    hi = 10.0 * scale * M.shape[0]
+    llo, lhi, mids, mus = _opening(M)
 
     def probe(mus):
-        mu = np.repeat(np.array(mus, dtype=float)[:, None], r, axis=1)
-        return _snmf_stack(M, r, mu, [seed] * len(mus), max_outer, zero_tol)
+        mu = np.repeat(np.array(mus)[:, None], r, axis=1)
+        return _runs(np.broadcast_to(M, (len(mus),) + M.shape), r,
+                     [seed] * len(mus), max_outer, zero_tol, mu)
 
-    def speculate(llo, lhi, probes):
-        mids = _midpoints(llo, lhi, min(3, MU_PROBES - probes))
-        return mids, [10.0 ** lmid for lmid in mids]
-
-    llo, lhi = np.log10(lo), np.log10(hi)
-    mids, mus = speculate(llo, lhi, 2)
-    p_lo, p_hi, *p_mids = probe([lo, hi] + mus)
+    p_lo, p_hi, *p_mids = probe(mus) if opening is None else opening
     seen = dict(zip(mids, p_mids))  # log10(mu) -> its probe's FactorPair
     best = None  # (gap, mu, pair)
     probes = 2
-    for mu, pair in ((lo, p_lo), (hi, p_hi)):
+    for mu, pair in zip(mus, (p_lo, p_hi)):
         gap = abs(pair.s_U - target_s_u)
         if best is None or gap < best[0]:
             best = (gap, mu, pair)
@@ -460,7 +450,7 @@ def _tune_mu(M, r, target_s_u, seed, max_outer, zero_tol):
         while probes < MU_PROBES and best[0] > MU_WINDOW:
             lmid = 0.5 * (llo + lhi)
             if lmid not in seen:
-                mids, mus = speculate(llo, lhi, probes)
+                mids, mus = _midpoints(llo, lhi, probes)
                 seen.update(zip(mids, probe(mus)))
             mid = seen[lmid]
             probes += 1
@@ -573,12 +563,9 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
 
     An snmf record targets the s_U of the last pre_nmf record at its epsilon
     listed before it, and ``snmf_target`` when there is none.  The records
-    run in three stacked stages, each slice bit for bit the run it replaces:
-    the seeds of every nmf and pre_nmf record in one ``ahals`` stack; per
-    distinct snmf target ``tune_mu``, whose winning probe is the run of
-    seeds[0], then seeds[1:] of every such target in one ``snmf`` stack;
-    and the polish of each distinct best pair in one stack.  Every report's
-    ``wall_time`` is the elapsed time of the whole call.
+    run in the three stacked stages the module docstring lists, each slice
+    bit for bit the run it replaces.  Every report's ``wall_time`` is the
+    elapsed time of the whole call.
     """
     M = _input(M)
     seeds = tuple(int(s) for s in seeds)
@@ -604,7 +591,8 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
     best, V, plain = [None] * n, [None] * n, [None] * n
     extra = [{} for _ in records]  # the method's own report fields
 
-    # Stage 1: the seeds of every nmf and pre_nmf record, one ahals stack.
+    # Stage 1, one stack: the seeds of every nmf and pre_nmf record, then
+    # tune_mu's opening probes, which no snmf target changes.
     first = [k for k, (method, _) in enumerate(records) if method != "snmf"]
     preps = {k: _pre.preprocess(M, epsilon=records[k][1], alpha=alpha,
                                 rescale=True)
@@ -616,10 +604,19 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
         raise ValueError("M has negative entries: a nonnegative "
                          "factorization needs a nonnegative matrix")
     mats = [preps[k].P_alpha_M if k in preps else M for k in first]
-    if mats:
-        stack = (np.broadcast_to(mats[0], (S,) + M.shape) if len(mats) == 1
-                 else np.repeat(np.stack(mats), S, axis=0))
-        runs = _ahals_stack(stack, r, seeds * len(mats), max_outer, zero_tol)
+    counts = [S] * len(mats)
+    opening = _opening(M)[3] if source else []
+    if opening:
+        mats.append(M)
+        counts.append(len(opening))
+    stack = (np.broadcast_to(mats[0], (sum(counts),) + M.shape)
+             if all(X is mats[0] for X in mats)
+             else np.repeat(np.stack(mats), counts, axis=0))
+    weights = [0.0] * (S * len(first)) + opening  # ahals where 0
+    mu = np.repeat(np.array(weights)[:, None], r, axis=1) if opening else None
+    runs = _runs(stack, r, seeds * len(first) + seeds[:1] * len(opening),
+                 max_outer, zero_tol, mu)
+    opening = runs[S * len(first):]
     for i, k in enumerate(first):
         mine = runs[i * S:(i + 1) * S]
         if k not in preps:
@@ -642,19 +639,19 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
         except SingularQ:
             pass
 
-    # Stage 2: tune_mu per distinct snmf target, then seeds[1:] of all of
-    # them.  The runs depend on nothing else, so records that share a
-    # target share them.
+    # Stage 2: the rest of tune_mu per distinct snmf target, each reading
+    # the one opening, then seeds[1:] of all of them.  The runs depend on
+    # nothing else, so records that share a target share them.
     targets = {k: snmf_target if j is None else best[j].s_U
                for k, j in source.items()}
     distinct = list(dict.fromkeys(targets.values()))
-    tuned = [_tune_mu(M, r, t, seeds[0], max_outer, zero_tol)
+    tuned = [_tune_mu(M, r, t, seeds[0], max_outer, zero_tol, opening)
              for t in distinct]
     others = []
     if tuned and S > 1:
         mu = np.repeat([cfg.mu for cfg, _ in tuned], S - 1, axis=0)
-        others = _snmf_stack(M, r, mu, seeds[1:] * len(tuned), max_outer,
-                             zero_tol)
+        others = _runs(np.broadcast_to(M, (len(mu),) + M.shape), r,
+                       seeds[1:] * len(tuned), max_outer, zero_tol, mu)
     for k, t in targets.items():
         i = distinct.index(t)
         cfg, won = tuned[i]

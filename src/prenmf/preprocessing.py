@@ -10,7 +10,6 @@ radius of B* stays below one, which this module verifies at runtime.
 
 import functools
 import numpy as np
-import scipy.optimize
 from dataclasses import dataclass
 
 from .matcore import as_matrix
@@ -157,6 +156,7 @@ def find_alpha_bar(M, B_star=None):
     if g0 <= 0.0:
         # Touching at alpha = 0: no strict sign change to bracket.
         return result(0.0)
+    import scipy.optimize
     alpha = scipy.optimize.brentq(slack, 0.0, 1.0)
     if slack(alpha) < -npp3.GEOM_TOL:
         raise npp3.GeometryError(f"wrap slack root alpha = {alpha!r} "

@@ -643,3 +643,31 @@ def tune_mu_oracle(M, r, target_s_u, seed=0, max_outer=300, zero_tol=1e-8):
     cfg = nmf.SnmfConfig(mu=np.full(r, best[1]), max_outer=max_outer,
                          seed=seed, achieved_s_u=best[2])
     return cfg, probes
+
+
+def renormalize_oracle(M, U, V):
+    """Unit-max columns of U in every slice of a stack, one slice and one
+    column at a time: the sequential form of ``nmf._renormalize`` with every
+    slice penalized.
+
+    A collapsed column is reseeded as a unit spike at the dominant entry of
+    the residual left by the columns before it (weighted by the column's V
+    row when it carries mass), and its V row zeroed.  U and V change in
+    place; returns the per-slice collapse counts.
+    """
+    counts = [0] * len(U)
+    for s in range(len(U)):
+        Us, Vs = U[s], V[s]
+        for j, cj in enumerate(Us.max(axis=0).tolist()):
+            if cj > 0.0:
+                Us[:, j] /= cj
+                Vs[j, :] *= cj
+                continue
+            R = np.maximum(M[s] - Us @ Vs, 0.0)
+            w = np.abs(Vs[j])
+            scores = R @ w if w.sum() > 0 else R.sum(axis=1)
+            Us[:, j] = 0.0
+            Us[int(np.argmax(scores)), j] = 1.0
+            Vs[j, :] = 0.0
+            counts[s] += 1
+    return counts

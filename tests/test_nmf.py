@@ -5,7 +5,7 @@ from prenmf import nmf, sparsity
 from prenmf.cllsolve import preprocess_matrix
 from prenmf.preprocessing import apply_alpha, preprocess
 
-from oracles import nnls_kkt_check, tune_mu_oracle
+from oracles import nnls_kkt_check, renormalize_oracle, tune_mu_oracle
 
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
@@ -440,7 +440,8 @@ class TestStackedEngine:
         mus = np.array([1e-6 * scale, 0.01, 0.1 * scale, scale,
                         10.0 * scale * M.shape[0]])
         mu = np.repeat(mus[:, None], 3, axis=1)
-        stacked = nmf._snmf_stack(M, 3, mu, [1] * len(mus), 60, 1e-8)
+        stacked = nmf._runs(np.broadcast_to(M, (len(mus),) + M.shape), 3,
+                            [1] * len(mus), 60, 1e-8, mu)
         for pair, m in zip(stacked, mus):
             cfg = nmf.SnmfConfig(mu=np.full(3, m), max_outer=60, seed=1)
             single = nmf.snmf(M, 3, cfg)
@@ -458,8 +459,8 @@ class TestStackedEngine:
         M, _ = engine_inputs()
         P = preprocess(M, epsilon=0.05, rescale=True).P_alpha_M
         seeds = (0, 1, 2, 3)
-        stacked = nmf._ahals_stack(np.repeat(np.stack([M, P]), 4, axis=0), 3,
-                                   seeds * 2, 240, 1e-8)
+        stacked = nmf._runs(np.repeat(np.stack([M, P]), 4, axis=0), 3,
+                            seeds * 2, 240, 1e-8)
         singles = [nmf.ahals(X, 3, seed=s, max_outer=240)
                    for X in (M, P) for s in seeds]
         its = [p.iterations for p in singles]
@@ -471,6 +472,61 @@ class TestStackedEngine:
                                           single.objective_history)
             assert pair.iterations == single.iterations
             assert pair.rel_error == single.rel_error
+
+    def test_mixed_stack_matches_single_runs(self):
+        # run_comparison's first stack: plain runs on M and P(M) that stall
+        # on their own, beside penalized probes that run to the cap (the
+        # largest weights collapse columns) and are never renormalized.
+        M, _ = engine_inputs()
+        P = preprocess(M, epsilon=0.05, rescale=True).P_alpha_M
+        scale = M.max()
+        mus = [1e-6 * scale, 0.1 * scale, scale, 10.0 * scale * M.shape[0]]
+        stack = np.concatenate([np.repeat(np.stack([M, P]), 3, axis=0),
+                                np.broadcast_to(M, (4,) + M.shape)])
+        mu = np.repeat([[0.0]] * 6 + [[w] for w in mus], 3, axis=1)
+        stacked = nmf._runs(stack, 3, [0, 1, 2] * 2 + [1] * 4, 240, 1e-8, mu)
+        singles = ([nmf.ahals(X, 3, seed=s, max_outer=240)
+                    for X in (M, P) for s in range(3)]
+                   + [nmf.snmf(M, 3, nmf.SnmfConfig(mu=np.full(3, w),
+                                                    max_outer=240, seed=1))
+                      for w in mus])
+        assert min(p.iterations for p in singles[:6]) < 240
+        assert [p.iterations for p in singles[6:]] == [240] * 4
+        assert singles[6].collapses == 0 and singles[-1].collapses > 0
+        for pair, single in zip(stacked, singles):
+            np.testing.assert_array_equal(pair.U, single.U)
+            np.testing.assert_array_equal(pair.V, single.V)
+            np.testing.assert_array_equal(pair.objective_history,
+                                          single.objective_history)
+            assert pair.iterations == single.iterations
+            assert pair.collapses == single.collapses
+
+    def test_renormalize_matches_sequential_oracle(self):
+        # Several columns of a slice collapse at once: every spike reads the
+        # slice's one residual, the sequential rule the residual of the
+        # columns before it.  A collapsed column adds nothing to either.
+        rng = np.random.default_rng(5)
+        M = rng.random((4, 9, 7))
+        U = rng.random((4, 9, 4))
+        V = rng.random((4, 4, 7))
+        U[0][:, [1, 2]] = 0.0
+        U[1][:, [0, 1, 3]] = 0.0
+        V[1, 3] = 0.0  # a collapsed column whose V row carries no mass
+        U[3] = 0.0
+        U0, V0 = U.copy(), V.copy()
+        want = renormalize_oracle(M, U0, V0)
+        assert want == [2, 3, 0, 4]
+        assert nmf._renormalize(M, U, V, np.ones((4, 4))).tolist() == want
+        np.testing.assert_array_equal(U, U0)
+        np.testing.assert_array_equal(V, V0)
+        # A slice with a zero penalty row is left as it is, collapse or not.
+        U, V = rng.random((2, 9, 4)), rng.random((2, 4, 7))
+        U[:, :, 1] = 0.0
+        U0, V0 = U.copy(), V.copy()
+        mu = np.array([[0.0] * 4, [1.0] * 4])
+        assert nmf._renormalize(M[:2], U, V, mu).tolist() == [0, 1]
+        np.testing.assert_array_equal(U[0], U0[0])
+        np.testing.assert_array_equal(V[0], V0[0])
 
 
 class TestRunComparison:
@@ -561,6 +617,37 @@ class TestRunComparison:
             assert rep.mu.tobytes() == one.mu.tobytes()
             assert rep.U.tobytes() == one.U.tobytes()
             assert rep.V.tobytes() == one.V.tobytes()
+            assert rep.rel_error_improved == one.rel_error_improved
+
+    def test_targets_share_one_opening(self, monkeypatch):
+        # Two snmf records with different targets: tune_mu's opening probes
+        # read no target, so the first stack runs them once for both, and
+        # each record still equals its lone run.
+        M, _ = engine_inputs()
+        stacks = []  # the l1 weights of the penalized slices of each stack
+        hals = nmf._hals
+
+        def spy(M, U, V, max_outer, mu=None, mask=None, stall=False):
+            stacks.append([] if mu is None else mu[mu.any(axis=1), 0].tolist())
+            return hals(M, U, V, max_outer, mu=mu, mask=mask, stall=stall)
+
+        monkeypatch.setattr(nmf, "_hals", spy)
+        records = [("pre_nmf", 0.0), ("snmf", 0.0), ("pre_nmf", 0.05),
+                   ("snmf", 0.05)]
+        reps = nmf.run_comparison(M, 3, records, seeds=range(3), max_outer=40)
+        assert reps[0].s_U != reps[2].s_U
+        opening = nmf._opening(M)[3]
+        assert stacks[0] == opening
+        assert not any(set(opening) <= set(mus) for mus in stacks[1:])
+        # Both targets go on to their own probe stacks and seed stack.
+        assert len(stacks) >= 5 and stacks[-1] == []
+        for pre, rep in (reps[:2], reps[2:]):
+            one = nmf.run_pipeline(M, 3, "snmf", seeds=range(3), max_outer=40,
+                                   snmf_target=pre.s_U)
+            assert rep.mu.tobytes() == one.mu.tobytes()
+            assert rep.U.tobytes() == one.U.tobytes()
+            assert rep.V.tobytes() == one.V.tobytes()
+            assert rep.best_seed == one.best_seed
             assert rep.rel_error_improved == one.rel_error_improved
 
     def test_records_sharing_a_pair_share_one_polish(self, sepex,

@@ -146,18 +146,31 @@ def test_npp3_does_not_import_scipy():
     assert "scipy" not in vars(npp3)
 
 
-def test_cli_import_leaves_out_matrix_market_io():
-    # scipy.io is imported only when a MatrixMarket file is read or written.
+def cli_import_loads(module):
+    """Whether a fresh interpreter has ``module`` loaded after importing
+    prenmf.cli."""
     parent = str(Path(prenmf.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (parent, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, prenmf.cli; print('scipy.io' in sys.modules)"],
+         f"import sys, prenmf.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_matrix_market_io():
+    # scipy.io is imported only when a MatrixMarket file is read or written.
+    assert not cli_import_loads("scipy.io")
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize, most of a cold start's import time, is imported only
+    # by the functions that call it: NNLS refits, degenerate-point escapes,
+    # certificate fallbacks and the alpha search.
+    assert not cli_import_loads("scipy.optimize")
 
 
 def test_walks_step_all_rows_at_once(monkeypatch):
@@ -291,18 +304,18 @@ def test_escape_runs_only_at_degenerate_points(monkeypatch):
 
 
 def test_factorize_runs_three_hals_stages(monkeypatch, tmp_path, capsys):
-    # One factorize call makes one ahals stack for the nmf and pre-nmf
-    # seeds, tune_mu's probe stacks, one snmf stack for the seeds after the
-    # first (tune_mu's winning probe is the first seed's run) and one polish
-    # stack with a slice per distinct best pair.  The op's cost follows the
-    # number of stacked outer iterations, so more stages would slow it down.
-    calls = []
+    # One factorize call makes one stack of the nmf and pre-nmf seeds beside
+    # tune_mu's opening probes (which read no target), the rest of tune_mu's
+    # probe stacks, one snmf stack for the seeds after the first (tune_mu's
+    # winning probe is the first seed's run) and one polish stack with a
+    # slice per distinct best pair.  The op's cost follows the number of
+    # stacked outer iterations, so more stages would slow it down.
+    calls = []  # (slices, stalling slices, penalized slices, masked)
     hals = nmf._hals
 
     def spy(M, U, V, max_outer, mu=None, mask=None, stall=False):
-        kind = ("ahals" if stall else "polish" if mask is not None
-                else "snmf")
-        calls.append((kind, len(U)))
+        pen = 0 if mu is None else int(mu.any(axis=1).sum())
+        calls.append((len(U), int(np.sum(stall)), pen, mask is not None))
         return hals(M, U, V, max_outer, mu=mu, mask=mask, stall=stall)
 
     monkeypatch.setattr(nmf, "_hals", spy)
@@ -316,7 +329,9 @@ def test_factorize_runs_three_hals_stages(monkeypatch, tmp_path, capsys):
     calls.clear()
     nmf.tune_mu(get_fixture("sepex"), 3, report["records"][1]["s_U"], seed=0,
                 max_outer=50)
-    probes = list(calls)
-    assert probes and all(kind == "snmf" for kind, _ in probes)
-    assert stages == ([("ahals", 2 * seeds)] + probes
-                      + [("snmf", seeds - 1), ("polish", 3)])
+    opening, *rest = calls
+    assert opening == (9, 0, 9, False) and rest
+    assert all(stall == 0 and pen == n and not masked
+               for n, stall, pen, masked in rest)
+    assert stages == ([(2 * seeds + 9, 2 * seeds, 9, False)] + rest
+                      + [(seeds - 1, 0, seeds - 1, False), (3, 0, 0, True)])
