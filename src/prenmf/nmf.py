@@ -9,14 +9,16 @@ The three engines (``ahals``, ``snmf`` and the polish) share one outer
 loop, ``_hals``, and differ only in its l1 weights, support mask and stop
 rule.  ``_hals`` runs a stack of factorizations at once, each slice with
 its own matrix and l1 weights (a zero row runs it unpenalized), and each
-slice gets exactly the result of a run on its own.  ``run_comparison``
-runs every (method, epsilon) record of a comparison in three stacked
-stages: the seeds of every nmf and pre_nmf record beside ``tune_mu``'s
-opening probes, which read no target; per distinct snmf target the rest
-of ``tune_mu``'s probes (its winning probe is the first seed's run), then
-one stack for the other seeds of every target; and the fixed-support
-polish of each distinct best pair.  ``run_pipeline`` is its one-record
-view.
+slice gets exactly the result of a run on its own.  Every stack of seeded
+runs is built by ``_runs`` from a list of (matrix, seed, weight) jobs; only
+the polish, which starts from given factors, stacks its own.
+``run_comparison`` runs every (method, epsilon) record of a comparison in
+three stacked stages: the seeds of every nmf and pre_nmf record beside
+``tune_mu``'s opening probes, which read no target; per distinct snmf
+target the rest of ``tune_mu``'s probes (its winning probe is the first
+seed's run), then one stack for the other seeds of every target; and the
+fixed-support polish of each distinct best pair.  ``run_pipeline`` is its
+one-record view.
 """
 
 import time
@@ -104,11 +106,12 @@ def _input(M):
     return M
 
 
-def _make_pair(M, U, V, seed, iterations, history, zero_tol=1e-8):
+def _make_pair(M, U, V, seed, iterations, history, zero_tol, collapses=0):
     return FactorPair(U=U, V=V, r=U.shape[1], rel_error=_rel_error(M, U, V),
                       s_U=sparsity(U, zero_tol), s_V=sparsity(V, zero_tol),
                       seed=seed, iterations=iterations,
-                      objective_history=np.asarray(history))
+                      objective_history=np.asarray(history),
+                      collapses=collapses)
 
 
 def _norms(X):
@@ -291,47 +294,40 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
     return iterations, histories, collapses.tolist()
 
 
-def _init_factors(M, r, seeds):
-    """Seeded uniform starting factors, one slice per seed."""
+def _runs(jobs, r, max_outer, zero_tol):
+    """One FactorPair per job (matrix, seed, weight), all run in one stack.
+
+    A weight of 0 runs ``ahals`` (stall stop); a positive weight, a scalar
+    or one per column, runs ``snmf`` (unit-max start, no stall stop).  The
+    stack is one broadcast view when every job reads the same array object
+    and a copy of the jobs' matrices otherwise; its penalty rows are None
+    when no weight is positive.  Each job gets exactly the result of a run
+    on its own.
+    """
     if r < 1:
         raise ValueError("rank must be at least 1")
-    m, n = M.shape[-2:]
-    U = np.empty((len(seeds), m, r))
-    V = np.empty((len(seeds), r, n))
+    mats, seeds, weights = zip(*jobs)
+    M = (np.broadcast_to(mats[0], (len(jobs),) + mats[0].shape)
+         if all(X is mats[0] for X in mats) else np.stack(mats))
+    mu = np.array([np.broadcast_to(w, (r,)) for w in weights], dtype=float)
+    pen = mu.any(axis=1)
+    S, m, n = M.shape
+    if not pen.all() and r > min(m, n):
+        warnings.warn(f"rank {r} exceeds min(m, n) = {min(m, n)}",
+                      RankTooLargeWarning)
+    if pen.any() and M[pen].min() < 0:
+        raise ValueError("sparse variant expects a nonnegative matrix")
+    U, V = np.empty((S, m, r)), np.empty((S, r, n))
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         U[k] = rng.random((m, r))
         V[k] = rng.random((r, n))
-    return U, V
-
-
-def _pairs(M, U, V, seeds, result, zero_tol):
-    """One FactorPair per slice of the stack M (S, m, n)."""
-    iterations, histories, collapses = result
-    pairs = []
-    for k, seed in enumerate(seeds):
-        pair = _make_pair(M[k], U[k], V[k], seed, iterations[k], histories[k],
-                          zero_tol)
-        pair.collapses = collapses[k]
-        pairs.append(pair)
-    return pairs
-
-
-def _runs(M, r, seeds, max_outer, zero_tol, mu=None):
-    """One run per slice M[k] (S, m, n) from seeds[k], all in one stack:
-    ``ahals`` (stall stop) where the row of ``mu`` (S, r) is zero or mu is
-    None, ``snmf`` (unit-max start, no stall stop) where it is positive."""
-    pen = np.zeros(len(seeds), bool) if mu is None else mu.any(axis=1)
-    if not pen.all() and r > min(M.shape[-2:]):
-        warnings.warn(f"rank {r} exceeds min(m, n) = {min(M.shape[-2:])}",
-                      RankTooLargeWarning)
-    if pen.any() and M[pen].min() < 0:
-        raise ValueError("sparse variant expects a nonnegative matrix")
-    U, V = _init_factors(M, r, seeds)
     # Unit-max columns from the start so the penalty is comparable.
     U[pen] /= np.maximum(U[pen].max(axis=1, keepdims=True), ZERO_SNAP)
-    result = _hals(M, U, V, max_outer, mu=mu, stall=~pen)
-    return _pairs(M, U, V, seeds, result, zero_tol)
+    its, histories, collapses = _hals(M, U, V, max_outer,
+                                      mu=mu if pen.any() else None, stall=~pen)
+    return [_make_pair(M[k], U[k], V[k], seed, its[k], histories[k], zero_tol,
+                       collapses[k]) for k, seed in enumerate(seeds)]
 
 
 def _polish(M, Us, Vs, seeds, zero_tol):
@@ -356,8 +352,7 @@ def ahals(M, r, seed=0, max_outer=1000, zero_tol=1e-8):
     iterations.  Stops early when an outer iteration improves the objective
     by less than ``STALL_TOL`` relatively.
     """
-    M = _input(M)
-    return _runs(M[None], r, [seed], max_outer, zero_tol)[0]
+    return _runs([(_input(M), seed, 0.0)], r, max_outer, zero_tol)[0]
 
 
 def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
@@ -370,11 +365,9 @@ def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
     deterministically.
     """
     M = _input(M)
-    mu = np.broadcast_to(cfg.mu, (r,)).astype(float)
-    if np.any(mu <= 0):
+    if np.any(cfg.mu <= 0):
         raise ValueError("penalty weights must be positive")
-    return _runs(M[None], r, [cfg.seed], cfg.max_outer, zero_tol,
-                 mu=mu[None])[0]
+    return _runs([(M, cfg.seed, cfg.mu)], r, cfg.max_outer, zero_tol)[0]
 
 
 def _midpoints(llo, lhi, probes):
@@ -432,9 +425,7 @@ def _tune_mu(M, r, target_s_u, seed, max_outer, zero_tol, opening=None):
     llo, lhi, mids, mus = _opening(M)
 
     def probe(mus):
-        mu = np.repeat(np.array(mus)[:, None], r, axis=1)
-        return _runs(np.broadcast_to(M, (len(mus),) + M.shape), r,
-                     [seed] * len(mus), max_outer, zero_tol, mu)
+        return _runs([(M, seed, mu) for mu in mus], r, max_outer, zero_tol)
 
     p_lo, p_hi, *p_mids = probe(mus) if opening is None else opening
     seen = dict(zip(mids, p_mids))  # log10(mu) -> its probe's FactorPair
@@ -563,9 +554,10 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
 
     An snmf record targets the s_U of the last pre_nmf record at its epsilon
     listed before it, and ``snmf_target`` when there is none.  The records
-    run in the three stacked stages the module docstring lists, each slice
-    bit for bit the run it replaces.  Every report's ``wall_time`` is the
-    elapsed time of the whole call.
+    run in the three stacked stages the module docstring lists: the first
+    two hand ``_runs`` job lists, the third stacks the best pairs for the
+    polish.  Each slice is bit for bit the run it replaces.  Every report's
+    ``wall_time`` is the elapsed time of the whole call.
     """
     M = _input(M)
     seeds = tuple(int(s) for s in seeds)
@@ -603,19 +595,10 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
     if M.min() < 0:
         raise ValueError("M has negative entries: a nonnegative "
                          "factorization needs a nonnegative matrix")
-    mats = [preps[k].P_alpha_M if k in preps else M for k in first]
-    counts = [S] * len(mats)
-    opening = _opening(M)[3] if source else []
-    if opening:
-        mats.append(M)
-        counts.append(len(opening))
-    stack = (np.broadcast_to(mats[0], (sum(counts),) + M.shape)
-             if all(X is mats[0] for X in mats)
-             else np.repeat(np.stack(mats), counts, axis=0))
-    weights = [0.0] * (S * len(first)) + opening  # ahals where 0
-    mu = np.repeat(np.array(weights)[:, None], r, axis=1) if opening else None
-    runs = _runs(stack, r, seeds * len(first) + seeds[:1] * len(opening),
-                 max_outer, zero_tol, mu)
+    jobs = [(preps[k].P_alpha_M if k in preps else M, s, 0.0)
+            for k in first for s in seeds]
+    jobs += [(M, seeds[0], w) for w in (_opening(M)[3] if source else [])]
+    runs = _runs(jobs, r, max_outer, zero_tol)
     opening = runs[S * len(first):]
     for i, k in enumerate(first):
         mine = runs[i * S:(i + 1) * S]
@@ -647,11 +630,8 @@ def run_comparison(M, r, records, seeds=range(10), max_outer=1000, alpha=1.0,
     distinct = list(dict.fromkeys(targets.values()))
     tuned = [_tune_mu(M, r, t, seeds[0], max_outer, zero_tol, opening)
              for t in distinct]
-    others = []
-    if tuned and S > 1:
-        mu = np.repeat([cfg.mu for cfg, _ in tuned], S - 1, axis=0)
-        others = _runs(np.broadcast_to(M, (len(mu),) + M.shape), r,
-                       seeds[1:] * len(tuned), max_outer, zero_tol, mu)
+    jobs = [(M, s, cfg.mu) for cfg, _ in tuned for s in seeds[1:]]
+    others = _runs(jobs, r, max_outer, zero_tol) if jobs else []
     for k, t in targets.items():
         i = distinct.index(t)
         cfg, won = tuned[i]

@@ -56,6 +56,12 @@ def separable_rank3(rng, m, n):
     return W @ H[:, rng.permutation(n)]
 
 
+def hexagon_slack():
+    """The 6x6 slack matrix of the regular hexagon, up to scale: rank 3 and
+    nonnegative rank 5, so no triangle nests between its polygons."""
+    return np.array([np.roll([0, 1, 2, 2, 1, 0], i) for i in range(6)], float)
+
+
 def lifted(M):
     """M times a power of two, max|M| in [1, 2).
 

@@ -11,7 +11,7 @@ import prenmf
 from prenmf import cli, cllsolve, matio, nmf
 from prenmf.cli import build_parser, main
 
-from conftest import separable_rank3
+from conftest import hexagon_slack, separable_rank3
 
 
 def run_cli(argv):
@@ -85,6 +85,19 @@ class TestFactorizeCommand:
         # The recovered basis inherits the zeros of the three nonzero
         # preprocessed columns (4 of 30 entries).
         assert rec["s_U"] >= 0.13
+
+    def test_singular_q_writes_null_vq(self, tmp_path):
+        # rho(B*) = 1 on [I | 2 e1] (see test_nmf): no V through Q^{-1}.
+        src = tmp_path / "dup.csv"
+        matio.write_csv(src, np.hstack([np.eye(3), 2.0 * np.eye(3)[:, :1]]))
+        out = tmp_path / "o"
+        code = main(["factorize", "--input", str(src), "--method", "pre-nmf",
+                     "--rank", "2", "--allow-duplicates", "--seeds", "0",
+                     "--max-outer", "20", "--out", str(out)])
+        assert code == 0
+        rec = json.loads((out / "report.json").read_text())["records"][0]
+        assert rec["rho_B_star"] == 1.0
+        assert rec["rel_error_vq"] is None
 
     def test_report_integrity(self, tmp_path):
         out = tmp_path / "o"
@@ -355,6 +368,15 @@ class TestNppCommand:
                        "--out", str(tmp_path / "o")])
         assert res["alpha"] == 1.0
         assert res["solutions"] == 1
+
+    def test_no_nested_triangle_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "hexagon.csv"
+        matio.write_csv(src, hexagon_slack())
+        code = main(["npp", "--input", str(src), "--alpha", "auto",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert ("error: no 3-vertex nested polygon exists even at alpha = 0"
+                in capsys.readouterr().err)
 
     def test_separable_flagged(self, tmp_path):
         res = run_cli(["npp", "--fixture", "sepex", "--alpha", "1.0",

@@ -242,6 +242,40 @@ class TestCertificate:
         assert sols_fb[i].kkt_residual == residual
         assert residual <= KKT_TOL * grad_scale(M, i)
 
+    def test_failed_certificate_names_its_column(self, nested_squares,
+                                                 monkeypatch, tmp_path,
+                                                 capsys):
+        # Column 2 of nested-squares ends with two tight slack rows.  With
+        # their multipliers zeroed the batched certificate rejects the
+        # column; when the BVLS fallback rejects it too, the column's
+        # SolverError carries its index, and the CLI exits 2 with it.
+        n = nested_squares.shape[1]
+
+        def drop_rows(M, x, mult):
+            assert np.count_nonzero(mult[n:]) == 2
+            mult[n:] = 0.0
+            return mult
+
+        fallbacks, _ = certificate_spies(monkeypatch, 2, drop_rows)
+
+        def failing_check(p, b):
+            fallbacks.append(p.i)
+            return 1e3
+
+        monkeypatch.setattr(cllsolve, "kkt_check", failing_check)
+        with pytest.raises(cllsolve.SolverError) as info:
+            preprocess_matrix(nested_squares)
+        assert fallbacks == [2]
+        assert type(info.value) is cllsolve.SolverError
+        assert str(info.value).startswith(
+            "column 2: optimality certificate failed: KKT residual "
+            "1.000e+03 exceeds ")
+        code = main(["preprocess", "--fixture", "nested-squares",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert ("error: column 2: optimality certificate failed"
+                in capsys.readouterr().err)
+
 
 class TestPreprocessMatrix:
     def test_nested_squares_circulant(self, nested_squares):

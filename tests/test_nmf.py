@@ -299,6 +299,16 @@ class TestRunPipeline:
         assert rep.rho_B_star == pytest.approx(0.745, abs=0.01)
         assert rep.rel_error_vq is not None
 
+    def test_singular_q_leaves_vq_unset(self):
+        # Columns 0 and 3 of [I | 2 e1] are multiples of each other: B* maps
+        # each onto the other (weights 2 and 1/2), so rho(B*) = 1 and V
+        # cannot be mapped back through Q^{-1}.  The report still stands.
+        M = np.hstack([np.eye(3), 2.0 * np.eye(3)[:, :1]])
+        rep = nmf.run_pipeline(M, 2, "pre_nmf", seeds=[0], max_outer=20)
+        assert rep.rho_B_star == 1.0
+        assert rep.rel_error_vq is None
+        assert np.isfinite(rep.rel_error_plain)
+
     def test_snmf_matches_target(self, rng):
         M = separable_instance(rng, 16, 12, 3)
         pre = nmf.run_pipeline(M, 3, "pre_nmf", seeds=range(3), max_outer=300)
@@ -439,9 +449,7 @@ class TestStackedEngine:
         scale = M.max()
         mus = np.array([1e-6 * scale, 0.01, 0.1 * scale, scale,
                         10.0 * scale * M.shape[0]])
-        mu = np.repeat(mus[:, None], 3, axis=1)
-        stacked = nmf._runs(np.broadcast_to(M, (len(mus),) + M.shape), 3,
-                            [1] * len(mus), 60, 1e-8, mu)
+        stacked = nmf._runs([(M, 1, m) for m in mus], 3, 60, 1e-8)
         for pair, m in zip(stacked, mus):
             cfg = nmf.SnmfConfig(mu=np.full(3, m), max_outer=60, seed=1)
             single = nmf.snmf(M, 3, cfg)
@@ -459,8 +467,8 @@ class TestStackedEngine:
         M, _ = engine_inputs()
         P = preprocess(M, epsilon=0.05, rescale=True).P_alpha_M
         seeds = (0, 1, 2, 3)
-        stacked = nmf._runs(np.repeat(np.stack([M, P]), 4, axis=0), 3,
-                            seeds * 2, 240, 1e-8)
+        stacked = nmf._runs([(X, s, 0.0) for X in (M, P) for s in seeds], 3,
+                            240, 1e-8)
         singles = [nmf.ahals(X, 3, seed=s, max_outer=240)
                    for X in (M, P) for s in seeds]
         its = [p.iterations for p in singles]
@@ -481,10 +489,9 @@ class TestStackedEngine:
         P = preprocess(M, epsilon=0.05, rescale=True).P_alpha_M
         scale = M.max()
         mus = [1e-6 * scale, 0.1 * scale, scale, 10.0 * scale * M.shape[0]]
-        stack = np.concatenate([np.repeat(np.stack([M, P]), 3, axis=0),
-                                np.broadcast_to(M, (4,) + M.shape)])
-        mu = np.repeat([[0.0]] * 6 + [[w] for w in mus], 3, axis=1)
-        stacked = nmf._runs(stack, 3, [0, 1, 2] * 2 + [1] * 4, 240, 1e-8, mu)
+        jobs = ([(X, s, 0.0) for X in (M, P) for s in range(3)]
+                + [(M, 1, w) for w in mus])
+        stacked = nmf._runs(jobs, 3, 240, 1e-8)
         singles = ([nmf.ahals(X, 3, seed=s, max_outer=240)
                     for X in (M, P) for s in range(3)]
                    + [nmf.snmf(M, 3, nmf.SnmfConfig(mu=np.full(3, w),
@@ -493,6 +500,33 @@ class TestStackedEngine:
         assert min(p.iterations for p in singles[:6]) < 240
         assert [p.iterations for p in singles[6:]] == [240] * 4
         assert singles[6].collapses == 0 and singles[-1].collapses > 0
+        for pair, single in zip(stacked, singles):
+            np.testing.assert_array_equal(pair.U, single.U)
+            np.testing.assert_array_equal(pair.V, single.V)
+            np.testing.assert_array_equal(pair.objective_history,
+                                          single.objective_history)
+            assert pair.iterations == single.iterations
+            assert pair.collapses == single.collapses
+
+    def test_per_column_weights_match_single_runs(self):
+        # One job weighs each column differently, beside a plain job and a
+        # scalar-weight job, each on its own matrix: the stack is a copy of
+        # three matrices with penalty rows 0, (w0, w1, w2) and (w, w, w).
+        # The heaviest weight collapses its column, the others do not.
+        M, low = engine_inputs()
+        P = preprocess(M, epsilon=0.05, rescale=True).P_alpha_M
+        scale = M.max()
+        w = np.array([1e-3, 0.1, 3.0]) * scale
+        stacked = nmf._runs([(P, 2, 0.0), (M, 1, w), (low, 0, 0.3 * scale)],
+                            3, 150, 1e-8)
+        singles = [nmf.ahals(P, 3, seed=2, max_outer=150),
+                   nmf.snmf(M, 3, nmf.SnmfConfig(mu=w, max_outer=150,
+                                                 seed=1)),
+                   nmf.snmf(low, 3, nmf.SnmfConfig(mu=0.3 * scale,
+                                                   max_outer=150, seed=0))]
+        assert singles[0].iterations < 150
+        assert singles[1].collapses > 0
+        assert np.count_nonzero(singles[1].U[:, 2]) == 1
         for pair, single in zip(stacked, singles):
             np.testing.assert_array_equal(pair.U, single.U)
             np.testing.assert_array_equal(pair.V, single.V)

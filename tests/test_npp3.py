@@ -288,6 +288,26 @@ class TestTangentStep:
         assert t1 == pytest.approx(ref_t, rel=0, abs=1e-12)
         np.testing.assert_allclose(q, ref_q, rtol=0, atol=1e-12)
 
+    def test_start_in_the_noise_band_of_its_touch_vertex_steps_on(self):
+        # Inner edge 0, (1, 0) -> (3, 0), lies along the outer square's
+        # bottom edge.  The start x lies on it 5e-8 before its end vertex
+        # (3, 0), 4.5e-8 inside the next inner edge's line, so only edge 0
+        # is seen and its end vertex would be the touch point.  x is within
+        # the walk's 1e-7 noise band of that vertex, so the step touches the
+        # next vertex, (2, 2), instead of running along the bottom edge.
+        npp = synthetic([[0, 0], [4, 0], [4, 4], [0, 4]],
+                        [[1, 0], [3, 0], [2, 2]])
+        t = (3.0 - 5e-8) / 16.0
+        np.testing.assert_allclose(npp.outer.point_at(t), [3.0 - 5e-8, 0.0],
+                                   rtol=0, atol=1e-15)
+        t1, q = npp3.tangent_step(npp, t)
+        np.testing.assert_array_equal(q, [2.0, 2.0])
+        ref_t, ref_q = tangent_step_oracle(npp, t)
+        np.testing.assert_array_equal(q, ref_q)
+        assert t1 == pytest.approx(ref_t, rel=0, abs=1e-12)
+        # The ray from x through (2, 2) exits the top edge near (1, 4).
+        assert t1 == pytest.approx(11.0 / 16.0, abs=1e-8)
+
     def test_start_inside_raises(self):
         outer = npp3.Polygon2(np.array([[0, 0], [4, 0], [4, 4], [0, 4]], float))
         inner = npp3.Polygon2(np.array([[-1, -1], [5, -1], [5, 5], [-1, 5]], float))

@@ -8,7 +8,7 @@ from prenmf.preprocessing import (RankMismatch, apply_alpha, find_alpha_bar,
                                   spectral_radius)
 from oracles import nnls_oracle, spectral_radius_oracle
 
-from conftest import random_nonneg
+from conftest import hexagon_slack, random_nonneg
 
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
@@ -151,6 +151,17 @@ class TestFindAlphaBar:
     def test_rank_mismatch(self, rng):
         with pytest.raises(RankMismatch):
             find_alpha_bar(random_nonneg(rng, 5, 5))
+
+    def test_nonnegative_rank_above_three(self):
+        # Rank 3, but no triangle nests even at alpha = 0.  No column lies
+        # in the cone of the others, so B* = 0 and every alpha gives M.
+        M = hexagon_slack()
+        assert npp3.numerical_rank(M) == 3
+        B, _ = preprocess_matrix(M)
+        assert not B.any()
+        with pytest.raises(RankMismatch, match="no 3-vertex nested polygon "
+                           "exists even at alpha = 0"):
+            find_alpha_bar(M, B)
 
 
 class TestPreprocessDriver:
