@@ -34,8 +34,8 @@ Every column is certified.  For a convex QP any nonnegative multipliers that
 leave no stationarity residual and no complementarity gap prove the point
 optimal, whoever computed them.  So the multipliers the kernel stops with
 are verified for all columns at once in plain arithmetic, and a column they
-do not certify falls back to ``kkt_check``, an independent fit by scipy's
-bounded-variable least squares.
+do not certify falls back to ``kkt_check``, which refits them by scipy's
+bounded-variable least squares and scores them with the same residual.
 """
 
 import math
@@ -385,11 +385,10 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
     """Solve the problems of the columns ``cols`` (a slice) of M together.
 
     One kernel call for all columns, zero ones and a lone one included,
-    then one batched verification of the multipliers it returns; a column
-    they do not certify falls back to ``kkt_check``.  Yields each column's
-    CllsSolution; a column's kernel error or failed certificate is raised
-    when its turn comes, so the error is that of the first failing column.
-    """
+    then one batched ``_residuals`` of its multipliers; a column they do not
+    certify falls back to ``kkt_check``.  Returns the CllsSolutions, or
+    raises the first failing column's error (the kernel's, InfeasiblePoint
+    or a failed certificate) as "column i: <error>"."""
     _check_epsilon(epsilon)
     m, n = M.shape
     ids = range(n)[cols]
@@ -399,11 +398,6 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
     # max|M| < 1 is first lifted by a power of two into [1, 2).
     Ml = np.ldexp(M, k) if k else M
     results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order)
-    # The certificate: nu the kernel's, clipped to >= 0, lam = max(g + M^T
-    # nu, 0) on the bounds tight at b (g the gradient), and the residual the
-    # larger of |g + M^T nu - lam| without entry i and the largest multiplier
-    # times its constraint's gap.  Products are per-column matrix-vector
-    # calls, as in the kernel, so the BLAS thread count moves no residual.
     S, D = len(ids), Ml.T[cols]
     B, nu = np.zeros((S, n)), np.zeros((S, m))
     for s, res in enumerate(results):
@@ -412,31 +406,47 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
     U = D + epsilon * np.abs(D).max(axis=1, keepdims=True)
     MB = np.matmul(Ml, B[:, :, None])[:, :, 0]
     why, bound, _ = _feasibility(B, ids, MB, U, D)
-    r = np.matmul(Ml.T, (2.0 * (MB - D) + nu)[:, :, None])[:, :, 0]
-    lam = np.where(bound, np.maximum(r, 0.0), 0.0)
-    r -= lam
-    r[np.arange(S), ids] = 0.0
-    residuals = np.maximum.reduce([np.sqrt(np.einsum("sk,sk->s", r, r)),
-                                   (lam * np.abs(B)).max(axis=1),
-                                   (nu * np.abs(U - MB)).max(axis=1)])
+    residuals = _residuals(Ml, ids, B, MB, U, D, nu, bound)
     grad_scale = np.maximum(1.0, 2.0 * np.abs(
         np.matmul(Ml.T, D[:, :, None])[:, :, 0]).max(axis=1))
+    sols = []
     for s, (i, res) in enumerate(zip(ids, results)):
-        if isinstance(res, SolverError):
-            raise res
-        if why[s] is not None:
-            raise InfeasiblePoint(why[s])
-        b, active, it, _ = res
-        residual, tol = float(residuals[s]), KKT_TOL * grad_scale[s]
-        if residual > tol:
-            residual = kkt_check(CllsProblem(Ml, i, epsilon), b)
+        try:
+            if isinstance(res, SolverError):
+                raise res
+            if why[s] is not None:
+                raise InfeasiblePoint(why[s])
+            b, active, it, _ = res
+            residual, tol = float(residuals[s]), KKT_TOL * grad_scale[s]
             if residual > tol:
-                raise SolverError(f"optimality certificate failed: KKT residual "
-                                  f"{residual:.3e} exceeds {tol:.3e}")
+                residual = kkt_check(CllsProblem(Ml, i, epsilon), b)
+                if residual > tol:
+                    raise SolverError("optimality certificate failed: KKT residual "
+                                      f"{residual:.3e} exceeds {tol:.3e}")
+        except (SolverError, InfeasiblePoint) as exc:
+            raise type(exc)(f"column {i}: {exc}") from exc
         obj = float(np.sum((D[s] - Ml @ b) ** 2))
-        yield CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),
-                           kkt_residual=math.ldexp(residual, -2 * k),
-                           active_set=active, iterations=it)
+        sols.append(CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),
+                                 kkt_residual=math.ldexp(residual, -2 * k),
+                                 active_set=active, iterations=it))
+    return sols
+
+
+def _residuals(M, ids, B, MB, U, D, nu, bound):
+    """The KKT residual of each point B[s] (as in ``_feasibility``, bound
+    its tight bounds) under row multipliers nu[s] >= 0, whoever computed
+    them: with g the gradient, lam = max(g + M^T nu, 0) on the tight bounds,
+    the larger of |g + M^T nu - lam| without entry i and the largest
+    multiplier times its constraint's gap.  Products are per-point
+    matrix-vector calls, as in the kernel, so the BLAS thread count moves
+    no residual."""
+    r = np.matmul(M.T, (2.0 * (MB - D) + nu)[:, :, None])[:, :, 0]
+    lam = np.where(bound, np.maximum(r, 0.0), 0.0)
+    r -= lam
+    r[np.arange(len(ids)), ids] = 0.0
+    return np.maximum.reduce([np.sqrt(np.einsum("sk,sk->s", r, r)),
+                              (lam * np.abs(B)).max(axis=1),
+                              (nu * np.abs(U - MB)).max(axis=1)])
 
 
 def _feasibility(B, ids, MB, U, D):
@@ -468,25 +478,24 @@ def solve_column(p: CllsProblem, tie_order=None):
     max|M| < 1 is first lifted by a power of two into [1, 2), where the
     kernel's absolute tolerances hold; the lift is exact, and the objective
     and KKT residual are reported at the input's scale.  This is the
-    one-column view of ``preprocess_matrix``'s batch, with the same result.
+    one-column view of ``preprocess_matrix``'s batch, with the same result
+    and the same errors, which name the column: "column i: ...".
     """
-    return next(_column_solutions(p.M, slice(p.i, p.i + 1), p.epsilon,
-                                  tie_order))
+    return _column_solutions(p.M, slice(p.i, p.i + 1), p.epsilon,
+                             tie_order)[0]
 
 
 def kkt_check(p: CllsProblem, b):
     """Independent optimality certificate for a feasible point b.
 
-    Returns the maximum of the stationarity residual (the norm of the
-    gradient's unmatched part after fitting nonnegative multipliers on the
-    active constraint normals, i.e. the projection of the negative gradient
-    onto the feasible cone) and the complementarity violation.  The fit is
-    solved with scipy's bounded-variable least squares, not the kernel, so
-    the certificate is independent of the path it checks.  It is the
-    reference the tests call, and the fallback for a column whose kernel
-    multipliers fail verification.
+    Fits nonnegative multipliers on the normalized normals of the tight
+    constraints to the gradient by scipy's bounded-variable least squares,
+    not the kernel, so they are independent of the path that produced b,
+    and scores the row multipliers by ``_residuals``, as the kernel's are.
+    It is the reference the tests call, and the fallback for a column whose
+    kernel multipliers fail verification.
     """
-    M, i, n = p.M, p.i, p.M.shape[1]
+    M, i, (m, n) = p.M, p.i, p.M.shape
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"b must have length {n}")
@@ -495,50 +504,25 @@ def kkt_check(p: CllsProblem, b):
     if why[0] is not None:
         raise InfeasiblePoint(why[0])
 
+    # g without entry i, fit by  lam - M[rows]^T nu  with lam, nu >= 0.
     g = 2.0 * (M.T @ (Mb - d))
-    act_bound, act_row = np.flatnonzero(bound[0]), np.flatnonzero(row[0])
-
-    # Stationarity: g restricted to the free coordinates (b_i is not a
-    # variable), fit by  lam_bound - M[act_row]^T nu  with lam, nu >= 0.
     others = np.delete(np.arange(n), i)
     # C order, like a stack of columns: the norms and fits below round
     # differently on a Fortran-ordered copy of the same matrix.
     A = np.ascontiguousarray(
-        np.hstack([np.eye(n)[others][:, act_bound], -M[act_row][:, others].T]))
-    target = g[others]
-    if A.shape[1]:
+        np.hstack([np.eye(n)[others][:, bound[0]], -M[row[0]][:, others].T]))
+    nu = np.zeros(m)
+    if row.any():
         norms = np.linalg.norm(A, axis=0)
         norms[norms == 0] = 1.0
-        An = A / norms
         # Bounded-variable least squares for the multiplier fit: the plain
         # Lawson-Hanson routine mis-reports on near-duplicate normals.
         import scipy.optimize
-        fit = scipy.optimize.lsq_linear(An, target, bounds=(0.0, np.inf),
-                                        method="bvls")
-        lam = np.maximum(fit.x, 0.0)
-        r = target - An @ lam
-        # Polish on the dual-violating support recovers exact multipliers
-        # when the bounded solver leaves a small gap.
-        for _ in range(4):
-            viol = An.T @ r
-            S = np.flatnonzero((lam > 0) | (viol > 1e-12 * max(1.0, np.abs(g).max())))
-            if S.size == 0:
-                break
-            sol, *_ = np.linalg.lstsq(An[:, S], target, rcond=None)
-            cand = np.zeros_like(lam)
-            cand[S] = np.maximum(sol, 0.0)
-            r_cand = target - An @ cand
-            if np.linalg.norm(r_cand) >= np.linalg.norm(r) - 1e-16:
-                break
-            lam, r = cand, r_cand
-        stationarity = float(np.linalg.norm(r))
-        lam = lam / norms
-        gap = np.concatenate([np.abs(b[act_bound]), np.abs(u[act_row] - Mb[act_row])])
-        comp = max(0.0, float((lam * gap).max()))
-    else:
-        stationarity = float(np.linalg.norm(target))
-        comp = 0.0
-    return max(stationarity, comp)
+        fit = scipy.optimize.lsq_linear(A / norms, g[others],
+                                        bounds=(0.0, np.inf), method="bvls")
+        nu[row[0]] = (np.maximum(fit.x, 0.0) / norms)[bound.sum():]
+    return float(_residuals(M, [i], b[None], Mb[None], u[None], d[None],
+                            nu[None], bound)[0])
 
 
 def preprocess_matrix(M, epsilon=0.0):
@@ -547,17 +531,11 @@ def preprocess_matrix(M, epsilon=0.0):
     B* is nonnegative with zero diagonal; column i of B* is the coefficient
     vector of column i's problem.  The fitted matrix M @ B* is unique even
     when B* is not.  All columns go through one lockstep kernel call; the
-    first failing column's error is re-raised with its index attached.
+    first failing column's error is raised with its index attached.
 
     Returns (B_star, solutions).
     """
-    M = as_matrix(M, "M")
-    sols = []
-    try:
-        for sol in _column_solutions(M, slice(None), epsilon):
-            sols.append(sol)
-    except (SolverError, InfeasiblePoint) as exc:
-        raise type(exc)(f"column {len(sols)}: {exc}") from exc
+    sols = _column_solutions(as_matrix(M, "M"), slice(None), epsilon)
     return np.column_stack([s.b for s in sols]), sols
 
 

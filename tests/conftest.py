@@ -56,6 +56,25 @@ def separable_rank3(rng, m, n):
     return W @ H[:, rng.permutation(n)]
 
 
+def sweep_products():
+    """(k, M) for 300 sparse exact rank-3 products W H of random shapes.
+
+    Every third M repeats its first two rows and every fifth gains a zero
+    row, so the simplex slice gets parallel and vanishing constraints.
+    """
+    rng = np.random.default_rng(0)
+    for k in range(300):
+        m, n = rng.integers(3, 40), rng.integers(3, 30)
+        W = rng.random((m, 3)) * (rng.random((m, 3)) < 0.7)
+        H = rng.random((3, n)) * (rng.random((3, n)) < 0.8)
+        M = W @ H
+        if k % 3 == 0:
+            M = np.vstack([M, M[:2]])
+        if k % 5 == 0:
+            M = np.vstack([M, np.zeros((1, M.shape[1]))])
+        yield k, M
+
+
 def hexagon_slack():
     """The 6x6 slack matrix of the regular hexagon, up to scale: rank 3 and
     nonnegative rank 5, so no triangle nests between its polygons."""

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import prenmf
-from prenmf import cli, cllsolve, matio, nmf
+from prenmf import cli, cllsolve, matio, nmf, uniq
 from prenmf.cli import build_parser, main
+from prenmf.fixtures import get_fixture
 
 from conftest import hexagon_slack, separable_rank3
 
@@ -265,6 +266,11 @@ class TestFactorizeCommand:
         head = pgms[0].read_bytes()[:20]
         assert head.startswith(b"P5\n2 5\n255\n")
 
+    def test_pgm_of_an_all_zero_column(self, tmp_path):
+        path = tmp_path / "zero.pgm"
+        cli.write_pgm(path, np.zeros(6), (2, 3))
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes(6)
+
 
 @pytest.mark.parametrize("argv", [
     ["preprocess"],
@@ -386,6 +392,15 @@ class TestNppCommand:
         sol = matio.read_csv(tmp_path / "o" / "solution_0.csv")
         assert sol.shape == (10, 3)
 
+    def test_no_solution_reported(self, tmp_path):
+        # At alpha = 1 a square nests between nested-squares' polygons and
+        # no triangle does: a result, not a failure.
+        out = tmp_path / "o"
+        code = main(["npp", "--fixture", "nested-squares", "--alpha", "1",
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "npp.json").read_text())["solutions"] == 0
+
     def test_continuum_flagged(self, tmp_path):
         res = run_cli(["npp", "--fixture", "counter-example", "--alpha", "1.0",
                        "--out", str(tmp_path / "o")])
@@ -465,6 +480,24 @@ class TestUniquenessCommand:
         res = run_cli(["uniqueness", "--fixture", "ones-minus-identity",
                        "--rank", "3"])
         assert res["unique"] is False
+
+    def test_report_written(self, tmp_path):
+        run_cli(["uniqueness", "--fixture", "sparsity-example", "--rank", "3",
+                 "--out", str(tmp_path)])
+        rep = json.loads((tmp_path / "uniqueness.json").read_text())
+        assert rep["unique"] is True
+        assert rep["vertex_columns"] == [0, 1, 2]
+        assert rep["containment_pairs"] == []
+
+    def test_report_lists_containment_pairs(self, tmp_path):
+        run_cli(["uniqueness", "--fixture", "counter-example", "--rank", "3",
+                 "--out", str(tmp_path)])
+        rep = json.loads((tmp_path / "uniqueness.json").read_text())
+        pairs = uniq.support_containment(get_fixture("counter-example"))
+        assert len(pairs) == 4
+        assert rep["containment_pairs"] == [
+            {"k": p.k, "l": p.l, "p_bar": p.p_bar, "epsilon": p.epsilon}
+            for p in pairs]
 
     def test_random_positive_not_certified(self, tmp_path, rng):
         src = tmp_path / "pos.csv"

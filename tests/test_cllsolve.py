@@ -17,7 +17,7 @@ from prenmf.fixtures import fixture_names, get_fixture
 from oracles import (column_kernel_oracle, grid_column_oracle, nnls_kkt_check,
                      qp_column_check, qp_column_oracle)
 
-from conftest import lifted, random_nonneg, synthetic
+from conftest import lifted, random_nonneg, sweep_products, synthetic
 
 
 class TestSolveColumn:
@@ -197,9 +197,35 @@ class TestCertificate:
         if name == "noiseless-100x100" and eps == 0.0:
             assert stops
         # At the scale the kernel runs M: lifted only when max|M| < 1.
+        # ``kkt_check`` scores its BVLS multipliers with the residual the
+        # kernel's pass, so the NNLS oracle, which shares no code with
+        # either, must accept every column too.
         L = lifted(M) if np.abs(M).max() < 1.0 else M
         for i, sol in zip(cols, sols):
             assert (kkt_check(CllsProblem(L, i, eps), sol.b)
+                    <= KKT_TOL * grad_scale(L, i)), i
+            assert qp_column_check(L, i, sol.b, eps) is None, i
+
+    @pytest.mark.parametrize("name,eps,cols", [
+        ("noiseless-100x100", 0.0, [4, 7, 16]),
+        ("sweep-2", 0.0, [19]),
+        ("sweep-3", 0.05, [14]),
+    ])
+    def test_bvls_multipliers_certify_without_a_polish(self, name, eps,
+                                                       cols):
+        # Columns where a least-squares polish once lowered kkt_check's
+        # residual after the BVLS fit.  Scoring the fitted row multipliers
+        # by ``_residuals``, which takes the best bound multipliers for
+        # them, must certify them without it.
+        if name == "noiseless-100x100":
+            M = synthetic(100, 100, 8, noise=0.0)
+        else:
+            k = int(name.split("-")[1])
+            M = next(M for j, M in sweep_products() if j == k)
+        L = lifted(M) if np.abs(M).max() < 1.0 else M
+        for i in cols:
+            b = solve_column(CllsProblem(M, i, eps)).b
+            assert (kkt_check(CllsProblem(L, i, eps), b)
                     <= KKT_TOL * grad_scale(L, i)), i
 
     @pytest.mark.parametrize("kind", ["flip", "double", "slack"])
@@ -429,6 +455,9 @@ class TestLockstepKernel:
         assert type(info.value) is Infeasible
         assert str(info.value) == ("column 2: slack bound has negative "
                                    "entries; x = 0 is not feasible")
+        # The one-column view names its column the same way.
+        with pytest.raises(Infeasible, match="^column 5: slack bound"):
+            solve_column(CllsProblem(M, 5))
 
     def test_infeasible_point_names_its_column(self, nested_squares,
                                                 monkeypatch, tmp_path, capsys):

@@ -129,6 +129,18 @@ class TestSnmf:
         with pytest.raises(ValueError, match="all zero"):
             nmf.snmf(np.zeros((4, 3)), 2, cfg)
 
+    def test_nonpositive_weights_refused(self, rng):
+        # A zero weight is not a sparse run: the stack builder reads weight
+        # 0 as plain ahals with the stall stop.  So the config refuses one,
+        # and snmf refuses a config whose weights were zeroed afterwards
+        # rather than run the plain engine silently.
+        with pytest.raises(ValueError, match="must be positive"):
+            nmf.SnmfConfig(mu=[1.0, 0.0])
+        cfg = nmf.SnmfConfig(mu=np.full(2, 0.1), max_outer=5, seed=0)
+        cfg.mu = np.zeros(2)
+        with pytest.raises(ValueError, match="must be positive"):
+            nmf.snmf(rng.random((5, 4)), 2, cfg)
+
 
 class TestTuneMu:
     def test_target_zero_stays_at_baseline(self, rng):

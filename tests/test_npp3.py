@@ -11,6 +11,8 @@ from prenmf.matcore import pullback
 from oracles import (in_hull_oracle, outer_polygon_oracle, ray_exit_oracle,
                      rotated_chart, tangent_point_oracle, tangent_step_oracle)
 
+from conftest import sweep_products
+
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
 
@@ -47,25 +49,6 @@ def separable_product(seed):
     W = rng.random((7, 3)) + 0.05
     H = np.hstack([np.eye(3), rng.random((3, 7)) + 0.05])
     return W @ H[:, rng.permutation(10)]
-
-
-def sweep_products():
-    """(k, M) for 300 sparse exact rank-3 products W H of random shapes.
-
-    Every third M repeats its first two rows and every fifth gains a zero
-    row, so the simplex slice gets parallel and vanishing constraints.
-    """
-    rng = np.random.default_rng(0)
-    for k in range(300):
-        m, n = rng.integers(3, 40), rng.integers(3, 30)
-        W = rng.random((m, 3)) * (rng.random((m, 3)) < 0.7)
-        H = rng.random((3, n)) * (rng.random((3, n)) < 0.8)
-        M = W @ H
-        if k % 3 == 0:
-            M = np.vstack([M, M[:2]])
-        if k % 5 == 0:
-            M = np.vstack([M, np.zeros((1, M.shape[1]))])
-        yield k, M
 
 
 def walk_instances(nested_squares, sepex):
@@ -122,6 +105,12 @@ class TestPolygon2:
         poly = npp3.Polygon2(np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float))
         assert poly.signed_inside(np.array([1.0, 1.0])) == pytest.approx(1.0)
         assert poly.signed_inside(np.array([3.0, 1.0])) == pytest.approx(-1.0)
+
+    def test_param_of_refuses_a_point_off_the_boundary(self, ns_preprocessed):
+        with pytest.raises(npp3.GeometryError,
+                           match=r"^point \[5\. 5\.\] lies 6\.94e\+00 away "
+                                 "from the boundary$"):
+            ns_preprocessed.outer.param_of(np.array([5.0, 5.0]))
 
 
 class TestBuildNpp:
@@ -586,6 +575,11 @@ class TestEnumerate:
         npp = npp3.build_npp(M - M @ B)
         with pytest.raises(npp3.NotFinite):
             npp3.enumerate_solutions(npp, 3)
+
+    def test_no_solution_is_an_empty_list(self, ns_preprocessed):
+        # Fully preprocessed nested-squares puts a square between the
+        # polygons: no triangle nests, and the enumeration finds none.
+        assert npp3.enumerate_solutions(ns_preprocessed, 3) == []
 
 
 class TestHullMembership:

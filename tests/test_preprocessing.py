@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,16 @@ class TestTheoryProperties:
                 in_cone = resid <= 1e-8 * np.linalg.norm(M[:, i])
                 is_zero = np.abs(P[:, i]).max() <= 1e-8 * M.max()
                 assert in_cone == is_zero
+
+
+def test_readme_quick_start(capsys):
+    # README's library quick start runs as written, and prints what its
+    # comments claim: rho 0.75, alpha_bar ~0.52860, 8 solutions.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Quick start (library)")[1]
+    ns = {}
+    exec(section.split("```python\n")[1].split("```")[0], ns)
+    assert ns["res"].rho == pytest.approx(0.75, abs=1e-12)
+    assert round(ns["bar"].alpha, 5) == 0.52860
+    assert ns["bar"].alpha == pytest.approx(ALPHA_BAR, abs=1e-9)
+    assert capsys.readouterr().out.split() == [repr(ns["res"].rho), "8"]

@@ -303,6 +303,19 @@ def test_escape_runs_only_at_degenerate_points(monkeypatch):
     assert calls == []
 
 
+def test_kkt_check_never_reaches_the_kernel(monkeypatch, nested_squares):
+    # The certificate's multipliers come from BVLS, so it stays independent
+    # of the active-set kernel and its degenerate-point pivot.
+    def refuse(*args):
+        raise AssertionError("kkt_check reached the column kernel")
+
+    monkeypatch.setattr(cllsolve, "_active_set_ls", refuse)
+    monkeypatch.setattr(cllsolve, "_escape", refuse)
+    p = cllsolve.CllsProblem(nested_squares, 0)
+    assert cllsolve.kkt_check(p, np.array([0.0, 0.375, 0.0, 0.375])) <= 1e-8
+    assert cllsolve.kkt_check(p, np.zeros(4)) > 0.1
+
+
 def test_factorize_runs_three_hals_stages(monkeypatch, tmp_path, capsys):
     # One factorize call makes one stack of the nmf and pre-nmf seeds beside
     # tune_mu's opening probes (which read no target), the rest of tune_mu's
