@@ -12,12 +12,12 @@ and share their data: each has all n variables, with b[i] = 0 a bound that
 is never released, so every problem's normal equations are slices of one
 Gram matrix G = M^T M, and all use one index space (bounds, then rows).
 One kernel call solves all of them in lockstep, one pivot in each
-unfinished problem per iteration, and each problem still gets the pivots
-and floating-point results it would get alone (see ``_active_set_ls``), so
-B* does not depend on which columns share a call, nor on the BLAS thread
-count.  Every column takes this path, a zero column or the only column of
-M included; a column's iteration count includes the final optimality
-check, so one optimal at b = 0 reports 1.
+unfinished problem per iteration (plus the optimality check after a full
+step), and each problem still gets the pivots and floating-point results it
+would get alone (see ``_active_set_ls``), so B* does not depend on which
+columns share a call, nor on the BLAS thread count.  Every column takes this
+path, a zero column or the only column of M included; a column's pivots
+include the final optimality check, so one optimal at b = 0 reports 1.
 
 The solver is a primal active-set method on the quadratic program in b: the
 tight constraints are precisely the zero entries of the output, so a
@@ -123,7 +123,7 @@ class CllsSolution:
                   out other tight constraints; a stop proved by ``_escape``
                   at a degenerate point (a dependent working set or a
                   blocked step) reports every tight one.
-    iterations:   kernel iterations: the active-set pivots plus the final
+    iterations:   the column's pivots: its active-set pivots plus the final
                   optimality check, so a column optimal at b = 0 reports 1.
     """
 
@@ -154,14 +154,17 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     with the same floating-point results: the KKT systems are solved in
     stacks of systems of one exact size, every product is a per-problem
     matrix-vector call on the shared M or G, and a problem that stops
-    leaves the working stack.  A problem at a degenerate point (see the
-    module docstring) takes one ``_escape`` pivot in the same iteration, on
-    M without column i and x without entry i.  Returns per problem
-    (x, active, iterations, multipliers) or the SolverError that stopped it.
-    The multipliers (lam on the bounds, nu on the rows, with 2G x - 2G[i] -
-    lam + M^T nu = 0 on the free variables) are those held at the stop: the
-    last KKT solve's, or the fit's of an ``_escape`` that proves the stop.
-    They are zero off the working set.
+    leaves the working stack.  After a full step a problem's optimality
+    check runs in the same iteration, as one more of its pivots, not after
+    the next KKT solve, which would repeat this one; the cap max_iter is per
+    problem.  A problem at a degenerate point (see the module docstring)
+    takes one ``_escape`` pivot in the same iteration, on M without column
+    i and x without entry i.  Returns per problem (x, active, pivots,
+    multipliers) or the SolverError that stopped it.  The multipliers (lam
+    on the bounds, nu on the rows, with 2G x - 2G[i] - lam + M^T nu = 0 on
+    the free variables) are those held at the stop: the last KKT solve's,
+    or the fit's of an ``_escape`` that proves the stop.  They are zero off
+    the working set.
     """
     m, n = M.shape
     ids = np.arange(n)[cols]
@@ -194,20 +197,20 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     x = np.zeros((S, n))
     flip = np.arange(N) < n       # the bounds: held in act, free in a working set
     act = np.repeat(flip[None], S, axis=0)   # bounds x_k = 0, rows M_j x = u_j held
-    it = 0
+    it, fused, top = 0, [0] * S, 0    # caller c's pivots: it + fused[c]
     while True:
+        it += 1
+        if it + top > max_iter:       # top >= fused[c] of every problem
+            for s, c in enumerate(idx.tolist()):
+                if not done[s] and it + fused[c] > max_iter:
+                    done[s], results[c] = True, MaxIterations(
+                        f"active-set method exceeded {max_iter} pivots")
         if done.any():
             keep = ~done
             idx, x, act = idx[keep], x[keep], act[keep]
             rhs_src, step_tol = rhs_src[keep], step_tol[keep]
         L = idx.size
         if L == 0:
-            return results
-        it += 1
-        if it > max_iter:
-            for s in idx.tolist():
-                results[s] = MaxIterations(
-                    f"active-set method exceeded {max_iter} pivots")
             return results
 
         # Working sets: the free variables, then the active rows, by index;
@@ -255,24 +258,6 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         step = z[:, :n] - x
         smax = np.abs(step).max(axis=1)
         stat = (smax <= step_tol) & ~esc
-        done = np.zeros(L, dtype=bool)
-        st = np.flatnonzero(stat)
-        if st.size:
-            # Stationary on the working set: drop the negative multiplier
-            # of lowest rank (ranks are distinct, so the choice is unique),
-            # never bound i.  The bound multipliers are 2G x - 2G[i] + M^T nu,
-            # nu zero off the active rows.
-            lam = np.matmul(G2, x[st, :, None])[:, :, 0] - rhs_src[st, :n]
-            lam += np.matmul(M.T, z[st, n:N, None])[:, :, 0]
-            z[st, :n] = lam
-            cand = act[st] & (z[st, :N] < -KKT_TOL)
-            cand[np.arange(st.size), ids[idx[st]]] = False
-            found = cand.any(axis=1)
-            done[st[~found]] = True
-            st = st[found]
-            worst = np.where(cand[found], rank, N).argmin(axis=1)
-            act[st, worst] = False
-
         mv = np.flatnonzero(~stat & ~esc)
         if mv.size:
             # Ratio test against inactive constraints, after a leading 1.
@@ -294,7 +279,7 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             lead = np.minimum.accumulate(ratio, axis=1)
             alpha = np.ones(mv.size)
             blocker = np.full(mv.size, -1)
-            prev = -1
+            prev, blocked = -1, 0
             rs, ks = np.nonzero(ratio[:, 1:] - lead[:, :-1] <= 1e-14)
             for r, k, a, rk in zip(rs.tolist(), ks.tolist(),
                                    ratio[rs, ks + 1].tolist(), rank[ks].tolist()):
@@ -302,6 +287,7 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
                     prev, alpha_r, blocker_r, rank_r = r, 1.0, -1, None
                 if a < alpha_r - 1e-15 or (abs(a - alpha_r) <= 1e-15 and blocker_r >= 0
                                            and rk < rank_r):
+                    blocked += blocker_r < 0
                     alpha_r, blocker_r, rank_r = min(a, alpha_r), k, rk
                     alpha[r], blocker[r] = alpha_r, blocker_r
 
@@ -314,6 +300,32 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             x[mv[~stuck]] = xm[~stuck]
             # A step blocked at zero length: x is a degenerate point.
             esc[mv[stuck]] = True
+            if blocked < mv.size:
+                # The next KKT solve would repeat this one: test z - x now.
+                fs = mv[blocker < 0]
+                fs = fs[np.abs(z[fs, :n] - x[fs]).max(axis=1) <= step_tol[fs]]
+                for s, c in zip(fs.tolist(), idx[fs].tolist()):
+                    if it + fused[c] < max_iter:
+                        stat[s], fused[c] = True, fused[c] + 1
+                        top = max(top, fused[c])
+
+        done = np.zeros(L, dtype=bool)
+        st = np.flatnonzero(stat)
+        if st.size:
+            # Stationary on the working set: drop the negative multiplier
+            # of lowest rank (ranks are distinct, so the choice is unique),
+            # never bound i.  The bound multipliers are 2G x - 2G[i] + M^T nu,
+            # nu zero off the active rows.
+            lam = np.matmul(G2, x[st, :, None])[:, :, 0] - rhs_src[st, :n]
+            lam += np.matmul(M.T, z[st, n:N, None])[:, :, 0]
+            z[st, :n] = lam
+            cand = act[st] & (z[st, :N] < -KKT_TOL)
+            cand[np.arange(st.size), ids[idx[st]]] = False
+            found = cand.any(axis=1)
+            done[st[~found]] = True
+            st = st[found]
+            worst = np.where(cand[found], rank, N).argmin(axis=1)
+            act[st, worst] = False
 
         for s in np.flatnonzero(esc).tolist():
             i = ids[idx[s]]
@@ -329,9 +341,8 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
 
         for s in np.flatnonzero(done).tolist():
             if results[idx[s]] is None:       # stopped without an error
-                results[idx[s]] = (x[s].copy(),
-                                   tuple(np.flatnonzero(act[s]).tolist()), it,
-                                   np.where(act[s], z[s, :N], 0.0))
+                results[idx[s]] = (x[s].copy(), tuple(np.flatnonzero(act[s]).tolist()),
+                                   it + fused[idx[s]], np.where(act[s], z[s, :N], 0.0))
 
 
 def _escape(C, d, u, x):

@@ -445,6 +445,30 @@ class TestLockstepKernel:
             for got, want in zip(part, full[lo:lo + width]):
                 assert_same_path(got, want)
 
+    def test_pivot_cap_is_per_column(self):
+        # A full step's optimality check runs in the step's own iteration
+        # and counts as a pivot of its column alone, so a cap at a column's
+        # pivot count c still finishes it, one below raises, and a shared
+        # cap treats each column of a batch as its single-column run.
+        M = lifted(synthetic(50, 40, 5))
+        full = kernel(M, epsilon=0.05)
+        caps = [res[2] for res in full]
+        for i, (res, c) in enumerate(zip(full, caps)):
+            (got,) = cllsolve._active_set_ls(M, slice(i, i + 1), 0.05, c)
+            assert_same_path(got, res)
+            (got,) = cllsolve._active_set_ls(M, slice(i, i + 1), 0.05, c - 1)
+            assert isinstance(got, MaxIterations)
+            assert str(got) == f"active-set method exceeded {c - 1} pivots"
+        cap = int(np.median(caps))
+        batch = cllsolve._active_set_ls(M, slice(None), 0.05, cap)
+        for i, (got, res, c) in enumerate(zip(batch, full, caps)):
+            (alone,) = cllsolve._active_set_ls(M, slice(i, i + 1), 0.05, cap)
+            for out in (got, alone):
+                if c <= cap:
+                    assert_same_path(out, res)
+                else:
+                    assert isinstance(out, MaxIterations)
+
     def test_first_failing_column_is_reported(self, rng):
         # Columns 2 and 5 have negative entries, so their slack bounds
         # exclude x = 0; the error is column 2's, as in a serial loop.

@@ -34,6 +34,13 @@ class TestPullback:
         assert pb.kept == (0, 2)
         np.testing.assert_allclose(pb.theta.sum(axis=0), 1.0)
 
+    def test_nonpositive_signed_sum_falls_back_to_l1_norm(self):
+        # Column 1 sums to -2, so it is scaled by its l1 norm 4; its signed
+        # sum would give d = -0.5 and flip its signs.
+        pb = pullback(np.array([[1.0, -3.0], [1.0, 1.0]]))
+        assert pb.theta.tolist() == [[0.5, -0.75], [0.5, 0.25]]
+        assert pb.d.tolist() == [0.5, 0.25]
+
     def test_all_zero_raises(self):
         with pytest.raises(AllColumnsZero):
             pullback(np.zeros((3, 2)))

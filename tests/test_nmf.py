@@ -68,6 +68,37 @@ class TestAhals:
         with pytest.raises(ValueError, match="all zero"):
             nmf.ahals(np.zeros((4, 3)), 2, max_outer=5)
 
+    def test_block_update_ends_once_every_slice_settles(self, monkeypatch):
+        # An exact rank-2 product: both blocks cap their inner sweeps at 5,
+        # and sweeps 0-3 measure the movement.  Once every slice has
+        # settled, the block update ends: it neither measures another sweep
+        # nor plans one with no slice left to update.
+        rng = np.random.default_rng(1)
+        M = rng.random((40, 2)) @ rng.random((2, 30))
+        tracked, plans = [], []
+        update, norms, plan = nmf._update_blocks, nmf._norms, nmf._plan
+
+        def update_spy(*args, **kwargs):
+            tracked.append(0)
+            return update(*args, **kwargs)
+
+        def norms_spy(X):
+            if X.shape[-1] == 2:        # a block's movement, not a residual
+                tracked[-1] += 1
+            return norms(X)
+
+        def plan_spy(upd):
+            plans.append(bool(upd.any()))
+            return plan(upd)
+
+        monkeypatch.setattr(nmf, "_update_blocks", update_spy)
+        monkeypatch.setattr(nmf, "_norms", norms_spy)
+        monkeypatch.setattr(nmf, "_plan", plan_spy)
+        nmf.ahals(M, 2, seed=0, max_outer=50)
+        assert len(tracked) == 100 and max(tracked) == 4
+        assert min(tracked) < 4
+        assert all(plans)
+
 
 class TestSnmf:
     def test_small_mu_matches_plain(self, rng):

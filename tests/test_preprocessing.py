@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prenmf import npp3
+from prenmf import npp3, preprocessing
 from prenmf.cllsolve import preprocess_matrix
 from prenmf.preprocessing import (RankMismatch, apply_alpha, find_alpha_bar,
                                   preprocess, rescale_columns,
@@ -164,6 +164,31 @@ class TestFindAlphaBar:
         with pytest.raises(RankMismatch, match="no 3-vertex nested polygon "
                            "exists even at alpha = 0"):
             find_alpha_bar(M, B)
+
+    @staticmethod
+    def slack_of_alpha(monkeypatch, slack):
+        """Make the wrap slack of the instance at alpha read slack(alpha)."""
+        monkeypatch.setattr(preprocessing, "apply_alpha",
+                            lambda M, B, alpha: alpha)
+        monkeypatch.setattr(npp3, "build_npp", lambda alpha: alpha)
+        monkeypatch.setattr(npp3, "max_wrap_slack",
+                            lambda alpha, k: (slack(alpha),))
+
+    @pytest.mark.parametrize("g0", [0.0, -npp3.GEOM_TOL])
+    def test_touching_at_zero_returns_zero(self, monkeypatch, g0):
+        # Infeasible at 1 and touching at 0: no strict sign change to
+        # bracket, so alpha = 0 after the two end evaluations.
+        self.slack_of_alpha(monkeypatch, lambda alpha: g0 - alpha)
+        bar = find_alpha_bar(np.eye(3), np.zeros((3, 3)))
+        assert (bar.alpha, bar.npp, bar.evaluations) == (0.0, 0.0, 2)
+
+    def test_infeasible_root_raises(self, monkeypatch):
+        # A jump from +1 to -1 just past 0.5: brentq's root lands on the
+        # infeasible side, and the search refuses it.
+        self.slack_of_alpha(monkeypatch,
+                            lambda alpha: 1.0 if alpha <= 0.5 else -1.0)
+        with pytest.raises(npp3.GeometryError, match="is not feasible"):
+            find_alpha_bar(np.eye(3), np.zeros((3, 3)))
 
 
 class TestPreprocessDriver:
