@@ -219,8 +219,7 @@ def cmd_npp(args):
     separable = len(npp.inner.vertices) == 3
     steps = args.fk - 1  # k boundary points = k-1 chords
     samples = npp3.sample_fk(npp, steps, num=args.fk_samples)
-    np.savetxt(out / "fk_samples.csv", samples, delimiter=",",
-               header="t,f", comments="")
+    matio.write_rows(out / "fk_samples.csv", samples, "%.18e", header="t,f")
 
     result = {
         "environment": _env_block(args),

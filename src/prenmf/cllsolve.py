@@ -22,8 +22,14 @@ include the final optimality check, so one optimal at b = 0 reports 1.
 The solver is a primal active-set method on the quadratic program in b: the
 tight constraints are precisely the zero entries of the output, so a
 combinatorially exact method is preferred over a first-order one.  Pivoting
-is deterministic: the lowest-index negative multiplier leaves the working
-set, and the ratio test breaks ties within 1e-15 by index.  At a degenerate
+is deterministic, and the ratio test breaks ties within 1e-15 by index.
+Where M has full column rank (decided per call from M alone, so batch
+invariance holds) every problem is strictly convex, its optimum unique, and
+the multiplier most negative per unit normal leaves the working set
+(Dantzig's rule: far fewer pivots).  Elsewhere the rule picks which optimum
+is reported, and the lowest-index negative multiplier leaves; so does a
+column that Dantzig's path leaves failed, solved again alone, because an
+``_escape`` fit at a degenerate point can be wrong.  At a degenerate
 point, common on exactly low-rank inputs, the working set is dependent
 (more active rows than free variables, or a KKT system that is singular or
 solved inaccurately) or a step is blocked at zero length; one ``_escape``
@@ -42,7 +48,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .matcore import as_matrix
+from .matcore import as_matrix, numerical_rank
 
 __all__ = [
     "SolverError", "Infeasible", "MaxIterations", "InfeasiblePoint",
@@ -134,7 +140,7 @@ class CllsSolution:
     iterations: int
 
 
-def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
+def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
     """Primal active-set method for the columns ``cols`` (a slice) of M.
 
     The problem of column i is  min ||M x - d||^2  s.t.  x >= 0, x_i = 0,
@@ -145,7 +151,8 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     x_i = 0: it is never dropped, so variable i never enters a KKT system.
     ``tie_order`` optionally permutes the pivoting preference over the index
     space (used to verify that the fitted vector M x is independent of the
-    ordering).
+    ordering).  ``dantzig`` picks the drop rule of the module docstring; by
+    default it holds where M has full column rank.
 
     All problems read one store, [2G, M^T] over a zero row, with the Gram
     matrix G = M^T M formed without BLAS: it is symmetric bit for bit and
@@ -174,6 +181,8 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
     rank = np.arange(N)
     if tie_order is not None:
         rank[np.asarray(tie_order, dtype=int)] = np.arange(N)
+    dantzig = _full_column_rank(M) if dantzig is None else dantzig
+    unit = np.concatenate([np.ones(n), np.linalg.norm(M, axis=1)])
     results = [None] * S
     done = H.min(axis=1) < -FEAS_TOL * np.maximum(1.0, np.abs(H).max(axis=1))
     for s in np.flatnonzero(done).tolist():
@@ -312,10 +321,10 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
         done = np.zeros(L, dtype=bool)
         st = np.flatnonzero(stat)
         if st.size:
-            # Stationary on the working set: drop the negative multiplier
-            # of lowest rank (ranks are distinct, so the choice is unique),
-            # never bound i.  The bound multipliers are 2G x - 2G[i] + M^T nu,
-            # nu zero off the active rows.
+            # Stationary on the working set: drop the negative multiplier of
+            # lowest rank (distinct, so unique) of all, or under Dantzig's of
+            # those most negative per unit normal, never bound i.  The bound
+            # multipliers are 2G x - 2G[i] + M^T nu, nu zero off active rows.
             lam = np.matmul(G2, x[st, :, None])[:, :, 0] - rhs_src[st, :n]
             lam += np.matmul(M.T, z[st, n:N, None])[:, :, 0]
             z[st, :n] = lam
@@ -323,8 +332,11 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             cand[np.arange(st.size), ids[idx[st]]] = False
             found = cand.any(axis=1)
             done[st[~found]] = True
-            st = st[found]
-            worst = np.where(cand[found], rank, N).argmin(axis=1)
+            st, cand = st[found], cand[found]
+            if dantzig:
+                score = np.where(cand, z[st, :N] * unit, np.inf)
+                cand &= score == score.min(axis=1, keepdims=True)
+            worst = np.where(cand, rank, N).argmin(axis=1)
             act[st, worst] = False
 
         for s in np.flatnonzero(esc).tolist():
@@ -343,6 +355,11 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None):
             if results[idx[s]] is None:       # stopped without an error
                 results[idx[s]] = (x[s].copy(), tuple(np.flatnonzero(act[s]).tolist()),
                                    it + fused[idx[s]], np.where(act[s], z[s, :N], 0.0))
+
+
+def _full_column_rank(M):
+    """The gate of Dantzig's rule; a power-of-two lift cannot flip it."""
+    return M.shape[0] >= M.shape[1] and numerical_rank(M) == M.shape[1]
 
 
 def _escape(C, d, u, x):
@@ -392,14 +409,15 @@ def _escape(C, d, u, x):
     return x, work, False, mult
 
 
-def _column_solutions(M, cols, epsilon, tie_order=None):
+def _column_solutions(M, cols, epsilon, tie_order=None, dantzig=None):
     """Solve the problems of the columns ``cols`` (a slice) of M together.
 
     One kernel call for all columns, zero ones and a lone one included,
     then one batched ``_residuals`` of its multipliers; a column they do not
-    certify falls back to ``kkt_check``.  Returns the CllsSolutions, or
-    raises the first failing column's error (the kernel's, InfeasiblePoint
-    or a failed certificate) as "column i: <error>"."""
+    certify falls back to ``kkt_check``.  A column failed under Dantzig's
+    rule is solved again alone under the lowest-index rule.  Returns the
+    CllsSolutions, or raises the first failing column's error (the kernel's,
+    InfeasiblePoint or a failed certificate) as "column i: <error>"."""
     _check_epsilon(epsilon)
     m, n = M.shape
     ids = range(n)[cols]
@@ -408,7 +426,8 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
     # The kernel's tolerances are absolute at unit scale, so an M with
     # max|M| < 1 is first lifted by a power of two into [1, 2).
     Ml = np.ldexp(M, k) if k else M
-    results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order)
+    dantzig = _full_column_rank(Ml) if dantzig is None else dantzig
+    results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order, dantzig)
     S, D = len(ids), Ml.T[cols]
     B, nu = np.zeros((S, n)), np.zeros((S, m))
     for s, res in enumerate(results):
@@ -435,6 +454,10 @@ def _column_solutions(M, cols, epsilon, tie_order=None):
                     raise SolverError("optimality certificate failed: KKT residual "
                                       f"{residual:.3e} exceeds {tol:.3e}")
         except (SolverError, InfeasiblePoint) as exc:
+            if dantzig:     # alone: exactly the lowest-index rule's outcome
+                sols += _column_solutions(M, slice(i, i + 1), epsilon,
+                                          tie_order, False)
+                continue
             raise type(exc)(f"column {i}: {exc}") from exc
         obj = float(np.sum((D[s] - Ml @ b) ** 2))
         sols.append(CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),

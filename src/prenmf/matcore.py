@@ -1,4 +1,5 @@
-"""Core matrix utilities: column pullback, sparsity metric, duplicate detection.
+"""Core matrix utilities: column pullback, sparsity metric, duplicate
+detection and numerical rank.
 
 Matrices are plain 2-d float ndarrays; columns are the objects of interest
 throughout (data points live in columns, factorizations combine columns).
@@ -14,7 +15,10 @@ __all__ = [
     "pullback",
     "sparsity",
     "detect_duplicates",
+    "numerical_rank",
 ]
+
+RANK_TOL = 1e-9     # singular values below this times the largest count as 0
 
 
 class AllColumnsZero(ValueError):
@@ -36,6 +40,14 @@ def as_matrix(a, name="matrix"):
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
+
+
+def numerical_rank(M):
+    """Number of singular values above ``RANK_TOL`` times the largest."""
+    s = np.linalg.svd(as_matrix(M), compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 @dataclass(frozen=True)

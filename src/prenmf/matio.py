@@ -11,13 +11,25 @@ import numpy as np
 
 from .matcore import as_matrix
 
-__all__ = ["read_csv", "write_csv", "read_matrix_market", "write_matrix_market",
-           "read_matrix", "write_matrix"]
+__all__ = ["read_csv", "write_csv", "write_rows", "read_matrix_market",
+           "write_matrix_market", "read_matrix", "write_matrix"]
 
 
 def write_csv(path, M):
-    M = as_matrix(M, "M")
-    np.savetxt(path, M, delimiter=",", fmt="%.17g")
+    write_rows(path, as_matrix(M, "M"), "%.17g")
+
+
+def write_rows(path, M, fmt, header=None):
+    """Write the 2-d array M as comma-separated lines, each value formatted
+    by ``fmt``, after an optional header line: the bytes of ``np.savetxt``
+    with ``delimiter=","`` and ``comments=""``, formatted by one ``%``
+    operation for the whole array instead of one per row."""
+    m, n = M.shape
+    line = ",".join([fmt] * n) + "\n"
+    text = (header + "\n" if header is not None else "") + (line * m) % tuple(
+        M.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def read_csv(path):

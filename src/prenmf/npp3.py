@@ -25,7 +25,7 @@ import math
 import numpy as np
 from dataclasses import dataclass, field
 
-from .matcore import as_matrix, pullback
+from .matcore import RANK_TOL, as_matrix, numerical_rank, pullback
 
 __all__ = [
     "GEOM_TOL",
@@ -51,7 +51,6 @@ __all__ = [
 
 GEOM_TOL = 1e-9
 DEDUP_TOL = 1e-6    # lifted Hausdorff distance below which solutions merge
-RANK_TOL = 1e-9     # singular values below this times the largest count as 0
 # A tangent step snaps its exit point onto the outer boundary from up to
 # 1e-7 away, so f_3 carries a noise band of about 3e-7.  A wrap slack inside
 # the band is a touching (isolated) solution, one above it interior slack.
@@ -79,14 +78,6 @@ class StartInsideQ(GeometryError):
 
 class NotFinite(GeometryError):
     """The instance admits a continuum of minimal nested polygons."""
-
-
-def numerical_rank(M):
-    """Number of singular values above ``RANK_TOL`` times the largest."""
-    s = np.linalg.svd(as_matrix(M), compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def convex_hull(points):

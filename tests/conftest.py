@@ -75,6 +75,23 @@ def sweep_products():
         yield k, M
 
 
+def stress_products():
+    """(k, M) for the sparse random inputs of full column rank among 1,500
+    draws: n in [3, 25), m in [n, 45), density in [0.2, 0.9), and every
+    fourth draw rounded to quarters, which makes ties and degenerate
+    points common."""
+    rng = np.random.default_rng(11)
+    for k in range(1500):
+        n = int(rng.integers(3, 25))
+        m = int(rng.integers(n, 45))
+        density = rng.uniform(0.2, 0.9)
+        M = rng.random((m, n)) * (rng.random((m, n)) < density)
+        if k % 4 == 0:
+            M = np.round(4 * M) / 4
+        if np.linalg.matrix_rank(M) == n:
+            yield k, M
+
+
 def hexagon_slack():
     """The 6x6 slack matrix of the regular hexagon, up to scale: rank 3 and
     nonnegative rank 5, so no triangle nests between its polygons."""

@@ -33,6 +33,7 @@ import scipy.spatial
 
 from prenmf import cllsolve, npp3
 from prenmf.cllsolve import FEAS_TOL, KKT_TOL, Infeasible, MaxIterations
+from prenmf.matcore import RANK_TOL
 from prenmf.npp3 import GEOM_TOL, GeometryError, StartInsideQ
 
 # Feasibility and activity tolerance, relative to max|u| for the slack rows
@@ -69,7 +70,7 @@ def _solve_eq_qp(CtC, Ctd, A_eq, h_eq):
     return sol[:nf], sol[nf:]
 
 
-def active_set_oracle(M, i, h, max_iter, tie_order=None):
+def active_set_oracle(M, i, h, max_iter, tie_order=None, lowest_rank=False):
     """Primal active-set method for column i's problem
 
         min ||M x - d||^2  s.t.  x >= 0, x_i = 0, M x <= h,  d = M[:, i].
@@ -78,11 +79,14 @@ def active_set_oracle(M, i, h, max_iter, tie_order=None):
     and is never dropped.  Constraints are indexed bounds first (0..n-1)
     then rows (n..n+m-1); ``tie_order`` optionally permutes the pivoting
     preference over that index space (used to verify that the fitted vector
-    M x is independent of the ordering).  The KKT systems are slices of
-    G = M^T M, formed by ``einsum`` as the kernel forms it.  A degenerate
-    point, where the working set is dependent (see ``_solve_eq_qp``) or a
-    step is blocked at zero length, takes one ``cllsolve._escape`` pivot on
-    M without column i and x without entry i.
+    M x is independent of the ordering).  Where M has full column rank, by
+    its own SVD, and ``lowest_rank`` is off, the dropped multiplier is one
+    most negative per unit normal (Dantzig's rule), ties to the lowest
+    rank; otherwise the negative multiplier of lowest rank.  The KKT
+    systems are slices of G = M^T M, formed by ``einsum`` as the kernel
+    forms it.  A degenerate point, where the working set is dependent (see
+    ``_solve_eq_qp``) or a step is blocked at zero length, takes one
+    ``cllsolve._escape`` pivot on M without column i and x without entry i.
 
     Returns (x, active, iterations).
     """
@@ -96,6 +100,11 @@ def active_set_oracle(M, i, h, max_iter, tie_order=None):
     else:
         rank = np.empty(n + m, dtype=int)
         rank[np.asarray(tie_order, dtype=int)] = np.arange(n + m)
+
+    sv = np.linalg.svd(M, compute_uv=False)
+    dantzig = (not lowest_rank and m >= n and sv[0] > 0.0
+               and sv[n - 1] > RANK_TOL * sv[0])
+    unit = np.concatenate([np.ones(n), np.linalg.norm(M, axis=1)])
 
     G = np.einsum("ki,kj->ij", M, M)
     G2 = 2.0 * G
@@ -135,14 +144,18 @@ def active_set_oracle(M, i, h, max_iter, tie_order=None):
 
         step = x_new - x
         if np.abs(step).max() <= step_tol:
-            # Stationary on the working set: drop the negative multiplier
-            # of lowest rank (ranks are distinct, so the choice is unique),
-            # never bound i.
+            # Stationary on the working set: drop a negative multiplier,
+            # never bound i; of the candidates (under Dantzig's rule, those
+            # most negative per unit normal) the one of lowest rank (ranks
+            # are distinct, so the choice is unique).
             lam = np.concatenate([G2 @ x - G2[i] + M.T @ nu, nu])
             cands = np.flatnonzero(act & (lam < -KKT_TOL))
             cands = cands[cands != i]
             if cands.size == 0:
                 return x, tuple(np.flatnonzero(act).tolist()), it
+            if dantzig:
+                score = lam[cands] * unit[cands]
+                cands = cands[score == score.min()]
             act[cands[np.argmin(rank[cands])]] = False
             continue
 
@@ -178,7 +191,7 @@ def active_set_oracle(M, i, h, max_iter, tie_order=None):
         x[act[:n]] = 0.0
 
 
-def column_kernel_oracle(M, i, epsilon=0.0, tie_order=None):
+def column_kernel_oracle(M, i, epsilon=0.0, tie_order=None, lowest_rank=False):
     """Column i's problem as the serial code poses it to ``active_set_oracle``.
 
     The slack bound is u = d + epsilon ||d||_inf with d = M[:, i]; M is
@@ -187,7 +200,8 @@ def column_kernel_oracle(M, i, epsilon=0.0, tie_order=None):
     """
     d = M[:, i]
     u = d + epsilon * np.abs(d).max()
-    return active_set_oracle(M, i, u, 50 * M.shape[1], tie_order=tie_order)
+    return active_set_oracle(M, i, u, 50 * M.shape[1], tie_order=tie_order,
+                             lowest_rank=lowest_rank)
 
 
 def _column_qp(M, i, epsilon):

@@ -17,7 +17,8 @@ from prenmf.fixtures import fixture_names, get_fixture
 from oracles import (column_kernel_oracle, grid_column_oracle, nnls_kkt_check,
                      qp_column_check, qp_column_oracle)
 
-from conftest import lifted, random_nonneg, sweep_products, synthetic
+from conftest import (lifted, random_nonneg, stress_products, sweep_products,
+                      synthetic)
 
 
 class TestSolveColumn:
@@ -370,9 +371,11 @@ class TestPreprocessMatrix:
         assert [s.iterations for s in sols] == [9, 15, 17] + [7] * 9
         assert sols[8].active_set == (3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 20, 21)
 
-        # The synthetic 50x40 input of the scale notes (r = 5, seed 0).
+        # The synthetic 50x40 input of the scale notes (r = 5, seed 0): full
+        # column rank, so Dantzig's rule drops multipliers (the lowest-index
+        # rule took 1,449 and 3,191 pivots).
         M = synthetic(50, 40, 5)
-        for eps, pivots in ((0.0, 1449), (0.05, 3191)):
+        for eps, pivots in ((0.0, 632), (0.05, 1172)):
             _, sols = preprocess_matrix(M, epsilon=eps)
             assert sum(s.iterations for s in sols) == pivots
 
@@ -522,6 +525,84 @@ class TestLockstepKernel:
         B, _ = preprocess_matrix(M)
         for i in range(n):
             assert qp_column_check(M, i, B[:, i]) is None, f"column {i}"
+
+
+def kernel_scale(M):
+    """M at the scale ``preprocess_matrix`` runs its kernel on."""
+    return lifted(M) if np.abs(M).max() < 1.0 else M
+
+
+def rank_deficient_inputs():
+    """Inputs whose B* is not unique: the pinned separable ones, two
+    fixtures and the first 23 rank-deficient sweep products."""
+    yield "pinned-0", pinned_separable()
+    yield "pinned-2", pinned_separable(seed=2)
+    yield "sepex", get_fixture("sepex")
+    yield "nested-squares", get_fixture("nested-squares")
+    for k, M in sweep_products():
+        if k < 24 and np.linalg.matrix_rank(M) < M.shape[1]:
+            yield f"sweep-{k}", M
+
+
+class TestPivotRule:
+    """Dantzig's drop rule where M has full column rank, the lowest-index
+    rule elsewhere, and the lowest-index retry of a failed column."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_rank_deficient_inputs_keep_the_lowest_index_path(self, eps):
+        # B* is not unique here, and the pivot rule picks the optimum.
+        names = []
+        for name, M in rank_deficient_inputs():
+            B, sols = preprocess_matrix(M, eps)
+            names.append(name)
+            for i, sol in enumerate(sols):
+                want = column_kernel_oracle(kernel_scale(M), i, eps,
+                                            lowest_rank=True)
+                assert_same_path((B[:, i], sol.active_set, sol.iterations),
+                                 want)
+        assert len(names) >= 24
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_full_rank_path_ends_at_the_same_optimum(self, eps):
+        # The synthetic 50x40 input has full column rank: each column QP is
+        # strictly convex, so the shorter path ends where the old one did.
+        M = synthetic(50, 40, 5)
+        B, sols = preprocess_matrix(M, eps)
+        want = [column_kernel_oracle(M, i, eps, lowest_rank=True)
+                for i in range(40)]
+        B_old = np.column_stack([w[0] for w in want])
+        assert [s.active_set for s in sols] == [w[1] for w in want]
+        assert (sum(s.iterations for s in sols)
+                < sum(w[2] for w in want) / 2)
+        assert np.abs(B - B_old).max() <= 1e-12 * np.abs(B_old).max()
+        assert (np.abs(M @ (B - B_old)).max()
+                <= 1e-12 * np.abs(M @ B_old).max())
+
+    def test_wide_input_takes_the_lowest_index_path(self):
+        # m < n: rank below n, and Dantzig's rule would pivot differently.
+        M = lifted(np.random.default_rng(0).random((6, 9)) + 0.05)
+        got = kernel(M)
+        for i, res in enumerate(got):
+            assert_same_path(res, column_kernel_oracle(M, i, lowest_rank=True))
+        dantzig = cllsolve._active_set_ls(M, slice(None), 0.0, 450,
+                                          dantzig=True)
+        assert [r[1:3] for r in dantzig] != [r[1:3] for r in got]
+
+    def test_failed_column_is_solved_again_by_the_lowest_index_rule(self):
+        # Stress input 1014 has full column rank.  Dantzig's path for its
+        # column 6 meets a degenerate point where ``_escape`` returns an
+        # infeasible point; the retry gives the lowest-index rule's result.
+        M = next(M for k, M in stress_products() if k == 1014)
+        L = kernel_scale(M)
+        (x, *_), = cllsolve._active_set_ls(L, slice(6, 7), 0.0, 400)
+        with pytest.raises(InfeasiblePoint):
+            kkt_check(CllsProblem(L, 6), x)
+        B, sols = preprocess_matrix(M)
+        assert_same_path((B[:, 6], sols[6].active_set, sols[6].iterations),
+                         column_kernel_oracle(L, 6, lowest_rank=True))
+        alone = solve_column(CllsProblem(M, 6))
+        assert_same_path((alone.b, alone.active_set, alone.iterations),
+                         (B[:, 6], sols[6].active_set, sols[6].iterations))
 
 
 def escape_calls(monkeypatch, M, i):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from prenmf import npp3
 from prenmf.matcore import (AllColumnsZero, as_matrix, detect_duplicates,
-                            pullback, sparsity)
+                            numerical_rank, pullback, sparsity)
 
 from oracles import detect_duplicates_oracle
 
@@ -161,3 +162,16 @@ class TestAsMatrix:
 
     def test_vector_becomes_column(self):
         assert as_matrix(np.array([1.0, 2.0])).shape == (2, 1)
+
+
+class TestNumericalRank:
+    def test_zero_matrix_has_rank_zero(self):
+        assert numerical_rank(np.zeros((3, 2))) == 0
+
+    def test_cut_is_relative_to_the_largest_singular_value(self):
+        M = np.diag([1e6, 1.0, 1e-4])
+        assert numerical_rank(M) == 2
+        assert numerical_rank(np.ldexp(M, -40)) == 2
+
+    def test_rank3_engine_reads_the_same_function(self):
+        assert npp3.numerical_rank is numerical_rank

@@ -25,6 +25,25 @@ class TestCsv:
         back = matio.read_csv(path)
         assert back.shape == (1, 3)
 
+    @pytest.mark.parametrize("M", [
+        np.array([[0.1]]),
+        np.random.default_rng(0).standard_normal((2, 9)) * 1e3,
+        np.random.default_rng(1).random((9, 2)) / 7.0,
+        np.array([[-0.0, 0.0], [1.0, -0.0]]),
+        np.array([[5e-324, -2.2250738585072014e-308, 1.7976931348623157e308],
+                  [1e-300, -1e300, 123456789.0]]),
+    ], ids=["1x1", "wide", "tall", "negative-zero", "extreme-exponents"])
+    def test_bytes_equal_savetxt(self, tmp_path, M):
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        matio.write_csv(got, M)
+        np.savetxt(ref, M, delimiter=",", fmt="%.17g")
+        assert got.read_bytes() == ref.read_bytes()
+        # The npp command's fk_samples.csv layout.
+        matio.write_rows(got, M, "%.18e", header="t,f")
+        np.savetxt(ref, M, delimiter=",", fmt="%.18e", header="t,f",
+                   comments="")
+        assert got.read_bytes() == ref.read_bytes()
+
     def test_string_parse(self):
         M = matio.loads_csv("1.5,2\n3,4.25\n")
         np.testing.assert_allclose(M, [[1.5, 2.0], [3.0, 4.25]])

@@ -463,6 +463,24 @@ class TestBatchedWalk:
         assert str(got.value) == str(ref.value)
 
 
+    def test_ray_leaving_the_polygon_at_once_names_its_row(self):
+        # Inner vertex (1, -0.01) lies just below the outer square's bottom
+        # edge, so the tangent ray from x(0.05) = (0.8, 0) towards it
+        # crosses that edge transversally at its start.
+        npp = synthetic([[0, 0], [4, 0], [4, 4], [0, 4]],
+                        [[1, -0.01], [3, 1], [1, 2]])
+        with pytest.raises(npp3.GeometryError,
+                           match="^tangent ray leaves the polygon immediately$"):
+            tangent_step_oracle(npp, 0.05)
+        for t in (0.3, 0.6):
+            tangent_step_oracle(npp, t)
+        with pytest.raises(npp3.GeometryError) as got:
+            npp3._walk(npp, np.array([0.3, 0.05, 0.6]), 1)
+        assert type(got.value) is npp3.GeometryError
+        assert str(got.value) == ("tangent ray from t=0.050000 leaves the "
+                                  "polygon immediately")
+
+
 class TestContactChangePoints:
     def test_identity_vertex_classes(self):
         npp = npp3.build_npp(np.eye(3))
