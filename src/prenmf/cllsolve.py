@@ -26,15 +26,21 @@ is deterministic, and the ratio test breaks ties within 1e-15 by index.
 Where M has full column rank (decided per call from M alone, so batch
 invariance holds) every problem is strictly convex, its optimum unique, and
 the multiplier most negative per unit normal leaves the working set
-(Dantzig's rule: far fewer pivots).  Elsewhere the rule picks which optimum
-is reported, and the lowest-index negative multiplier leaves; so does a
-column that Dantzig's path leaves failed, solved again alone, because an
-``_escape`` fit at a degenerate point can be wrong.  At a degenerate
-point, common on exactly low-rank inputs, the working set is dependent
-(more active rows than free variables, or a KKT system that is singular or
-solved inaccurately) or a step is blocked at zero length; one ``_escape``
-pivot then proves the point optimal or strictly lowers the objective.  In
-floating point that does not rule out cycling, so the pivot cap stays.
+(Dantzig's rule: far fewer pivots).  There, at epsilon > 0, a problem
+starts at b = 0 with the bounds of F = {k : x_k > 0} released, x the
+bound-only optimum (scipy's nnls on the other columns): tight at b = 0, any
+of them make a valid working set, the first step heads for x, and x, often
+feasible with the epsilon margin, is then optimal.  At epsilon = 0 x is
+feasible only if it fits exactly, so the cold start stays.  Elsewhere the
+rule picks which optimum is reported: the lowest-index negative multiplier
+leaves, from the cold start, as in a column that Dantzig's path leaves
+failed, solved again alone, because an ``_escape`` fit at a degenerate
+point can be wrong.  At a degenerate point, common on exactly low-rank
+inputs, the working set is dependent (more active rows than free
+variables, or a KKT system that is singular or solved inaccurately) or a
+step is blocked at zero length; one ``_escape`` pivot then proves the
+point optimal or strictly lowers the objective.  In floating point that
+does not rule out cycling, so the pivot cap stays.
 
 Every column is certified.  For a convex QP any nonnegative multipliers that
 leave no stationarity residual and no complementarity gap prove the point
@@ -129,8 +135,9 @@ class CllsSolution:
                   out other tight constraints; a stop proved by ``_escape``
                   at a degenerate point (a dependent working set or a
                   blocked step) reports every tight one.
-    iterations:   the column's pivots: its active-set pivots plus the final
-                  optimality check, so a column optimal at b = 0 reports 1.
+    iterations:   the column's kernel pivots (not nnls's inner steps): its
+                  active-set pivots plus the final optimality check, so a
+                  column optimal at its start reports 1.
     """
 
     b: np.ndarray
@@ -140,14 +147,16 @@ class CllsSolution:
     iterations: int
 
 
-def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
+def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None,
+                   cold=False):
     """Primal active-set method for the columns ``cols`` (a slice) of M.
 
     The problem of column i is  min ||M x - d||^2  s.t.  x >= 0, x_i = 0,
     M x <= u,  with d = M[:, i] and u = d + epsilon ||d||_inf.  Every
     problem has all n variables and one index space, that of
     ``CllsSolution.active_set``: bounds x_k >= 0 are 0..n-1 and rows are
-    n..n+m-1.  Each starts from x = 0 with every bound active.  Bound i pins
+    n..n+m-1.  Each starts from x = 0 with every bound active, but those of
+    the bound-only start (module docstring) unless ``cold``.  Bound i pins
     x_i = 0: it is never dropped, so variable i never enters a KKT system.
     ``tie_order`` optionally permutes the pivoting preference over the index
     space (used to verify that the fitted vector M x is independent of the
@@ -206,6 +215,16 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
     x = np.zeros((S, n))
     flip = np.arange(N) < n       # the bounds: held in act, free in a working set
     act = np.repeat(flip[None], S, axis=0)   # bounds x_k = 0, rows M_j x = u_j held
+    if dantzig and epsilon > 0.0 and n > 1 and not cold:
+        # The bound-only start; n > 1, as scipy's nnls aborts the process
+        # on a matrix with no columns.
+        import scipy.optimize
+        for s in np.flatnonzero(~done).tolist():
+            try:
+                xh = scipy.optimize.nnls(np.delete(M, ids[s], axis=1), D[s])[0]
+            except RuntimeError:      # its iteration cap: the cold start
+                continue
+            act[s, :n] = ~np.insert(xh > 0.0, ids[s], False)
     it, fused, top = 0, [0] * S, 0    # caller c's pivots: it + fused[c]
     while True:
         it += 1

@@ -16,7 +16,9 @@ kernel, it poses column i's problem on all n variables with b[i] = 0 a bound
 that never leaves the working set, indexes constraints bounds first then
 rows, takes its KKT systems from one Gram matrix G = M^T M formed by
 ``einsum``, and takes an ``_escape`` pivot at every degenerate point: a
-dependent working set or a step blocked at zero length.
+dependent working set or a step blocked at zero length.  Where the kernel
+starts a column at its bound-only optimum's support, so does
+``column_kernel_oracle``, with that support from ``nnls_oracle``.
 
 The SLSQP column oracle does not trust the solver's exit status, whose
 meaning shifts between scipy versions (scipy 1.17 stops at the optimum of
@@ -70,14 +72,23 @@ def _solve_eq_qp(CtC, Ctd, A_eq, h_eq):
     return sol[:nf], sol[nf:]
 
 
-def active_set_oracle(M, i, h, max_iter, tie_order=None, lowest_rank=False):
+def _full_rank_oracle(M):
+    """Full column rank by numpy's SVD: the gate of Dantzig's rule and of
+    the bound-only start."""
+    m, n = M.shape
+    sv = np.linalg.svd(M, compute_uv=False)
+    return m >= n and sv[0] > 0.0 and sv[n - 1] > RANK_TOL * sv[0]
+
+
+def active_set_oracle(M, i, h, max_iter, tie_order=None, lowest_rank=False,
+                      free=()):
     """Primal active-set method for column i's problem
 
         min ||M x - d||^2  s.t.  x >= 0, x_i = 0, M x <= h,  d = M[:, i].
 
-    Starts from x = 0 with all variable bounds active; bound i pins x_i = 0
-    and is never dropped.  Constraints are indexed bounds first (0..n-1)
-    then rows (n..n+m-1); ``tie_order`` optionally permutes the pivoting
+    Starts from x = 0 with every variable bound active but those of
+    ``free``; bound i pins x_i = 0 and is never dropped.  Constraints are
+    indexed bounds first (0..n-1) then rows (n..n+m-1); ``tie_order`` optionally permutes the pivoting
     preference over that index space (used to verify that the fitted vector
     M x is independent of the ordering).  Where M has full column rank, by
     its own SVD, and ``lowest_rank`` is off, the dropped multiplier is one
@@ -101,9 +112,7 @@ def active_set_oracle(M, i, h, max_iter, tie_order=None, lowest_rank=False):
         rank = np.empty(n + m, dtype=int)
         rank[np.asarray(tie_order, dtype=int)] = np.arange(n + m)
 
-    sv = np.linalg.svd(M, compute_uv=False)
-    dantzig = (not lowest_rank and m >= n and sv[0] > 0.0
-               and sv[n - 1] > RANK_TOL * sv[0])
+    dantzig = not lowest_rank and _full_rank_oracle(M)
     unit = np.concatenate([np.ones(n), np.linalg.norm(M, axis=1)])
 
     G = np.einsum("ki,kj->ij", M, M)
@@ -112,6 +121,7 @@ def active_set_oracle(M, i, h, max_iter, tie_order=None, lowest_rank=False):
 
     x = np.zeros(n)
     act = np.arange(n + m) < n    # held: bounds x_k = 0, then rows M_j x = h_j
+    act[list(free)] = False
 
     def escape(x):
         x, act, stop, _ = cllsolve._escape(np.delete(M, i, axis=1), d, h,
@@ -195,13 +205,24 @@ def column_kernel_oracle(M, i, epsilon=0.0, tie_order=None, lowest_rank=False):
     """Column i's problem as the serial code poses it to ``active_set_oracle``.
 
     The slack bound is u = d + epsilon ||d||_inf with d = M[:, i]; M is
-    taken as already lifted to max|M| >= 1.  Returns (x, active, iterations)
-    with x of length n and x[i] = 0.
+    taken as already lifted to max|M| >= 1.  Where epsilon > 0, n >= 2 and
+    Dantzig's rule runs, the start frees the support of the bound-only
+    optimum  argmin_{x >= 0} ||M_{-i} x - d||  by ``nnls_oracle`` (none if
+    it hits its iteration cap).  Returns (x, active, iterations) with x of
+    length n and x[i] = 0.
     """
+    n = M.shape[1]
     d = M[:, i]
     u = d + epsilon * np.abs(d).max()
-    return active_set_oracle(M, i, u, 50 * M.shape[1], tie_order=tie_order,
-                             lowest_rank=lowest_rank)
+    free = ()
+    if epsilon > 0.0 and n > 1 and not lowest_rank and _full_rank_oracle(M):
+        try:
+            xh = nnls_oracle(np.delete(M, i, axis=1), d)[0]
+            free = np.delete(np.arange(n), i)[xh > 0.0]
+        except RuntimeError:
+            pass
+    return active_set_oracle(M, i, u, 50 * n, tie_order=tie_order,
+                             lowest_rank=lowest_rank, free=free)
 
 
 def _column_qp(M, i, epsilon):

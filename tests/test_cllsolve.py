@@ -373,9 +373,11 @@ class TestPreprocessMatrix:
 
         # The synthetic 50x40 input of the scale notes (r = 5, seed 0): full
         # column rank, so Dantzig's rule drops multipliers (the lowest-index
-        # rule took 1,449 and 3,191 pivots).
+        # rule took 1,449 and 3,191 pivots), and at eps > 0 each column
+        # starts with its bound-only optimum's support free (1,172 pivots
+        # from the cold start).
         M = synthetic(50, 40, 5)
-        for eps, pivots in ((0.0, 632), (0.05, 1172)):
+        for eps, pivots in ((0.0, 632), (0.05, 188)):
             _, sols = preprocess_matrix(M, epsilon=eps)
             assert sum(s.iterations for s in sols) == pivots
 
@@ -603,6 +605,77 @@ class TestPivotRule:
         alone = solve_column(CllsProblem(M, 6))
         assert_same_path((alone.b, alone.active_set, alone.iterations),
                          (B[:, 6], sols[6].active_set, sols[6].iterations))
+
+
+def tight_set(L, i, eps, x):
+    """The constraints tight at column i's point x, by ``kkt_check``'s
+    activity tolerances, in the kernel's index space."""
+    d = L[:, i]
+    Mx = L @ x
+    _, bound, rows = cllsolve._feasibility(
+        x[None], [i], Mx[None], (d + eps * np.abs(d).max())[None], d[None])
+    return set(np.flatnonzero(np.concatenate([bound[0], rows[0]])).tolist())
+
+
+def start_and_cold(M, eps):
+    """The kernel's results on every column of M (at its kernel scale), with
+    the bound-only start where it applies and with the cold start forced."""
+    L = kernel_scale(M)
+    return L, [cllsolve._active_set_ls(L, slice(None), eps, 50 * L.shape[1],
+                                       cold=cold) for cold in (False, True)]
+
+
+class TestBoundOnlyStart:
+    """The start at the bound-only optimum's support: taken only under
+    Dantzig's rule at eps > 0, and ending where the cold start ends."""
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
+    def test_start_ends_where_the_cold_start_ends(self, eps):
+        # Full column rank: each column QP is strictly convex, so its optimum
+        # is unique and the start changes the path, not the answer.  Stress
+        # inputs 4 and 6 have degenerate optima, where the two paths can stop
+        # with different working sets; those differ only in constraints tight
+        # at both ends (ROADMAP item 17: a working set is reported).
+        inputs = [("50x40", synthetic(50, 40, 5))] + [
+            (f"stress-{k}", M) for k, M in stress_products()
+            if k in (1, 3, 4, 6, 7)]
+        assert len(inputs) == 6
+        for name, M in inputs:
+            L, (new, cold) = start_and_cold(M, eps)
+            B_new = np.column_stack([r[0] for r in new])
+            B_old = np.column_stack([r[0] for r in cold])
+            if name == "50x40":
+                assert [r[1] for r in new] == [r[1] for r in cold]
+            for i, (a, b) in enumerate(zip(new, cold)):
+                tight = [tight_set(L, i, eps, r[0]) for r in (a, b)]
+                assert set(a[1]) ^ set(b[1]) <= tight[0] & tight[1], name
+            assert sum(r[2] for r in new) < sum(r[2] for r in cold), name
+            assert (np.abs(B_new - B_old).max()
+                    <= 1e-12 * np.abs(B_old).max()), name
+            assert (np.abs(L @ (B_new - B_old)).max()
+                    <= 1e-12 * np.abs(L @ B_old).max()), name
+
+    @pytest.mark.parametrize("name,M,eps", [
+        ("50x40", synthetic(50, 40, 5), 0.0),
+        ("sepex", get_fixture("sepex"), 0.05),
+        ("nested-squares", get_fixture("nested-squares"), 0.05),
+    ])
+    def test_no_start_at_eps_zero_or_below_full_rank(self, name, M, eps):
+        # At eps = 0 the bound-only optimum is almost never feasible; below
+        # full column rank B* is not unique and the path picks the optimum.
+        _, (new, cold) = start_and_cold(M, eps)
+        for got, want in zip(new, cold):
+            assert_same_path(got, want)
+
+    def test_nnls_cap_takes_the_cold_start(self, monkeypatch):
+        # scipy reports its iteration cap as a bare RuntimeError; the column
+        # then starts cold instead of failing.
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        for got, cold in zip(*start_and_cold(synthetic(50, 40, 5), 0.05)[1]):
+            assert_same_path(got, cold)
 
 
 def escape_calls(monkeypatch, M, i):

@@ -481,6 +481,26 @@ class TestBatchedWalk:
                                   "polygon immediately")
 
 
+    def test_grazing_ray_that_finds_no_exit_names_its_row(self):
+        # The outer triangle is 1e-6 high, so its edge from (4, 0) to
+        # (2, 1e-6) has the outward normal (5e-7, 1) to first order.  The
+        # tangent ray from x(0.625) = (3, 5e-7), the midpoint of that edge,
+        # runs horizontally to the inner vertex (3.5, 5e-7): it crosses
+        # that edge's line at its start with the rate 5e-7, under the 1e-6
+        # of a transversal crossing, and meets no other edge ahead.
+        h = 1e-6
+        npp = synthetic([[0, 0], [4, 0], [2, h]],
+                        [[3.5, h / 2], [4.5, 1], [3.5, 1]])
+        t = float(npp.outer.param_of(np.array([3.0, h / 2])))
+        assert t == pytest.approx(0.625)
+        npp3._step(npp, np.array([0.1, 0.3]))
+        with pytest.raises(npp3.GeometryError) as got:
+            npp3._walk(npp, np.array([0.1, t, 0.3]), 1)
+        assert type(got.value) is npp3.GeometryError
+        assert str(got.value) == ("tangent ray from t=0.625000 does not exit "
+                                  "the outer polygon")
+
+
 class TestContactChangePoints:
     def test_identity_vertex_classes(self):
         npp = npp3.build_npp(np.eye(3))
@@ -593,6 +613,23 @@ class TestEnumerate:
         npp = npp3.build_npp(M - M @ B)
         with pytest.raises(npp3.NotFinite):
             npp3.enumerate_solutions(npp, 3)
+
+    def test_point_like_inner_polygon_is_a_continuum_of_starts(self):
+        # An inner triangle 5e-9 across is a point at the walk's tolerance
+        # (GEOM_TOL = 1e-9): every chord through it is a nested 2-gon.  Each
+        # 2-step walk through it closes within 5e-10, so no start has
+        # interior slack; the midpoints between the touching starts show
+        # the continuum.  An inner triangle 1e-7 across admits no chord.
+        corner = np.array([[0, 0], [1, 0], [0, 1]])
+        square = [[0, 0], [4, 0], [4, 4], [0, 4]]
+        npp = synthetic(square, [1.5, 2.0] + 5e-9 * corner)
+        assert 0.0 > npp3.max_wrap_slack(npp, 2)[0] >= -npp3.GEOM_TOL
+        with pytest.raises(npp3.NotFinite,
+                           match="^wrap criterion holds on a continuum of "
+                                 "starts$"):
+            npp3.enumerate_solutions(npp, 2)
+        npp = synthetic(square, [1.5, 2.0] + 1e-7 * corner)
+        assert npp3.enumerate_solutions(npp, 2) == []
 
     def test_no_solution_is_an_empty_list(self, ns_preprocessed):
         # Fully preprocessed nested-squares puts a square between the

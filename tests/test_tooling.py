@@ -146,16 +146,16 @@ def test_npp3_does_not_import_scipy():
     assert "scipy" not in vars(npp3)
 
 
-def cli_import_loads(module):
+def cli_import_loads(module, then=""):
     """Whether a fresh interpreter has ``module`` loaded after importing
-    prenmf.cli."""
+    prenmf.cli and running the statements ``then``."""
     parent = str(Path(prenmf.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (parent, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, prenmf.cli; print({module!r} in sys.modules)"],
+         f"import sys, prenmf.cli\n{then}\nprint({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip() == "True"
@@ -171,6 +171,18 @@ def test_cli_import_leaves_out_scipy_optimize():
     # by the functions that call it: NNLS refits, degenerate-point escapes,
     # certificate fallbacks and the alpha search.
     assert not cli_import_loads("scipy.optimize")
+
+
+def test_preprocess_at_eps_zero_leaves_out_scipy_optimize():
+    # The bound-only start of the column kernel runs only at eps > 0 and
+    # imports scipy.optimize when it runs: at eps = 0 a full-rank input that
+    # takes no escape never loads it, and at eps = 0.05 the start does.
+    M = synthetic(20, 16, 4)
+    assert cllsolve._full_column_rank(M)
+    run = ("import numpy as np; from prenmf.cllsolve import preprocess_matrix; "
+           f"preprocess_matrix(np.array({M.tolist()!r}), {{}})")
+    assert not cli_import_loads("scipy.optimize", run.format(0.0))
+    assert cli_import_loads("scipy.optimize", run.format(0.05))
 
 
 def test_walks_step_all_rows_at_once(monkeypatch):
