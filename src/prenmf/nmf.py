@@ -89,9 +89,19 @@ class SnmfConfig:
     achieved_s_u: float | None = None
 
     def __post_init__(self):
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if np.any(self.mu <= 0):
-            raise ValueError("penalty weights must be positive")
+        self.mu = _weights(self.mu)
+
+
+def _weights(mu):
+    """l1 weights as a float array, refused unless each is positive and
+    finite: a zero weight is not a sparse run, and a NaN or infinite one
+    makes no factorization."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if not np.isfinite(mu).all():
+        raise ValueError("penalty weights must be finite")
+    if np.any(mu <= 0):
+        raise ValueError("penalty weights must be positive")
+    return mu
 
 
 def _rel_error(M, U, V):
@@ -123,48 +133,79 @@ def _norms(X):
     return np.sqrt(np.matmul(F, F.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _update_blocks(W, G, P, n_other, mu=None, mask=None):
-    """Repeated HALS sweeps on one factor block of every slice of a stack.
+class _Block:
+    """One factor block of a working stack, set up once for all its passes.
 
-    W (S, k, r) is updated in place (for V's block it is a transposed view);
-    G = H H^T (S, r, r) and P = M H^T (S, k, r).  Each column update is the
-    exact coordinate minimizer clipped at zero; a column whose G diagonal is
-    negligible is skipped.  ``mu`` (S, r) adds an l1 penalty on W's columns;
-    ``mask`` (S, k, r) freezes entries outside the support.
-
-    The number of inner sweeps is capped by the cost ratio of the block
-    update to the precomputations (at most 1 + floor(ACCEL * kn / (r(k+n)))),
-    and a slice stops sweeping once its iterate moves less than ``EPS_STOP``
-    times its first sweep's movement; a stopped slice is left untouched.
+    Every slice s solves min ||M[s] - W[s] H[s]^T|| over W >= 0: for U's
+    block W = U and H = V^T, for V's block W = V^T, H = U and M the
+    transpose, all views.  The block holds the buffers of G = H^T H
+    (S, r, r), of the columns of P = M H (S, k, r), each contiguous, of G's
+    diagonal (1 where a column is skipped) and of the penalty shifts
+    mu / (2 G_jj) when ``mu`` (S, r) is given; and per column j the views a
+    sweep reads: G[:, :, j], P's column, the diagonal entry, the shift,
+    W[:, :, j] and the ``mask`` column.  The inner-sweep cap is the cost
+    ratio of the block update to the products: 1 + floor(ACCEL * kn /
+    (r(k+n))) for H (S, n, r).  ``_hals`` builds one per block whenever its
+    working stack changes, so a pass takes no column view and reuses the
+    buffers.
     """
-    k, r = W.shape[-2:]
-    cap = 1 + int(ACCEL * (k * n_other) / (r * (k + n_other)))
-    gd = np.diagonal(G, axis1=-2, axis2=-1)
+
+    def __init__(self, W, H, M, mu=None, mask=None):
+        S, k, r = W.shape
+        n = H.shape[-2]
+        self.W, self.H, self.Ht, self.M = W, H, H.swapaxes(-1, -2), M
+        self.cap = 1 + int(ACCEL * (k * n) / (r * (k + n)))
+        self.G, self.Pc = np.empty((S, r, r)), np.empty((r, S, k))
+        self.gd = np.empty((S, r))
+        self.half_mu = None if mu is None else 0.5 * mu
+        self.shift = np.empty((S, r))
+        self.Wg = np.empty((S, k, 1))
+        self.Wg_col = self.Wg[..., 0]
+        self.w = np.empty((S, k))
+        self.every = [True] * r
+        self.cols = [(self.G[:, :, j, None], self.Pc[j],
+                      self.gd[:, j, None],
+                      None if mu is None else self.shift[:, j, None],
+                      W[:, :, j], None if mask is None else mask[:, :, j])
+                     for j in range(r)]
+
+
+def _update_blocks(b):
+    """Repeated HALS sweeps on the ``_Block`` b of every slice of a stack.
+
+    Forms G and P from the current H, then updates W in place.  Each column
+    update is the exact coordinate minimizer clipped at zero; a column
+    whose G diagonal is negligible is skipped.  The block's ``mu`` adds an
+    l1 penalty on W's columns; its mask freezes entries outside the
+    support.
+
+    The number of inner sweeps is capped by the block's cap, and a slice
+    stops sweeping once its iterate moves less than ``EPS_STOP`` times its
+    first sweep's movement; a stopped slice is left untouched.
+    """
+    np.matmul(b.Ht, b.H, out=b.G)
+    np.copyto(b.Pc, np.matmul(b.M, b.H).transpose(2, 0, 1))
+    gd = np.diagonal(b.G, axis1=-2, axis2=-1)
     use = gd > ZERO_SNAP * np.maximum(gd.max(axis=-1, keepdims=True), 1.0)
-    gd = np.where(use, gd, 1.0)  # skipped columns must not divide by 0
-    # Column-first views: [j] gives column j of every slice, and per-slice
-    # scalars (S, 1) that broadcast against it.
-    Wg = np.empty((len(W), k, 1))
-    Wg_col = Wg[..., 0]
-    Wc = W.transpose(2, 0, 1)
-    Pc = np.ascontiguousarray(P.transpose(2, 0, 1))
-    Gc = G.transpose(2, 0, 1)[..., None]
-    dc = np.ascontiguousarray(gd.T)[..., None]
-    shift = ([None] * r if mu is None
-             else np.ascontiguousarray((0.5 * mu / gd).T)[..., None])
-    maskc = [None] * r if mask is None else mask.transpose(2, 0, 1)
-    cols = list(zip(Gc, Pc, dc, Wc, shift, maskc))
-    plan = _plan(use)
+    np.copyto(b.gd, gd)
+    if use.all():
+        plan = b.every
+    else:
+        np.copyto(b.gd, 1.0, where=~use)  # skipped columns must not divide
+        plan = _plan(use)
+    if b.half_mu is not None:
+        np.divide(b.half_mu, b.gd, out=b.shift)
+    W, cap, Wg, Wg_col, w = b.W, b.cap, b.Wg, b.Wg_col, b.w
     for it in range(cap):
         # The movement matters only where it decides whether a sweep follows.
         track = it < cap - 1 and cap > 2
         if track:
             W_prev = W.copy()
-        for (g, p, d, wj, sh, mk), how in zip(cols, plan):
+        for (g, p, d, sh, wj, mk), how in zip(b.cols, plan):
             if how is False:
                 continue
             np.matmul(W, g, out=Wg)
-            w = p - Wg_col
+            np.subtract(p, Wg_col, out=w)
             w /= d
             w += wj
             if sh is not None:
@@ -175,9 +216,9 @@ def _update_blocks(W, G, P, n_other, mu=None, mask=None):
             np.maximum(w, 0.0, out=w)
             if mk is not None:
                 w *= mk
-            wj[...] = w if how is True else np.where(how, w, wj)
+            np.copyto(wj, w, where=how)
         # A stopped slice is already snapped, so this leaves it unchanged.
-        W[W < ZERO_SNAP] = 0.0
+        np.copyto(W, 0.0, where=W < ZERO_SNAP)
         if not track:
             continue
         change = _norms(W - W_prev)
@@ -190,7 +231,6 @@ def _update_blocks(W, G, P, n_other, mu=None, mask=None):
             break
         if not live.all():
             plan = _plan(use & live[:, None])
-    return W
 
 
 def _plan(upd):
@@ -202,19 +242,26 @@ def _plan(upd):
             for j, (e, s) in enumerate(zip(every, some))]
 
 
-def _renormalize(M, U, V, mu):
-    """Unit-max columns of U in every slice with a nonzero penalty row,
-    V's rows taking the scale.  A column that collapsed to zero becomes a
+def _renormalize(M, U, V, pen=True):
+    """Unit-max columns of U in every penalized slice (``pen``: an (S,)
+    mask of the slices with a nonzero penalty row, or True for all), V's
+    rows taking the scale.  A column that collapsed to zero becomes a
     unit spike (the least harmful placement under the unit-max constraint,
     and maximally sparse) at the dominant entry of the slice's nonnegative
     residual against M[s], weighted by the column's V row when it carries
     mass; its V row is zeroed.  All collapsed columns of a slice read one
     residual, to which none of them adds anything, reseeded or not.
-    Returns the per-slice collapse counts.
+    Returns the per-slice collapse counts (0 when none collapsed).
     """
-    pen = mu.any(axis=1)[:, None]
     c = U.max(axis=1)
-    dead = pen & (c <= 0.0)
+    dead = c <= 0.0
+    if pen is True and not dead.any():
+        U /= c[:, None, :]
+        V *= c[:, :, None]
+        return 0
+    if pen is not True:
+        pen = pen[:, None]
+        dead &= pen
     scale = np.where(pen & ~dead, c, 1.0)
     U /= scale[:, None, :]
     V *= scale[:, :, None]
@@ -254,24 +301,32 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
     stall = np.broadcast_to(stall, (S,))
     idx = np.arange(S)  # caller slice of each working slice
     Mw, Uw, Vw = M, U, V
+
+    def stack():
+        # What no pass of this working stack changes.
+        Vt = Vw.swapaxes(-1, -2)
+        pen = True if mu is None else mu.any(axis=1)
+        return (_Block(Uw, Vt, Mw, mu, mask),
+                _Block(Vt, Uw, Mw.swapaxes(-1, -2)),
+                True if np.all(pen) else pen, stall.any())
+
+    Ub, Vb, pen, stalls = stack()
     obj_prev = None
     for it in range(1, max_outer + 1):
-        Vt = Vw.swapaxes(-1, -2)
-        _update_blocks(Uw, np.matmul(Vw, Vt), np.matmul(Mw, Vt), n, mu=mu,
-                       mask=mask)
+        _update_blocks(Ub)
         if mu is not None:
-            collapses[idx] += _renormalize(Mw, Uw, Vw, mu)
-        _update_blocks(Vt, np.matmul(Uw.swapaxes(-1, -2), Uw),
-                       np.matmul(Mw.swapaxes(-1, -2), Uw), m)
+            collapses[idx] += _renormalize(Mw, Uw, Vw, pen)
+        _update_blocks(Vb)
         # Squared as floats, by C pow(x, 2): an array's ** 2 is x * x, which
         # rounds differently in rare cases and would move the histories.
         obj = np.array([x ** 2 for x in
                         _norms(Mw - np.matmul(Uw, Vw)).tolist()])
         if mu is not None:
-            obj += (mu * np.abs(Uw).sum(axis=1)).sum(axis=1)
+            # U >= 0 with no -0.0: the block update snapped it.
+            obj += (mu * Uw.sum(axis=1)).sum(axis=1)
         for k, value in zip(idx.tolist(), obj.tolist()):
             histories[k].append(value)
-        if it > 1 and stall.any():
+        if it > 1 and stalls:
             done = stall & (obj_prev - obj
                             <= STALL_TOL * np.maximum(obj_prev, 1e-300))
             if done.any():
@@ -287,6 +342,7 @@ def _hals(M, U, V, max_outer, mu=None, mask=None, stall=False):
                 mask = None if mask is None else mask[keep]
                 if not idx.size:
                     break
+                Ub, Vb, pen, stalls = stack()
         obj_prev = obj
     if Uw is not U:
         U[idx] = Uw
@@ -365,14 +421,20 @@ def snmf(M, r, cfg: SnmfConfig, zero_tol=1e-8):
     deterministically.
     """
     M = _input(M)
-    if np.any(cfg.mu <= 0):
-        raise ValueError("penalty weights must be positive")
-    return _runs([(M, cfg.seed, cfg.mu)], r, cfg.max_outer, zero_tol)[0]
+    return _runs([(M, cfg.seed, _weights(cfg.mu))], r, cfg.max_outer,
+                 zero_tol)[0]
 
 
 def _midpoints(llo, lhi, probes):
     """The next three levels of bisection midpoints of [llo, lhi] (fewer if
-    the budget left after ``probes`` probes is smaller), and their mu."""
+    the budget left after ``probes`` probes is smaller), and their mu.
+
+    Three levels is the measured best depth: a deeper stack runs more
+    probes that the replay never reads, a shallower one more stacks in
+    sequence.  On the first 16 factorize-parts pool inputs of seed 0 (one
+    BLAS thread, min of 5) a factorize op took 146-150 ms at depth 3,
+    162-192 ms at depth 2 and 164-169 ms at depth 4, with the same results
+    at every depth."""
     mids, brackets = [], [(llo, lhi)]
     for _ in range(min(3, MU_PROBES - probes)):
         halves = []

@@ -98,6 +98,21 @@ def hexagon_slack():
     return np.array([np.roll([0, 1, 2, 2, 1, 0], i) for i in range(6)], float)
 
 
+def parts_50x40():
+    """Criterion 10's input: parts-based 50x40 data of rank 5 (localized
+    nonnegative parts, dense mixing, 0.5% noise), clipped at zero."""
+    rng = np.random.default_rng(42)
+    m, n, r = 50, 40, 5
+    W = np.zeros((m, r))
+    for j in range(r):
+        lo = j * (m // r)
+        W[lo:lo + 14, j] = rng.random(min(14, m - lo)) + 0.2
+    H = 0.15 + rng.random((r, n))
+    M0 = W @ H
+    return np.maximum(M0 + 0.005 * M0.mean() * rng.standard_normal(M0.shape),
+                      0.0)
+
+
 def lifted(M):
     """M times a power of two, max|M| in [1, 2).
 

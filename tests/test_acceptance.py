@@ -16,6 +16,8 @@ from prenmf.fixtures import get_fixture
 from prenmf.preprocessing import (apply_alpha, find_alpha_bar, preprocess,
                                   spectral_radius)
 
+from conftest import parts_50x40
+
 A_CONST = np.sqrt(2.0) - 1.0
 ALPHA_BAR = (4.0 * A_CONST - 1.0) / (3.0 * A_CONST)
 
@@ -354,16 +356,7 @@ def test_criterion_10_image_like_benchmark():
     tuned to, at a polished error within 10% of the plain baseline.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(42)
-    m, n, r = 50, 40, 5
-    W = np.zeros((m, r))
-    for j in range(r):
-        lo = j * (m // r)
-        W[lo:lo + 14, j] = rng.random(min(14, m - lo)) + 0.2
-    H = 0.15 + rng.random((r, n))
-    M0 = W @ H
-    M = np.maximum(M0 + 0.005 * M0.mean() * rng.standard_normal(M0.shape),
-                   0.0)
+    M, r = parts_50x40(), 5
     plain = nmf.run_pipeline(M, r, "nmf", seeds=range(10), max_outer=600)
     pre = nmf.run_pipeline(M, r, "pre_nmf", seeds=range(10), max_outer=600,
                            epsilon=0.0)

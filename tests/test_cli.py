@@ -12,7 +12,7 @@ from prenmf import cli, cllsolve, matio, nmf, uniq
 from prenmf.cli import build_parser, main
 from prenmf.fixtures import get_fixture
 
-from conftest import hexagon_slack, separable_rank3
+from conftest import hexagon_slack, parts_50x40, separable_rank3
 
 
 def run_cli(argv):
@@ -145,7 +145,11 @@ class TestFactorizeCommand:
         assert [rec["method"] for rec in reports[0]["records"]] == [
             "nmf", "pre-nmf", "snmf"]
 
-    def test_reports_same_on_one_and_two_blas_threads(self, tmp_path):
+    @staticmethod
+    def factorize_on_one_and_two_blas_threads(tmp_path, argv):
+        """The report records (``wall_time`` left out) and the CSV bytes of
+        ``prenmf factorize argv`` run in a subprocess with BLAS on one
+        thread and on two."""
         parent = str(Path(prenmf.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
@@ -157,17 +161,33 @@ class TestFactorizeCommand:
                 env[var] = threads
             out = tmp_path / threads
             subprocess.run(
-                [sys.executable, "-m", "prenmf", "factorize", "--fixture",
-                 "sepex", "--rank", "3", "--method", "nmf,pre-nmf,snmf",
-                 "--epsilon", "0,0.05", "--seeds", "0-2", "--max-outer",
-                 "100", "--out", str(out)],
+                [sys.executable, "-m", "prenmf", "factorize", *argv,
+                 "--out", str(out)],
                 check=True, capture_output=True, env=env)
             rep = json.loads((out / "report.json").read_text())
             for rec in rep["records"]:
                 rec.pop("wall_time")
             outputs.append((rep["records"], {
                 f.name: f.read_bytes() for f in out.glob("*.csv")}))
-        assert outputs[0] == outputs[1]
+        return outputs
+
+    def test_reports_same_on_one_and_two_blas_threads(self, tmp_path):
+        one, two = self.factorize_on_one_and_two_blas_threads(tmp_path, [
+            "--fixture", "sepex", "--rank", "3", "--method",
+            "nmf,pre-nmf,snmf", "--epsilon", "0,0.05", "--seeds", "0-2",
+            "--max-outer", "100"])
+        assert one == two
+
+    def test_reports_same_on_one_and_two_blas_threads_at_criterion_10(
+            self, tmp_path):
+        # The 50x40 rank-5 input of the acceptance benchmark, every method.
+        src = tmp_path / "parts.csv"
+        matio.write_csv(src, parts_50x40())
+        one, two = self.factorize_on_one_and_two_blas_threads(tmp_path, [
+            "--input", str(src), "--rank", "5", "--method",
+            "nmf,pre-nmf,snmf", "--seeds", "0-2", "--max-outer", "200"])
+        assert [rec["method"] for rec in one[0]] == ["nmf", "pre-nmf", "snmf"]
+        assert one == two
 
     @pytest.fixture
     def mu_targets(self, monkeypatch):

@@ -70,9 +70,11 @@ class TestAhals:
 
     def test_block_update_ends_once_every_slice_settles(self, monkeypatch):
         # An exact rank-2 product: both blocks cap their inner sweeps at 5,
-        # and sweeps 0-3 measure the movement.  Once every slice has
-        # settled, the block update ends: it neither measures another sweep
-        # nor plans one with no slice left to update.
+        # and sweeps 0-3 measure the movement.  Seeds 0 and 2 run all 50
+        # outer iterations in one stack and settle at different sweeps, so
+        # the sweeps that follow are re-planned for the slice still moving.
+        # Once every slice has settled, the block update ends: it neither
+        # measures another sweep nor plans one with no slice left to update.
         rng = np.random.default_rng(1)
         M = rng.random((40, 2)) @ rng.random((2, 30))
         tracked, plans = [], []
@@ -88,16 +90,18 @@ class TestAhals:
             return norms(X)
 
         def plan_spy(upd):
+            assert upd.shape == (2, 2)
             plans.append(bool(upd.any()))
             return plan(upd)
 
         monkeypatch.setattr(nmf, "_update_blocks", update_spy)
         monkeypatch.setattr(nmf, "_norms", norms_spy)
         monkeypatch.setattr(nmf, "_plan", plan_spy)
-        nmf.ahals(M, 2, seed=0, max_outer=50)
+        pairs = nmf._runs([(M, 0, 0.0), (M, 2, 0.0)], 2, 50, 1e-8)
+        assert [p.iterations for p in pairs] == [50, 50]
         assert len(tracked) == 100 and max(tracked) == 4
         assert min(tracked) < 4
-        assert all(plans)
+        assert plans and all(plans)
 
 
 class TestSnmf:
@@ -170,6 +174,23 @@ class TestSnmf:
         cfg = nmf.SnmfConfig(mu=np.full(2, 0.1), max_outer=5, seed=0)
         cfg.mu = np.zeros(2)
         with pytest.raises(ValueError, match="must be positive"):
+            nmf.snmf(rng.random((5, 4)), 2, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weights_refused(self, rng, monkeypatch, bad):
+        # A NaN weight used to run the whole factorization and fail in the
+        # sparsity of U; an infinite one collapsed every column and returned
+        # an infinite objective.  Both are refused before any run.
+        with pytest.raises(ValueError, match="must be finite"):
+            nmf.SnmfConfig(mu=[1.0, bad])
+        cfg = nmf.SnmfConfig(mu=np.full(2, 0.1), max_outer=5, seed=0)
+        cfg.mu = np.array([bad, 0.1])
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a HALS stack ran")
+
+        monkeypatch.setattr(nmf, "_hals", no_run)
+        with pytest.raises(ValueError, match="must be finite"):
             nmf.snmf(rng.random((5, 4)), 2, cfg)
 
 
@@ -593,15 +614,22 @@ class TestStackedEngine:
         U0, V0 = U.copy(), V.copy()
         want = renormalize_oracle(M, U0, V0)
         assert want == [2, 3, 0, 4]
-        assert nmf._renormalize(M, U, V, np.ones((4, 4))).tolist() == want
+        assert nmf._renormalize(M, U, V).tolist() == want
         np.testing.assert_array_equal(U, U0)
         np.testing.assert_array_equal(V, V0)
-        # A slice with a zero penalty row is left as it is, collapse or not.
+        # With no collapse, every column is scaled and nothing counted.
+        U, V = rng.random((4, 9, 4)), rng.random((4, 4, 7))
+        U0, V0 = U.copy(), V.copy()
+        assert renormalize_oracle(M, U0, V0) == [0] * 4
+        assert not np.any(nmf._renormalize(M, U, V))
+        np.testing.assert_array_equal(U, U0)
+        np.testing.assert_array_equal(V, V0)
+        # A slice that is not penalized is left as it is, collapse or not.
         U, V = rng.random((2, 9, 4)), rng.random((2, 4, 7))
         U[:, :, 1] = 0.0
         U0, V0 = U.copy(), V.copy()
-        mu = np.array([[0.0] * 4, [1.0] * 4])
-        assert nmf._renormalize(M[:2], U, V, mu).tolist() == [0, 1]
+        pen = np.array([False, True])
+        assert nmf._renormalize(M[:2], U, V, pen).tolist() == [0, 1]
         np.testing.assert_array_equal(U[0], U0[0])
         np.testing.assert_array_equal(V[0], V0[0])
 
