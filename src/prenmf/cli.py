@@ -140,6 +140,10 @@ def cmd_factorize(args):
         if method not in ("nmf", "pre-nmf", "snmf"):
             raise ValueError(f"unknown method {method!r}")
     M, source = _load_matrix(args)
+    h, w = args.pgm_shape or (1, M.shape[0])
+    if min(h, w) < 1 or h * w != M.shape[0]:
+        raise ValueError(f"--pgm-shape {h} {w} does not fit the "
+                         f"{M.shape[0]} rows of M: need H, W >= 1, H*W = rows")
     if "pre-nmf" in args.method:
         _check_duplicates(M, args)
     out = _out_dir(args)
@@ -174,8 +178,7 @@ def cmd_factorize(args):
         matio.write_csv(out / f"V_{tag}.csv", V)
         if args.pgm_shape:
             for j in range(U.shape[1]):
-                write_pgm(out / f"U_{tag}_basis{j}.pgm", U[:, j],
-                          args.pgm_shape)
+                write_pgm(out / f"U_{tag}_basis{j}.pgm", U[:, j], (h, w))
     payload = {
         "environment": _env_block(args, seeds),
         "source": source,

@@ -44,10 +44,9 @@ does not rule out cycling, so the pivot cap stays.
 
 Every column is certified.  For a convex QP any nonnegative multipliers that
 leave no stationarity residual and no complementarity gap prove the point
-optimal, whoever computed them.  So the multipliers the kernel stops with
-are verified for all columns at once in plain arithmetic, and a column they
-do not certify falls back to ``kkt_check``, which refits them by scipy's
-bounded-variable least squares and scores them with the same residual.
+optimal, whoever computed them.  The multipliers the kernel stops with are
+verified for all columns at once in plain arithmetic; a column they do not
+certify fails.  ``kkt_check``, the tests' reference, refits them by BVLS.
 """
 
 import math
@@ -126,9 +125,8 @@ class CllsSolution:
 
     b:            full-length coefficient vector, b[i] == 0.
     objective:    ||M[:, i] - M b||^2.
-    kkt_residual: optimality certificate: the verified residual of the
-                  kernel's multipliers, or ``kkt_check``'s on a fallback.
-    active_set:   constraints tight at b (within ``kkt_check``'s activity
+    kkt_residual: optimality certificate: the kernel's multipliers' residual.
+    active_set:   constraints tight at b (within ``_feasibility``'s activity
                   tolerances); entries < n are variable bounds (b_k = 0),
                   entries >= n encode slack rows as n + row.  A regular
                   stop reports the kernel's working set, which can leave
@@ -147,8 +145,7 @@ class CllsSolution:
     iterations: int
 
 
-def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None,
-                   cold=False):
+def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
     """Primal active-set method for the columns ``cols`` (a slice) of M.
 
     The problem of column i is  min ||M x - d||^2  s.t.  x >= 0, x_i = 0,
@@ -156,8 +153,8 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None,
     problem has all n variables and one index space, that of
     ``CllsSolution.active_set``: bounds x_k >= 0 are 0..n-1 and rows are
     n..n+m-1.  Each starts from x = 0 with every bound active, but those of
-    the bound-only start (module docstring) unless ``cold``.  Bound i pins
-    x_i = 0: it is never dropped, so variable i never enters a KKT system.
+    the bound-only start (module docstring).  Bound i pins x_i = 0: it is
+    never dropped, so variable i never enters a KKT system.
     ``tie_order`` optionally permutes the pivoting preference over the index
     space (used to verify that the fitted vector M x is independent of the
     ordering).  ``dantzig`` picks the drop rule of the module docstring; by
@@ -215,7 +212,7 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None,
     x = np.zeros((S, n))
     flip = np.arange(N) < n       # the bounds: held in act, free in a working set
     act = np.repeat(flip[None], S, axis=0)   # bounds x_k = 0, rows M_j x = u_j held
-    if dantzig and epsilon > 0.0 and n > 1 and not cold:
+    if dantzig and epsilon > 0.0 and n > 1:
         # The bound-only start; n > 1, as scipy's nnls aborts the process
         # on a matrix with no columns.
         import scipy.optimize
@@ -386,7 +383,7 @@ def _escape(C, d, u, x):
     C x <= u  is blocked at zero length (a degenerate point).
 
     Fits -g by nonnegative multipliers on the normals of every constraint
-    tight at x (within ``kkt_check``'s activity tolerances), not only of
+    tight at x (within ``_feasibility``'s activity tolerances), not only of
     those in the working set.  A zero residual r proves x a KKT point:
     returns (x, tight, True, mult), tight a mask over bounds, then rows, and
     mult the fit's multipliers in that index space, zero off the tight set.
@@ -432,11 +429,11 @@ def _column_solutions(M, cols, epsilon, tie_order=None, dantzig=None):
     """Solve the problems of the columns ``cols`` (a slice) of M together.
 
     One kernel call for all columns, zero ones and a lone one included,
-    then one batched ``_residuals`` of its multipliers; a column they do not
-    certify falls back to ``kkt_check``.  A column failed under Dantzig's
-    rule is solved again alone under the lowest-index rule.  Returns the
-    CllsSolutions, or raises the first failing column's error (the kernel's,
-    InfeasiblePoint or a failed certificate) as "column i: <error>"."""
+    then one batched ``_residuals`` of its multipliers, which must certify
+    each column.  A column failed under Dantzig's rule is solved again
+    alone under the lowest-index rule.  Returns the CllsSolutions, or
+    raises the first failing column's error (the kernel's, InfeasiblePoint
+    or a failed certificate) as "column i: <error>"."""
     _check_epsilon(epsilon)
     m, n = M.shape
     ids = range(n)[cols]
@@ -468,10 +465,8 @@ def _column_solutions(M, cols, epsilon, tie_order=None, dantzig=None):
             b, active, it, _ = res
             residual, tol = float(residuals[s]), KKT_TOL * grad_scale[s]
             if residual > tol:
-                residual = kkt_check(CllsProblem(Ml, i, epsilon), b)
-                if residual > tol:
-                    raise SolverError("optimality certificate failed: KKT residual "
-                                      f"{residual:.3e} exceeds {tol:.3e}")
+                raise SolverError("optimality certificate failed: KKT residual "
+                                  f"{residual:.3e} exceeds {tol:.3e}")
         except (SolverError, InfeasiblePoint) as exc:
             if dantzig:     # alone: exactly the lowest-index rule's outcome
                 sols += _column_solutions(M, slice(i, i + 1), epsilon,
@@ -503,7 +498,7 @@ def _residuals(M, ids, B, MB, U, D, nu, bound):
 
 
 def _feasibility(B, ids, MB, U, D):
-    """``kkt_check``'s feasibility tests and activity tolerances: for each
+    """The certificates' feasibility tests and activity tolerances: for each
     point B[s] of column ids[s]'s problem (M B[s] = MB[s], slack bound U[s],
     target D[s]), why it is infeasible or None, and masks of its tight
     bounds (never bound i) and tight rows."""
@@ -545,8 +540,7 @@ def kkt_check(p: CllsProblem, b):
     constraints to the gradient by scipy's bounded-variable least squares,
     not the kernel, so they are independent of the path that produced b,
     and scores the row multipliers by ``_residuals``, as the kernel's are.
-    It is the reference the tests call, and the fallback for a column whose
-    kernel multipliers fail verification.
+    It is the reference the tests call; no solver path calls it.
     """
     M, i, (m, n) = p.M, p.i, p.M.shape
     b = np.asarray(b, dtype=float)

@@ -286,6 +286,27 @@ class TestFactorizeCommand:
         head = pgms[0].read_bytes()[:20]
         assert head.startswith(b"P5\n2 5\n255\n")
 
+    @pytest.mark.parametrize("shape", [("2", "2"), ("0", "10"),
+                                       ("-2", "-5")], ids="x".join)
+    def test_pgm_shape_is_checked_before_any_run(self, tmp_path, capsys,
+                                                 monkeypatch, shape):
+        # sepex has 10 rows: a shape must have H, W >= 1 and H*W = 10.  A
+        # bad one is refused before the comparison runs, so no factor file
+        # or report is left behind.
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_comparison called")
+
+        monkeypatch.setattr(nmf, "run_comparison", refuse)
+        out = tmp_path / "o"
+        code = main(["factorize", "--fixture", "sepex", "--rank", "3",
+                     "--method", "nmf", "--seeds", "0", "--max-outer", "20",
+                     "--pgm-shape", *shape, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: --pgm-shape {shape[0]} {shape[1]} " in err
+        assert "10 rows" in err
+        assert not out.exists()
+
     def test_pgm_of_an_all_zero_column(self, tmp_path):
         path = tmp_path / "zero.pgm"
         cli.write_pgm(path, np.zeros(6), (2, 3))

@@ -14,8 +14,9 @@ from prenmf.cllsolve import (KKT_TOL, CllsProblem, Infeasible,
                              InfeasiblePoint, MaxIterations, kkt_check,
                              nnls_columns, preprocess_matrix, solve_column)
 from prenmf.fixtures import fixture_names, get_fixture
-from oracles import (column_kernel_oracle, grid_column_oracle, nnls_kkt_check,
-                     qp_column_check, qp_column_oracle)
+from oracles import (active_set_oracle, column_kernel_oracle,
+                     grid_column_oracle, nnls_kkt_check, qp_column_check,
+                     qp_column_oracle)
 
 from conftest import (lifted, random_nonneg, stress_products, sweep_products,
                       synthetic)
@@ -134,24 +135,21 @@ class TestKktCheck:
 
 
 def certificate_spies(monkeypatch, column=None, edit=None):
-    """Record the columns whose certificate falls back to ``kkt_check`` and
-    the ``_escape`` pivots that stop a column.  With ``edit``, column
-    ``column``'s kernel multipliers first pass through edit(M, x, mult)."""
-    fallbacks, stops = [], []
-    kernel, check, escape = (cllsolve._active_set_ls, cllsolve.kkt_check,
-                             cllsolve._escape)
+    """Record each kernel call's columns and drop rule, and the ``_escape``
+    pivots that stop a column.  With ``edit``, column ``column``'s kernel
+    multipliers first pass through edit(M, x, mult) in every call."""
+    calls, stops = [], []
+    kernel, escape = cllsolve._active_set_ls, cllsolve._escape
 
-    def kernel_spy(M, cols, *args):
-        results = kernel(M, cols, *args)
+    def kernel_spy(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
+        ids = range(M.shape[1])[cols]
+        calls.append((list(ids), dantzig))
+        results = kernel(M, cols, epsilon, max_iter, tie_order, dantzig)
         if edit is not None:
-            s = range(M.shape[1])[cols].index(column)
+            s = ids.index(column)
             x, active, it, mult = results[s]
             results[s] = (x, active, it, edit(M, x, mult.copy()))
         return results
-
-    def check_spy(p, b):
-        fallbacks.append(p.i)
-        return check(p, b)
 
     def escape_spy(*args):
         out = escape(*args)
@@ -160,9 +158,8 @@ def certificate_spies(monkeypatch, column=None, edit=None):
         return out
 
     monkeypatch.setattr(cllsolve, "_active_set_ls", kernel_spy)
-    monkeypatch.setattr(cllsolve, "kkt_check", check_spy)
     monkeypatch.setattr(cllsolve, "_escape", escape_spy)
-    return fallbacks, stops
+    return calls, stops
 
 
 def grad_scale(M, i):
@@ -172,7 +169,8 @@ def grad_scale(M, i):
 
 class TestCertificate:
     """Each column is certified by the multipliers its kernel run ends
-    with; the BVLS certificate ``kkt_check`` is the fallback."""
+    with, and a column they do not certify fails; the BVLS certificate
+    ``kkt_check`` is the independent reference."""
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     @pytest.mark.parametrize("name", fixture_names() + [
@@ -188,13 +186,12 @@ class TestCertificate:
             M, cols = synthetic(100, 100, 8, noise=0.0), range(50, 60)
         else:
             M = get_fixture(name)
-        fallbacks, stops = certificate_spies(monkeypatch)
+        _, stops = certificate_spies(monkeypatch)
         if cols is None:
             _, sols = preprocess_matrix(M, eps)
             cols = range(M.shape[1])
         else:
             sols = [solve_column(CllsProblem(M, i, eps)) for i in cols]
-        assert fallbacks == []
         if name == "noiseless-100x100" and eps == 0.0:
             assert stops
         # At the scale the kernel runs M: lifted only when max|M| < 1.
@@ -230,21 +227,22 @@ class TestCertificate:
                     <= KKT_TOL * grad_scale(L, i)), i
 
     @pytest.mark.parametrize("kind", ["flip", "double", "slack"])
-    def test_corrupted_multipliers_fall_back(self, monkeypatch, kind):
+    def test_corrupted_multipliers_fail_the_certificate(self, monkeypatch,
+                                                         kind):
         # Column 3 of 50x40 holds four slack rows; its largest row
         # multiplier with the sign flipped or doubled breaks stationarity.
         # Column 0 of noisy at eps = 0.05 leaves row 1 far from tight, and
         # that row is zero on the free variable: a multiplier there keeps
         # stationarity, and only complementarity can reject it.  Both
-        # inputs have max|M| >= 1, so the kernel runs M as it is.  Each
-        # corruption must fail verification; BVLS then certifies the same b
-        # once.
+        # inputs have max|M| >= 1, so the kernel runs M as it is, and full
+        # column rank, so Dantzig's rule runs.  Each corruption must fail
+        # the certificate, in the batch and in the column's lowest-index
+        # retry alone, and the error names the column.
         if kind == "slack":
             M, eps, i = get_fixture("noisy"), 0.05, 0
         else:
             M, eps, i = synthetic(50, 40, 5), 0.0, 3
         n = M.shape[1]
-        B, sols = preprocess_matrix(M, eps)
 
         def edit(M, x, mult):
             nu = mult[n:]
@@ -260,22 +258,22 @@ class TestCertificate:
                 nu[j] = 1.0
             return mult
 
-        fallbacks, _ = certificate_spies(monkeypatch, i, edit)
-        B_fb, sols_fb = preprocess_matrix(M, eps)
-        assert fallbacks == [i]
-        assert B_fb.tobytes() == B.tobytes()
-        assert [s.active_set for s in sols_fb] == [s.active_set for s in sols]
-        residual = kkt_check(CllsProblem(M, i, eps), B[:, i])
-        assert sols_fb[i].kkt_residual == residual
-        assert residual <= KKT_TOL * grad_scale(M, i)
+        calls, _ = certificate_spies(monkeypatch, i, edit)
+        with pytest.raises(cllsolve.SolverError) as info:
+            preprocess_matrix(M, eps)
+        assert type(info.value) is cllsolve.SolverError
+        assert str(info.value).startswith(
+            f"column {i}: optimality certificate failed: KKT residual ")
+        assert calls == [(list(range(n)), True), ([i], False)]
 
     def test_failed_certificate_names_its_column(self, nested_squares,
                                                  monkeypatch, tmp_path,
                                                  capsys):
         # Column 2 of nested-squares ends with two tight slack rows.  With
         # their multipliers zeroed the batched certificate rejects the
-        # column; when the BVLS fallback rejects it too, the column's
-        # SolverError carries its index, and the CLI exits 2 with it.
+        # column.  nested-squares has rank 3 < 4, so the lowest-index rule
+        # runs and there is no retry: the column's SolverError carries its
+        # index, and the CLI exits 2 with it.
         n = nested_squares.shape[1]
 
         def drop_rows(M, x, mult):
@@ -283,20 +281,13 @@ class TestCertificate:
             mult[n:] = 0.0
             return mult
 
-        fallbacks, _ = certificate_spies(monkeypatch, 2, drop_rows)
-
-        def failing_check(p, b):
-            fallbacks.append(p.i)
-            return 1e3
-
-        monkeypatch.setattr(cllsolve, "kkt_check", failing_check)
+        calls, _ = certificate_spies(monkeypatch, 2, drop_rows)
         with pytest.raises(cllsolve.SolverError) as info:
             preprocess_matrix(nested_squares)
-        assert fallbacks == [2]
+        assert calls == [(list(range(n)), False)]
         assert type(info.value) is cllsolve.SolverError
         assert str(info.value).startswith(
-            "column 2: optimality certificate failed: KKT residual "
-            "1.000e+03 exceeds ")
+            "column 2: optimality certificate failed: KKT residual ")
         code = main(["preprocess", "--fixture", "nested-squares",
                      "--out", str(tmp_path)])
         assert code == 2
@@ -619,10 +610,13 @@ def tight_set(L, i, eps, x):
 
 def start_and_cold(M, eps):
     """The kernel's results on every column of M (at its kernel scale), with
-    the bound-only start where it applies and with the cold start forced."""
+    the bound-only start where it applies, and the serial oracle's from the
+    cold start, every bound held."""
     L = kernel_scale(M)
-    return L, [cllsolve._active_set_ls(L, slice(None), eps, 50 * L.shape[1],
-                                       cold=cold) for cold in (False, True)]
+    n = L.shape[1]
+    cold = [active_set_oracle(L, i, L[:, i] + eps * np.abs(L[:, i]).max(),
+                              50 * n) for i in range(n)]
+    return L, [cllsolve._active_set_ls(L, slice(None), eps, 50 * n), cold]
 
 
 class TestBoundOnlyStart:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prenmf import nmf, sparsity
+from prenmf import nmf, preprocessing, sparsity
 from prenmf.cllsolve import preprocess_matrix
 from prenmf.preprocessing import apply_alpha, preprocess
 
@@ -688,6 +688,18 @@ class TestRunComparison:
             with pytest.raises(ValueError, match="snmf needs a target"):
                 nmf.run_comparison(M, 3, records, seeds=range(2),
                                    max_outer=5)
+
+    def test_rank_below_one_refused_before_preprocessing(self, monkeypatch):
+        # The rank is checked with the other arguments, before stage 1
+        # solves B* for the pre_nmf records.
+        calls = []
+        monkeypatch.setattr(preprocessing, "preprocess",
+                            lambda *args, **kwargs: calls.append(args))
+        M, _ = engine_inputs()
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            nmf.run_comparison(M, 0, [("pre_nmf", 0.0)], seeds=range(2),
+                               max_outer=5)
+        assert calls == []
 
     @pytest.mark.parametrize("max_outer", [0, -1])
     def test_max_outer_below_one_refused(self, max_outer):

@@ -20,7 +20,7 @@ import pytest
 
 import prenmf
 from prenmf import cli, cllsolve, matio, nmf, npp3
-from prenmf.fixtures import get_fixture
+from prenmf.fixtures import fixture_names, get_fixture
 from prenmf.preprocessing import apply_alpha, find_alpha_bar
 
 from conftest import lifted, separable_rank3, synthetic
@@ -230,23 +230,15 @@ def test_enumeration_walks_each_start_once(monkeypatch):
 
 def test_preprocess_runs_one_kernel_call(monkeypatch):
     # All columns of B* go through one lockstep kernel call; a return to
-    # one call per column would multiply the op's cost.  The kernel's own
-    # multipliers certify every column of this input, so the BVLS
-    # certificate, called through the module attribute where perfbench
-    # counts it, runs only as a fallback and not at all here.
-    kernel_calls, kkt_calls = [], []
-    kernel, kkt_check = cllsolve._active_set_ls, cllsolve.kkt_check
+    # one call per column would multiply the op's cost.
+    kernel_calls = []
+    kernel = cllsolve._active_set_ls
 
     def kernel_spy(M, cols, *args, **kwargs):
         kernel_calls.append(range(M.shape[1])[cols])
         return kernel(M, cols, *args, **kwargs)
 
-    def kkt_spy(p, b):
-        kkt_calls.append(p.i)
-        return kkt_check(p, b)
-
     monkeypatch.setattr(cllsolve, "_active_set_ls", kernel_spy)
-    monkeypatch.setattr(cllsolve, "kkt_check", kkt_spy)
     rng = np.random.default_rng(0)
     M = rng.random((20, 4)) @ rng.random((4, 16))
     # A zero column takes the same path, and its multipliers certify it.
@@ -256,7 +248,6 @@ def test_preprocess_runs_one_kernel_call(monkeypatch):
         kernel_calls.clear()
         cllsolve.preprocess_matrix(X)
         assert kernel_calls == [range(16)]
-        assert kkt_calls == []
 
 
 def test_preprocess_memory_stays_below_a_per_column_store():
@@ -326,6 +317,28 @@ def test_kkt_check_never_reaches_the_kernel(monkeypatch, nested_squares):
     p = cllsolve.CllsProblem(nested_squares, 0)
     assert cllsolve.kkt_check(p, np.array([0.0, 0.375, 0.0, 0.375])) <= 1e-8
     assert cllsolve.kkt_check(p, np.zeros(4)) > 0.1
+
+
+def test_no_runtime_path_calls_lsq_linear(monkeypatch, tmp_path):
+    # The kernel's multipliers are the only runtime certificate: scipy's
+    # BVLS, which only ``kkt_check`` calls, must not run while B* is built,
+    # escape stops included (noiseless 100x100 columns 50-59 at eps = 0),
+    # nor in the rank-3 analysis with its alpha search.
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lsq_linear called")
+
+    monkeypatch.setattr(scipy.optimize, "lsq_linear", refuse)
+    noiseless = synthetic(100, 100, 8, noise=0.0)
+    for eps in (0.0, 0.05):
+        for M in [get_fixture(name) for name in fixture_names()] + [
+                synthetic(50, 40, 5)]:
+            cllsolve.preprocess_matrix(M, eps)
+        for i in range(50, 60):
+            cllsolve.solve_column(cllsolve.CllsProblem(noiseless, i, eps))
+    assert cli.main(["npp", "--fixture", "nested-squares", "--alpha", "auto",
+                     "--out", str(tmp_path)]) == 0
 
 
 def test_factorize_runs_three_hals_stages(monkeypatch, tmp_path, capsys):
