@@ -44,10 +44,20 @@ def _load_matrix(args):
 
 
 def _parse_seeds(text):
-    if "-" in text and "," not in text:
-        a, b = text.split("-", 1)
-        return tuple(range(int(a), int(b) + 1))
-    return tuple(int(s) for s in text.split(",") if s != "")
+    """The seeds of ``--seeds``: A-B with A <= B, or a comma list of
+    nonnegative integers."""
+    try:
+        if "-" in text and "," not in text:
+            a, b = text.split("-", 1)
+            seeds = tuple(range(int(a), int(b) + 1))
+        else:
+            seeds = tuple(int(s) for s in text.split(",") if s != "")
+        if seeds and min(seeds) >= 0:
+            return seeds
+    except ValueError:
+        pass
+    raise ValueError(f"--seeds {text!r}: expected A-B with A <= B, or a "
+                     "comma list of nonnegative integers")
 
 
 def _check_duplicates(M, args):
@@ -139,6 +149,7 @@ def cmd_factorize(args):
     for method in args.method:
         if method not in ("nmf", "pre-nmf", "snmf"):
             raise ValueError(f"unknown method {method!r}")
+    seeds = _parse_seeds(args.seeds)
     M, source = _load_matrix(args)
     h, w = args.pgm_shape or (1, M.shape[0])
     if min(h, w) < 1 or h * w != M.shape[0]:
@@ -147,7 +158,6 @@ def cmd_factorize(args):
     if "pre-nmf" in args.method:
         _check_duplicates(M, args)
     out = _out_dir(args)
-    seeds = _parse_seeds(args.seeds)
     runs = [(method, eps) for method in args.method
             for eps in (args.epsilon if method != "nmf" else [0.0])]
     reps = nmf.run_comparison(

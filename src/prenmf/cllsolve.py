@@ -7,51 +7,44 @@ Each column i of a data matrix M defines one problem
 
 The solution subtracts from a column the best nonnegative combination of the
 other columns that keeps the (relaxed) result nonnegative; the residual
-column is the preprocessed column.  Problems for different i are independent
-and share their data: each has all n variables, with b[i] = 0 a bound that
-is never released, so every problem's normal equations are slices of one
-Gram matrix G = M^T M, and all use one index space (bounds, then rows).
-One kernel call solves all of them in lockstep, one pivot in each
-unfinished problem per iteration (plus the optimality check after a full
-step), and each problem still gets the pivots and floating-point results it
-would get alone (see ``_active_set_ls``), so B* does not depend on which
-columns share a call, nor on the BLAS thread count.  Every column takes this
-path, a zero column or the only column of M included; a column's pivots
-include the final optimality check, so one optimal at b = 0 reports 1.
+column is the preprocessed column.  Each problem has all n variables, with
+b[i] = 0 a bound never released, so all share one Gram matrix G = M^T M and
+one index space (bounds, then rows).  One kernel call solves every column,
+a zero or lone one included, in lockstep, and each gets the pivots and
+floating-point results it would get alone (``_active_set_ls``): B* depends
+neither on which columns share a call nor on the BLAS thread count.
 
 The solver is a primal active-set method on the quadratic program in b: the
 tight constraints are precisely the zero entries of the output, so a
 combinatorially exact method is preferred over a first-order one.  Pivoting
 is deterministic, and the ratio test breaks ties within 1e-15 by index.
-Where M has full column rank (decided per call from M alone, so batch
-invariance holds) every problem is strictly convex, its optimum unique, and
-the multiplier most negative per unit normal leaves the working set
-(Dantzig's rule: far fewer pivots).  There, at epsilon > 0, a problem
-starts at b = 0 with the bounds of F = {k : x_k > 0} released, x the
-bound-only optimum (scipy's nnls on the other columns): tight at b = 0, any
-of them make a valid working set, the first step heads for x, and x, often
-feasible with the epsilon margin, is then optimal.  At epsilon = 0 x is
-feasible only if it fits exactly, so the cold start stays.  Elsewhere the
-rule picks which optimum is reported: the lowest-index negative multiplier
-leaves, from the cold start, as in a column that Dantzig's path leaves
-failed, solved again alone, because an ``_escape`` fit at a degenerate
-point can be wrong.  At a degenerate point, common on exactly low-rank
-inputs, the working set is dependent (more active rows than free
-variables, or a KKT system that is singular or solved inaccurately) or a
-step is blocked at zero length; one ``_escape`` pivot then proves the
-point optimal or strictly lowers the objective.  In floating point that
-does not rule out cycling, so the pivot cap stays.
+Where M has full column rank (decided per call from M alone) every problem
+is strictly convex and the multiplier most negative per unit normal leaves
+the working set (Dantzig's rule: far fewer pivots).  There, at epsilon > 0,
+a problem starts at b = 0 with the bounds of {k : x_k > 0} released, x the
+bound-only optimum (scipy's nnls on the other columns): the first step
+heads for x, which the epsilon margin often makes feasible and optimal (at
+epsilon = 0 only an exact fit is, so the cold start stays).  Elsewhere the rule picks the optimum reported: the lowest-index negative
+multiplier leaves, from the cold start, as in a column that Dantzig's path
+leaves failed, solved again alone (an ``_escape`` fit can be wrong).  At a
+degenerate point, common on exactly low-rank inputs, the working set is
+dependent (more active rows than free variables, or a KKT system singular
+or solved inaccurately) or a step is blocked at zero length; one
+``_escape`` pivot proves the point optimal or strictly lowers the
+objective.  That does not rule out cycling in floating point, so the pivot
+cap stays.
 
-Every column is certified.  For a convex QP any nonnegative multipliers that
-leave no stationarity residual and no complementarity gap prove the point
-optimal, whoever computed them.  The multipliers the kernel stops with are
-verified for all columns at once in plain arithmetic; a column they do not
-certify fails.  ``kkt_check``, the tests' reference, refits them by BVLS.
+Every column is certified: nonnegative multipliers with no stationarity
+residual and no complementarity gap prove a convex QP's point optimal,
+whoever computed them.  The kernel's are checked in plain arithmetic;
+``kkt_check``, the tests' reference, refits them by BVLS.
 """
 
+import collections
 import math
 import numpy as np
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .matcore import as_matrix, numerical_rank
 
@@ -119,6 +112,19 @@ class CllsProblem:
         return d + self.epsilon * np.abs(d).max()
 
 
+class Solutions(list):
+    """A batch's CllsSolutions with the read-only ``counters`` of its kernel
+    calls: ``pivots`` (of columns a call stops without an error),
+    ``lockstep_iterations``, ``escapes``, ``lowest_index_retries`` and
+    ``bound_only_starts``."""
+
+    def __init__(self, sols, counts):
+        super().__init__(sols)
+        self.counters = MappingProxyType({k: counts[k] for k in (
+            "pivots", "lockstep_iterations", "escapes",
+            "lowest_index_retries", "bound_only_starts")})
+
+
 @dataclass(frozen=True)
 class CllsSolution:
     """Solver output for one column.
@@ -126,16 +132,13 @@ class CllsSolution:
     b:            full-length coefficient vector, b[i] == 0.
     objective:    ||M[:, i] - M b||^2.
     kkt_residual: optimality certificate: the kernel's multipliers' residual.
-    active_set:   constraints tight at b (within ``_feasibility``'s activity
-                  tolerances); entries < n are variable bounds (b_k = 0),
-                  entries >= n encode slack rows as n + row.  A regular
-                  stop reports the kernel's working set, which can leave
-                  out other tight constraints; a stop proved by ``_escape``
-                  at a degenerate point (a dependent working set or a
-                  blocked step) reports every tight one.
-    iterations:   the column's kernel pivots (not nnls's inner steps): its
-                  active-set pivots plus the final optimality check, so a
-                  column optimal at its start reports 1.
+    active_set:   constraints tight at b (``_feasibility``'s tolerances),
+                  bounds b_k = 0 as k, slack rows as n + row: the kernel's
+                  working set, which can leave out other tight ones, or
+                  after an ``_escape`` proof at a degenerate point every
+                  tight one.
+    iterations:   the column's kernel pivots (not nnls's inner steps), the
+                  final optimality check included, so 1 if optimal at start.
     """
 
     b: np.ndarray
@@ -145,59 +148,55 @@ class CllsSolution:
     iterations: int
 
 
-def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
+def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None,
+                   counts=None):
     """Primal active-set method for the columns ``cols`` (a slice) of M.
 
-    The problem of column i is  min ||M x - d||^2  s.t.  x >= 0, x_i = 0,
-    M x <= u,  with d = M[:, i] and u = d + epsilon ||d||_inf.  Every
-    problem has all n variables and one index space, that of
-    ``CllsSolution.active_set``: bounds x_k >= 0 are 0..n-1 and rows are
-    n..n+m-1.  Each starts from x = 0 with every bound active, but those of
-    the bound-only start (module docstring).  Bound i pins x_i = 0: it is
-    never dropped, so variable i never enters a KKT system.
-    ``tie_order`` optionally permutes the pivoting preference over the index
-    space (used to verify that the fitted vector M x is independent of the
-    ordering).  ``dantzig`` picks the drop rule of the module docstring; by
-    default it holds where M has full column rank.
+    Column i's problem is  min ||M x - d||^2  s.t.  x >= 0, x_i = 0,
+    M x <= u,  d = M[:, i], u = d + epsilon ||d||_inf, in the index space of
+    ``CllsSolution.active_set`` (bounds 0..n-1, rows n..n+m-1).  Each starts
+    from x = 0 with every bound held but those of the bound-only start;
+    bound i is never dropped.  ``tie_order`` permutes the pivoting
+    preference over the index space (the tests check that M x does not
+    depend on it); ``dantzig`` picks the drop rule, by default where M has
+    full column rank; ``counts``, a Counter, gains the call's counts of
+    ``Solutions.counters`` but the retries.
 
-    All problems read one store, [2G, M^T] over a zero row, with the Gram
-    matrix G = M^T M formed without BLAS: it is symmetric bit for bit and
-    the same under any thread count.  The problems run in lockstep, one
-    pivot each per iteration, and each takes the pivots it would take alone,
-    with the same floating-point results: the KKT systems are solved in
-    stacks of systems of one exact size, every product is a per-problem
-    matrix-vector call on the shared M or G, and a problem that stops
-    leaves the working stack.  After a full step a problem's optimality
-    check runs in the same iteration, as one more of its pivots, not after
-    the next KKT solve, which would repeat this one; the cap max_iter is per
-    problem.  A problem at a degenerate point (see the module docstring)
-    takes one ``_escape`` pivot in the same iteration, on M without column
-    i and x without entry i.  Returns per problem (x, active, pivots,
-    multipliers) or the SolverError that stopped it.  The multipliers (lam
-    on the bounds, nu on the rows, with 2G x - 2G[i] - lam + M^T nu = 0 on
-    the free variables) are those held at the stop: the last KKT solve's,
-    or the fit's of an ``_escape`` that proves the stop.  They are zero off
-    the working set.
+    All problems read one store, [2G, M^T] over a zero row, with G = M^T M
+    formed without BLAS (symmetric bit for bit under any thread count), and
+    run in lockstep, one pivot each per iteration, each with the pivots and
+    floating-point results it would take alone: KKT systems are solved in
+    stacks of one exact size, and every product is a per-problem
+    matrix-vector call.  The systems hold a few variables and rows, so an
+    iteration costs numpy's per-call overhead, not LAPACK work: each step
+    but the multipliers runs once over all live problems, and one it does
+    not apply to keeps its state.  A full step's optimality check runs in its own iteration as
+    one more pivot; max_iter caps each problem.  A problem at a degenerate
+    point takes one ``_escape`` pivot.  Returns per problem (x, active,
+    pivots, multipliers) or the SolverError that stopped it; multipliers
+    (lam on bounds, nu on rows: 2G x - 2G[i] - lam + M^T nu = 0 on the free
+    variables) are the last KKT solve's or a proving ``_escape`` fit's.
     """
     m, n = M.shape
     ids = np.arange(n)[cols]
-    S, N = ids.size, n + m
+    S, N, ar = ids.size, n + m, np.arange(n + m)
     D = M.T[cols]
     H = D + epsilon * np.abs(D).max(axis=1, keepdims=True)
-    rank = np.arange(N)
-    if tie_order is not None:
-        rank[np.asarray(tie_order, dtype=int)] = np.arange(N)
+    by_rank = None if tie_order is None else np.asarray(tie_order, dtype=int)
+    rank_of = (ar if by_rank is None else np.argsort(by_rank)).tolist()
     dantzig = _full_column_rank(M) if dantzig is None else dantzig
+    counts = collections.Counter() if counts is None else counts
     unit = np.concatenate([np.ones(n), np.linalg.norm(M, axis=1)])
     results = [None] * S
     done = H.min(axis=1) < -FEAS_TOL * np.maximum(1.0, np.abs(H).max(axis=1))
-    for s in np.flatnonzero(done).tolist():
+    fin = done.nonzero()[0].tolist()   # the problems that stop
+    for s in fin:
         results[s] = Infeasible("slack bound has negative entries; "
                                 "x = 0 is not feasible")
 
-    # The store Q = [2G, M^T, 0] over a zero row, of about n(n + m) numbers:
-    # entry (a, b) of a KKT matrix is Q[min(a, b, n), max(a, b)], 0 for two
-    # rows or the padding index N.  rhs_src: 2G[i], u, then a 0 for padding.
+    # The store Q = [2G, M^T, 0] over a zero row: entry (a, b) of a KKT
+    # matrix is Q[min(a, b, n), max(a, b)], 0 for two rows or the padding
+    # index N.  rhs_src: 2G[i], u, then a 0 for padding.
     Q = np.zeros((n + 1, N + 1))
     Q[:n, :n] = 2.0 * np.einsum("ki,kj->ij", M, M)
     Q[:n, n:N] = M.T
@@ -205,23 +204,26 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
     rhs_src = np.zeros((S, N + 1))
     rhs_src[:, :n] = G2[ids]
     rhs_src[:, n:N] = H
-    row_scale = np.maximum(1.0, np.abs(M).max(axis=1))
+    # The scale of each constraint's direction tolerance: 1 on the bounds.
+    dir_scale = np.concatenate([np.ones(n), np.maximum(1, np.abs(M).max(1))])
     step_tol = 1e-13 * np.maximum(1.0, np.abs(D).max(axis=1))
 
-    idx = np.arange(S)            # caller problem of each working problem
+    idx, col = np.arange(S), ids  # caller problem, column of each working one
     x = np.zeros((S, n))
-    flip = np.arange(N) < n       # the bounds: held in act, free in a working set
+    flip = ar < n                 # bounds: held in act, free in a working set
     act = np.repeat(flip[None], S, axis=0)   # bounds x_k = 0, rows M_j x = u_j held
+    held, loose = np.where(flip, N, ar), np.where(flip, ar, N)   # N: out
     if dantzig and epsilon > 0.0 and n > 1:
-        # The bound-only start; n > 1, as scipy's nnls aborts the process
-        # on a matrix with no columns.
+        # The bound-only start (nnls aborts on a matrix with no columns).
         import scipy.optimize
-        for s in np.flatnonzero(~done).tolist():
+        for s in (~done).nonzero()[0].tolist():
+            others = ar[:n - 1] + (ar[:n - 1] >= ids[s])
             try:
-                xh = scipy.optimize.nnls(np.delete(M, ids[s], axis=1), D[s])[0]
+                xh = scipy.optimize.nnls(M.take(others, axis=1), D[s])[0]
             except RuntimeError:      # its iteration cap: the cold start
                 continue
-            act[s, :n] = ~np.insert(xh > 0.0, ids[s], False)
+            act[s, others] = xh <= 0.0
+            counts["bound_only_starts"] += 1
     it, fused, top = 0, [0] * S, 0    # caller c's pivots: it + fused[c]
     while True:
         it += 1
@@ -230,36 +232,37 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
                 if not done[s] and it + fused[c] > max_iter:
                     done[s], results[c] = True, MaxIterations(
                         f"active-set method exceeded {max_iter} pivots")
-        if done.any():
+                    fin.append(s)
+        if fin:
             keep = ~done
-            idx, x, act = idx[keep], x[keep], act[keep]
+            idx, col, x, act = idx[keep], col[keep], x[keep], act[keep]
             rhs_src, step_tol = rhs_src[keep], step_tol[keep]
         L = idx.size
         if L == 0:
+            counts["lockstep_iterations"] += it - 1
             return results
 
-        # Working sets: the free variables, then the active rows, by index;
-        # padded with N, which gathers zeros.  One holding more than n
-        # constraints is dependent, and its problem escapes.
+        # Working sets: the free variables, then the active rows, padded with
+        # N.  One holding more than n constraints is dependent and escapes.
         z = np.zeros((L, N + 1))      # x_new (later lam), then the rows' nu
         esc = act.sum(axis=1) > n
-        order = np.flatnonzero(~act[:, :n].all(axis=1) & ~esc)
-        if order.size:
-            work = act[order] ^ flip
-            size = work.sum(axis=1)
-            sort = np.argsort(size, kind="stable")
-            order, size, work = order[sort], size[sort], work[sort]
-            P = np.full((order.size, size[-1]), N)
-            P[np.arange(size[-1]) < size[:, None]] = np.nonzero(work)[1]
-            Pa, Pb = P[:, :, None], P[:, None, :]
-            K = Q[np.minimum(np.minimum(Pa, Pb), n), np.maximum(Pa, Pb)]
-            rhs = rhs_src[order[:, None], P]
-            sol = np.zeros_like(rhs)
-            Ksol = np.zeros_like(rhs)
-            cuts = (np.flatnonzero(np.diff(size)) + 1).tolist()
-            for lo, hi in zip([0, *cuts], [*cuts, order.size]):
-                k = size[lo]
-                Kg, rg = K[lo:hi, :k, :k], rhs[lo:hi, :k, None]
+        key = np.where(esc, 0, (act ^ flip).sum(axis=1))
+        order = key.argsort(kind="stable")
+        sizes = key[order].tolist()
+        lo = sizes.count(0)
+        if lo < L:
+            order, sizes = order[lo:], sizes[lo:]
+            P = np.sort(np.where(act[order], held, loose))[:, :sizes[-1]]
+            # Entry (a, b) is Q.flat[min(a, n)(N + 1) + b or its mirror's].
+            F = (np.minimum(P, n) * (N + 1))[:, :, None] + P[:, None, :]
+            K = Q.ravel().take(np.minimum(F, F.transpose(0, 2, 1)))
+            rows = order[:, None]
+            rhs = rhs_src[rows, P][:, :, None]
+            sol = np.zeros((2,) + rhs.shape)    # solutions, then K times them
+            lo = 0
+            for k in sorted(set(sizes)):
+                hi = lo + sizes.count(k)
+                Kg, rg = K[lo:hi, :k, :k], rhs[lo:hi, :k]
                 try:
                     sg = np.linalg.solve(Kg, rg)
                 except np.linalg.LinAlgError:
@@ -270,93 +273,90 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
                             sg[j] = np.linalg.solve(Kg[j], rg[j])
                         except np.linalg.LinAlgError:
                             pass
-                sol[lo:hi, :k] = sg[:, :, 0]
-                Ksol[lo:hi, :k] = np.matmul(Kg, sg)[:, :, 0]
+                sol[0, lo:hi, :k] = sg
+                np.matmul(Kg, sg, out=sol[1, lo:hi, :k])
+                lo = hi
             # A singular or inaccurately solved system is dependent too.
-            ok = (np.isfinite(sol).all(axis=1)
-                  & (np.abs(Ksol - rhs).max(axis=1)
-                     <= 1e-8 * (np.abs(rhs).max(axis=1) + 1.0)))
-            esc[order[~ok]] = True
-            sol[~ok] = 0.0
-            z[order[:, None], P] = sol
+            ok = (np.abs(sol[1] - rhs).max(axis=(1, 2))
+                  <= 1e-8 * (np.abs(rhs).max(axis=(1, 2)) + 1.0))
+            if not ok.all():
+                esc[order[~ok]] = True
+                sol[0, ~ok] = 0.0
+            z[rows, P] = sol[0, :, :, 0]
 
         step = z[:, :n] - x
         smax = np.abs(step).max(axis=1)
-        stat = (smax <= step_tol) & ~esc
-        mv = np.flatnonzero(~stat & ~esc)
-        if mv.size:
-            # Ratio test against inactive constraints, after a leading 1.
-            step, xm, am = step[mv], x[mv], act[mv]
-            Mstep = np.matmul(M, step[:, :, None])[:, :, 0]
-            Mx = np.matmul(M, xm[:, :, None])[:, :, 0]
-            dir_tol = 1e-14 * np.maximum(1.0, smax[mv])[:, None]
-            ratio = np.full((mv.size, N + 1), np.inf)
-            ratio[:, 0] = 1.0
-            np.divide(xm, -step, out=ratio[:, 1:n + 1],
-                      where=~am[:, :n] & (step < -dir_tol))
-            np.divide(rhs_src[mv, n:N] - Mx, Mstep, out=ratio[:, n + 1:],
-                      where=~am[:, n:] & (Mstep > dir_tol * row_scale))
-            # The blocker comes from a sequential fold in index order (bounds,
-            # then rows): with its 1e-15 window a later candidate can replace
-            # the current one without being the smallest ratio.  Only a ratio
-            # within a few 1e-15 of min(1, every earlier ratio) can be taken,
-            # so the fold visits just those.
-            lead = np.minimum.accumulate(ratio, axis=1)
-            alpha = np.ones(mv.size)
-            blocker = np.full(mv.size, -1)
-            prev, blocked = -1, 0
-            rs, ks = np.nonzero(ratio[:, 1:] - lead[:, :-1] <= 1e-14)
-            for r, k, a, rk in zip(rs.tolist(), ks.tolist(),
-                                   ratio[rs, ks + 1].tolist(), rank[ks].tolist()):
-                if r != prev:
-                    prev, alpha_r, blocker_r, rank_r = r, 1.0, -1, None
-                if a < alpha_r - 1e-15 or (abs(a - alpha_r) <= 1e-15 and blocker_r >= 0
-                                           and rk < rank_r):
-                    blocked += blocker_r < 0
-                    alpha_r, blocker_r, rank_r = min(a, alpha_r), k, rk
-                    alpha[r], blocker[r] = alpha_r, blocker_r
-
-            xm += alpha[:, None] * step
-            np.maximum(xm, 0.0, out=xm)
-            stuck = alpha <= 1e-12
-            add = np.flatnonzero((blocker >= 0) & ~stuck)
-            act[mv[add], blocker[add]] = True
-            xm[act[mv, :n]] = 0.0
-            x[mv[~stuck]] = xm[~stuck]
-            # A step blocked at zero length: x is a degenerate point.
-            esc[mv[stuck]] = True
-            if blocked < mv.size:
+        small, go = smax <= step_tol, ~esc
+        stat, move = small & go, go > small     # move: a step to take
+        done = np.zeros(L, dtype=bool)
+        if move.any():
+            # Ratio test: gap (x, u - M x) over rate (-step, M step).
+            gap, rate = np.empty((2, L, N))
+            gap[:, :n] = x
+            np.matmul(M, x[:, :, None], out=gap[:, n:, None])
+            np.subtract(rhs_src[:, n:N], gap[:, n:], out=gap[:, n:])
+            np.negative(step, out=rate[:, :n])
+            np.matmul(M, step[:, :, None], out=rate[:, n:, None])
+            tol = (1e-14 * np.maximum(1.0, smax))[:, None] * dir_scale
+            ratio = np.full((L, N), np.inf)
+            np.divide(gap, rate, out=ratio,
+                      where=((rate > tol) > act) & move[:, None])
+            # The blocker is a fold from a full step in index order: with its
+            # 1e-15 window a later ratio can win without being the smallest.
+            # It takes a smallest ratio below 1 - 2e-15 with no other within
+            # 2e-15 (one below 0 is stuck either way); other problems fold.
+            least = ratio.min(axis=1)
+            simple = ((ratio <= (least + 2e-15)[:, None]).sum(axis=1) == 1)
+            simple &= least < 1.0 - 2e-15
+            alpha = np.where(simple, least, move)   # else a full step, or none
+            blocker = np.where(simple, ratio.argmin(axis=1), -1)
+            for r in ((least < 1.0) > simple).nonzero()[0].tolist():
+                al, bl, ks = 1.0, -1, np.isfinite(ratio[r]).nonzero()[0]
+                for k, a in zip(ks.tolist(), ratio[r, ks].tolist()):
+                    if a < al - 1e-15 or (abs(a - al) <= 1e-15 and bl >= 0
+                                          and rank_of[k] < rank_of[bl]):
+                        al, bl = min(a, al), k
+                alpha[r], blocker[r] = al, bl
+            # Blocked at zero length: degenerate.  alpha = 0 keeps x (no -0.0).
+            stuck = move & (alpha <= 1e-12)
+            esc |= stuck
+            alpha[stuck] = 0.0
+            ra = ((blocker >= 0) > stuck).nonzero()[0]
+            act[ra, blocker[ra]] = True
+            x += alpha[:, None] * step
+            np.maximum(x, 0.0, out=x)
+            np.copyto(x, 0.0, where=act[:, :n])   # a new held bound
+            move &= blocker < 0
+            if move.any():
                 # The next KKT solve would repeat this one: test z - x now.
-                fs = mv[blocker < 0]
-                fs = fs[np.abs(z[fs, :n] - x[fs]).max(axis=1) <= step_tol[fs]]
+                move &= np.abs(z[:, :n] - x).max(axis=1) <= step_tol
+                fs = move.nonzero()[0]
                 for s, c in zip(fs.tolist(), idx[fs].tolist()):
                     if it + fused[c] < max_iter:
                         stat[s], fused[c] = True, fused[c] + 1
                         top = max(top, fused[c])
 
-        done = np.zeros(L, dtype=bool)
-        st = np.flatnonzero(stat)
-        if st.size:
-            # Stationary on the working set: drop the negative multiplier of
-            # lowest rank (distinct, so unique) of all, or under Dantzig's of
-            # those most negative per unit normal, never bound i.  The bound
-            # multipliers are 2G x - 2G[i] + M^T nu, nu zero off active rows.
-            lam = np.matmul(G2, x[st, :, None])[:, :, 0] - rhs_src[st, :n]
-            lam += np.matmul(M.T, z[st, n:N, None])[:, :, 0]
-            z[st, :n] = lam
-            cand = act[st] & (z[st, :N] < -KKT_TOL)
-            cand[np.arange(st.size), ids[idx[st]]] = False
-            found = cand.any(axis=1)
-            done[st[~found]] = True
-            st, cand = st[found], cand[found]
-            if dantzig:
-                score = np.where(cand, z[st, :N] * unit, np.inf)
-                cand &= score == score.min(axis=1, keepdims=True)
-            worst = np.where(cand, rank, N).argmin(axis=1)
-            act[st, worst] = False
+        if stat.any():
+            # Stationary: drop the negative multiplier of lowest rank, or under
+            # Dantzig's of those most negative per unit normal, never bound
+            # i's.  lam = 2G x - 2G[i] + M^T nu on these rows only (large n).
+            st = stat.nonzero()[0]
+            lam = np.matmul(G2, x[st, :, None])
+            lam -= rhs_src[st, :n, None]
+            lam += np.matmul(M.T, z[st, n:N, None])
+            z[st, :n] = lam[:, :, 0]
+            cand = (z[:, :N] < -KKT_TOL) & act
+            cand[np.arange(L), col] = False
+            found = cand.any(axis=1) & stat
+            done = stat > found
+            score = np.where(cand, z[:, :N] * unit if dantzig else 0.0, np.inf)
+            f = found.nonzero()[0]     # argmin: the first of equal scores
+            w = (score if by_rank is None else score[:, by_rank]).argmin(1)
+            act[f, w[f] if by_rank is None else by_rank[w[f]]] = False
 
-        for s in np.flatnonzero(esc).tolist():
-            i = ids[idx[s]]
+        for s in esc.nonzero()[0].tolist():
+            i = col[s]
+            counts["escapes"] += 1
             try:
                 xi, work, done[s], mult = _escape(
                     np.delete(M, i, axis=1), M[:, i], rhs_src[s, n:N],
@@ -367,10 +367,12 @@ def _active_set_ls(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
             x[s], act[s] = np.insert(xi, i, 0.0), np.insert(work, i, True)
             z[s, :N] = np.insert(mult, i, 0.0)
 
-        for s in np.flatnonzero(done).tolist():
+        fin = done.nonzero()[0].tolist()
+        for s in fin:
             if results[idx[s]] is None:       # stopped without an error
-                results[idx[s]] = (x[s].copy(), tuple(np.flatnonzero(act[s]).tolist()),
+                results[idx[s]] = (x[s].copy(), tuple(act[s].nonzero()[0].tolist()),
                                    it + fused[idx[s]], np.where(act[s], z[s, :N], 0.0))
+                counts["pivots"] += it + fused[idx[s]]
 
 
 def _full_column_rank(M):
@@ -383,14 +385,13 @@ def _escape(C, d, u, x):
     C x <= u  is blocked at zero length (a degenerate point).
 
     Fits -g by nonnegative multipliers on the normals of every constraint
-    tight at x (within ``_feasibility``'s activity tolerances), not only of
-    those in the working set.  A zero residual r proves x a KKT point:
-    returns (x, tight, True, mult), tight a mask over bounds, then rows, and
-    mult the fit's multipliers in that index space, zero off the tight set.
-    Otherwise r is, by the Moreau decomposition, a feasible direction with
-    g.r = -|r|^2: returns (x, work, False, mult), x moved to the line minimum
-    along r or to the first constraint that is not tight, and work the fit's
-    support plus that blocker, whose normal is independent of the support's.
+    tight at x (``_feasibility``'s tolerances), not only the working set's.
+    A zero residual r proves x a KKT point: returns (x, tight, True, mult),
+    tight a mask over bounds, then rows, and mult the fit's multipliers in
+    that index space.  Otherwise r is, by the Moreau decomposition, a
+    feasible direction with g.r = -|r|^2: returns (x, work, False, mult), x
+    moved to the line minimum along r or to the first constraint not tight,
+    and work the fit's support plus that blocker.
     """
     p, n = C.shape
     normals = np.vstack([-np.eye(n), C])
@@ -428,12 +429,11 @@ def _escape(C, d, u, x):
 def _column_solutions(M, cols, epsilon, tie_order=None, dantzig=None):
     """Solve the problems of the columns ``cols`` (a slice) of M together.
 
-    One kernel call for all columns, zero ones and a lone one included,
-    then one batched ``_residuals`` of its multipliers, which must certify
-    each column.  A column failed under Dantzig's rule is solved again
-    alone under the lowest-index rule.  Returns the CllsSolutions, or
-    raises the first failing column's error (the kernel's, InfeasiblePoint
-    or a failed certificate) as "column i: <error>"."""
+    One kernel call for all columns, then one batched ``_residuals`` of its
+    multipliers, which must certify each column.  A column failed under
+    Dantzig's rule is solved again alone under the lowest-index rule.
+    Returns the ``Solutions``, or raises the first failing column's error
+    (the kernel's, InfeasiblePoint or a certificate's) as "column i: ..."."""
     _check_epsilon(epsilon)
     m, n = M.shape
     ids = range(n)[cols]
@@ -443,7 +443,9 @@ def _column_solutions(M, cols, epsilon, tie_order=None, dantzig=None):
     # max|M| < 1 is first lifted by a power of two into [1, 2).
     Ml = np.ldexp(M, k) if k else M
     dantzig = _full_column_rank(Ml) if dantzig is None else dantzig
-    results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order, dantzig)
+    counts = collections.Counter()
+    results = _active_set_ls(Ml, cols, epsilon, 50 * n, tie_order, dantzig,
+                             counts)
     S, D = len(ids), Ml.T[cols]
     B, nu = np.zeros((S, n)), np.zeros((S, m))
     for s, res in enumerate(results):
@@ -469,25 +471,25 @@ def _column_solutions(M, cols, epsilon, tie_order=None, dantzig=None):
                                   f"{residual:.3e} exceeds {tol:.3e}")
         except (SolverError, InfeasiblePoint) as exc:
             if dantzig:     # alone: exactly the lowest-index rule's outcome
-                sols += _column_solutions(M, slice(i, i + 1), epsilon,
+                retry = _column_solutions(M, slice(i, i + 1), epsilon,
                                           tie_order, False)
+                counts.update(retry.counters, lowest_index_retries=1)
+                sols += retry
                 continue
             raise type(exc)(f"column {i}: {exc}") from exc
         obj = float(np.sum((D[s] - Ml @ b) ** 2))
         sols.append(CllsSolution(b=b, objective=math.ldexp(obj, -2 * k),
                                  kkt_residual=math.ldexp(residual, -2 * k),
                                  active_set=active, iterations=it))
-    return sols
+    return Solutions(sols, counts)
 
 
 def _residuals(M, ids, B, MB, U, D, nu, bound):
-    """The KKT residual of each point B[s] (as in ``_feasibility``, bound
-    its tight bounds) under row multipliers nu[s] >= 0, whoever computed
-    them: with g the gradient, lam = max(g + M^T nu, 0) on the tight bounds,
-    the larger of |g + M^T nu - lam| without entry i and the largest
-    multiplier times its constraint's gap.  Products are per-point
-    matrix-vector calls, as in the kernel, so the BLAS thread count moves
-    no residual."""
+    """The KKT residual of each point B[s] (bound: its tight bounds) under
+    row multipliers nu[s] >= 0, whoever computed them: with g the gradient
+    and lam = max(g + M^T nu, 0) on the tight bounds, the larger of
+    |g + M^T nu - lam| without entry i and the largest multiplier times its
+    constraint's gap, by per-point products as in the kernel."""
     r = np.matmul(M.T, (2.0 * (MB - D) + nu)[:, :, None])[:, :, 0]
     lam = np.where(bound, np.maximum(r, 0.0), 0.0)
     r -= lam
@@ -520,14 +522,12 @@ def _feasibility(B, ids, MB, U, D):
 def solve_column(p: CllsProblem, tie_order=None):
     """Solve one column's constrained least squares problem.
 
-    The fitted vector M b is the projection of the column onto a polyhedral
-    set and is unique even when b itself is not.  The result carries a KKT
-    residual of at most ``KKT_TOL`` times the gradient scale.  An M with
-    max|M| < 1 is first lifted by a power of two into [1, 2), where the
-    kernel's absolute tolerances hold; the lift is exact, and the objective
-    and KKT residual are reported at the input's scale.  This is the
-    one-column view of ``preprocess_matrix``'s batch, with the same result
-    and the same errors, which name the column: "column i: ...".
+    The fitted vector M b, a projection onto a polyhedral set, is unique
+    even when b is not; its KKT residual is at most ``KKT_TOL`` times the
+    gradient scale.  An M with max|M| < 1 is solved exactly lifted by a
+    power of two into [1, 2), where the kernel's absolute tolerances hold,
+    and objective and residual are reported at the input's scale.  The
+    one-column view of ``preprocess_matrix``: the same result and errors.
     """
     return _column_solutions(p.M, slice(p.i, p.i + 1), p.epsilon,
                              tie_order)[0]
@@ -551,19 +551,17 @@ def kkt_check(p: CllsProblem, b):
     if why[0] is not None:
         raise InfeasiblePoint(why[0])
 
-    # g without entry i, fit by  lam - M[rows]^T nu  with lam, nu >= 0.
+    # g without entry i, fit by  lam - M[rows]^T nu  with lam, nu >= 0, in
+    # C order: the norms and fits round differently on a Fortran copy.
     g = 2.0 * (M.T @ (Mb - d))
     others = np.delete(np.arange(n), i)
-    # C order, like a stack of columns: the norms and fits below round
-    # differently on a Fortran-ordered copy of the same matrix.
     A = np.ascontiguousarray(
         np.hstack([np.eye(n)[others][:, bound[0]], -M[row[0]][:, others].T]))
     nu = np.zeros(m)
     if row.any():
         norms = np.linalg.norm(A, axis=0)
         norms[norms == 0] = 1.0
-        # Bounded-variable least squares for the multiplier fit: the plain
-        # Lawson-Hanson routine mis-reports on near-duplicate normals.
+        # BVLS: the plain Lawson-Hanson fit mis-reports on near-duplicates.
         import scipy.optimize
         fit = scipy.optimize.lsq_linear(A / norms, g[others],
                                         bounds=(0.0, np.inf), method="bvls")
@@ -580,7 +578,8 @@ def preprocess_matrix(M, epsilon=0.0):
     when B* is not.  All columns go through one lockstep kernel call; the
     first failing column's error is raised with its index attached.
 
-    Returns (B_star, solutions).
+    Returns (B_star, solutions), solutions a list of CllsSolution with the
+    kernel's counts as ``solutions.counters`` (see ``Solutions``).
     """
     sols = _column_solutions(as_matrix(M, "M"), slice(None), epsilon)
     return np.column_stack([s.b for s in sols]), sols

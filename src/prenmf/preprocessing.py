@@ -10,7 +10,9 @@ radius of B* stays below one, which this module verifies at runtime.
 
 import functools
 import numpy as np
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .matcore import as_matrix
 from . import cllsolve
@@ -40,6 +42,8 @@ class PreprocessResult:
     P_alpha_M = M - alpha * (M @ B_star) and rho is the spectral radius of
     B_star; rescale holds the positive diagonal applied to the columns of
     P_alpha_M when column rescaling was requested (None otherwise).
+    counters is the read-only mapping of the column kernel's counts for
+    B_star (``cllsolve.Solutions``); no report writes it yet.
     """
 
     B_star: np.ndarray
@@ -49,6 +53,7 @@ class PreprocessResult:
     rho: float
     column_kkt: np.ndarray
     rescale: np.ndarray | None = None
+    counters: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
 
 @dataclass(frozen=True)
@@ -178,4 +183,4 @@ def preprocess(M, epsilon=0.0, alpha=1.0, rescale=False):
         B_star=B_star, epsilon=float(epsilon), alpha=float(alpha),
         P_alpha_M=P, rho=rho,
         column_kkt=np.array([s.kkt_residual for s in sols]),
-        rescale=diag)
+        rescale=diag, counters=sols.counters)

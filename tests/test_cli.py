@@ -269,6 +269,19 @@ class TestFactorizeCommand:
                 in capsys.readouterr().err)
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("seeds", ["-1", "5-2", "0,-3", "a-b", ""])
+    def test_bad_seeds_exit_2_naming_the_flag(self, tmp_path, capsys, seeds):
+        # "-1" read as the range from "" to 1, and "5-2" as an empty range
+        # that failed later without naming the flag.
+        out = tmp_path / "o"
+        code = main(["factorize", "--fixture", "sepex", "--rank", "2",
+                     "--method", "nmf", "--seeds", seeds, "--out", str(out)])
+        assert code == 2
+        assert (f"error: --seeds {seeds!r}: expected A-B with A <= B, or a "
+                "comma list of nonnegative integers"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_reports_refuse_nan(self, tmp_path):
         # NaN is not JSON: no report may carry one.
         path = tmp_path / "r.json"

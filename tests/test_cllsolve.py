@@ -14,12 +14,13 @@ from prenmf.cllsolve import (KKT_TOL, CllsProblem, Infeasible,
                              InfeasiblePoint, MaxIterations, kkt_check,
                              nnls_columns, preprocess_matrix, solve_column)
 from prenmf.fixtures import fixture_names, get_fixture
+from prenmf.preprocessing import preprocess
 from oracles import (active_set_oracle, column_kernel_oracle,
                      grid_column_oracle, nnls_kkt_check, qp_column_check,
                      qp_column_oracle)
 
-from conftest import (lifted, random_nonneg, stress_products, sweep_products,
-                      synthetic)
+from conftest import (lifted, random_nonneg, separable_rank3, stress_products,
+                      sweep_products, synthetic)
 
 
 class TestSolveColumn:
@@ -141,10 +142,12 @@ def certificate_spies(monkeypatch, column=None, edit=None):
     calls, stops = [], []
     kernel, escape = cllsolve._active_set_ls, cllsolve._escape
 
-    def kernel_spy(M, cols, epsilon, max_iter, tie_order=None, dantzig=None):
+    def kernel_spy(M, cols, epsilon, max_iter, tie_order=None, dantzig=None,
+                   counts=None):
         ids = range(M.shape[1])[cols]
         calls.append((list(ids), dantzig))
-        results = kernel(M, cols, epsilon, max_iter, tie_order, dantzig)
+        results = kernel(M, cols, epsilon, max_iter, tie_order, dantzig,
+                         counts)
         if edit is not None:
             s = ids.index(column)
             x, active, it, mult = results[s]
@@ -366,11 +369,13 @@ class TestPreprocessMatrix:
         # column rank, so Dantzig's rule drops multipliers (the lowest-index
         # rule took 1,449 and 3,191 pivots), and at eps > 0 each column
         # starts with its bound-only optimum's support free (1,172 pivots
-        # from the cold start).
+        # from the cold start).  The pivots take 47 and 12 lockstep
+        # iterations.
         M = synthetic(50, 40, 5)
-        for eps, pivots in ((0.0, 632), (0.05, 188)):
+        for eps, pivots, lockstep in ((0.0, 632, 47), (0.05, 188, 12)):
             _, sols = preprocess_matrix(M, epsilon=eps)
             assert sum(s.iterations for s in sols) == pivots
+            assert sols.counters["lockstep_iterations"] == lockstep
 
 
 def pinned_separable(seed=0):
@@ -418,6 +423,14 @@ class TestLockstepKernel:
                      slice(45, 46), id="noiseless-150x120-seed28-col45"),
         pytest.param(synthetic(150, 120, 10, noise=0.0, seed=50), 0.0,
                      slice(75, 76), id="noiseless-150x120-seed50-col75"),
+        # The benchmark's shapes: rank3-npp's largest separable input, at its
+        # own scale on the lowest-index path, and the tall synthetic input.
+        pytest.param(separable_rank3(np.random.default_rng(0), 14, 12), 0.0,
+                     slice(None), id="separable-14x12"),
+        pytest.param(lifted(synthetic(400, 60, 6)), 0.0, slice(None),
+                     id="400x60"),
+        pytest.param(lifted(synthetic(400, 60, 6)), 0.05, slice(None),
+                     id="400x60-eps"),
     ] + [pytest.param(lifted(get_fixture(f)), 0.0, slice(None), id=f)
          for f in fixture_names()])
     def test_matches_serial_oracle(self, M, eps, cols):
@@ -596,6 +609,72 @@ class TestPivotRule:
         alone = solve_column(CllsProblem(M, 6))
         assert_same_path((alone.b, alone.active_set, alone.iterations),
                          (B[:, 6], sols[6].active_set, sols[6].iterations))
+
+
+def counted_preprocess(monkeypatch, M, eps):
+    """preprocess(M, eps)'s counters, and the same counts taken by wrapping
+    the kernel, ``_escape`` and scipy's nnls."""
+    seen = {"calls": 0, "pivots": 0, "escapes": 0, "bound_only_starts": 0}
+    kernel, escape, nnls = (cllsolve._active_set_ls, cllsolve._escape,
+                            scipy.optimize.nnls)
+    escaping = []
+
+    def kernel_spy(*args):
+        results = kernel(*args)
+        seen["calls"] += 1
+        seen["pivots"] += sum(r[2] for r in results
+                              if not isinstance(r, Exception))
+        return results
+
+    def escape_spy(*args):
+        seen["escapes"] += 1
+        escaping.append(True)
+        try:
+            return escape(*args)
+        finally:
+            escaping.pop()
+
+    def nnls_spy(*args, **kwargs):
+        out = nnls(*args, **kwargs)     # its iteration cap: no start
+        seen["bound_only_starts"] += not escaping
+        return out
+
+    monkeypatch.setattr(cllsolve, "_active_set_ls", kernel_spy)
+    monkeypatch.setattr(cllsolve, "_escape", escape_spy)
+    monkeypatch.setattr(scipy.optimize, "nnls", nnls_spy)
+    counters = preprocess(M, eps).counters
+    monkeypatch.undo()
+    return counters, seen
+
+
+class TestCounters:
+    """The kernel's counters in ``PreprocessResult.counters``."""
+
+    def test_counters_match_counts_taken_outside(self, monkeypatch):
+        # Stress input 1014 retries a column and escapes; sparsity-example
+        # at eps > 0 fits nnls both to start and to escape; 50x40 starts
+        # every column.
+        stress = next(M for k, M in stress_products() if k == 1014)
+        totals = dict.fromkeys(["escapes", "lowest_index_retries",
+                                "bound_only_starts"], 0)
+        for M, eps in [(stress, 0.0), (get_fixture("sparsity-example"), 0.05),
+                       (synthetic(50, 40, 5), 0.05)]:
+            counters, seen = counted_preprocess(monkeypatch, M, eps)
+            assert set(counters) == {"pivots", "lockstep_iterations",
+                                     "escapes", "lowest_index_retries",
+                                     "bound_only_starts"}
+            for key in ("pivots", "escapes", "bound_only_starts"):
+                assert counters[key] == seen[key], key
+            assert counters["lowest_index_retries"] == seen["calls"] - 1
+            for key in totals:
+                totals[key] += counters[key]
+        assert min(totals.values()) > 0
+
+    def test_counters_are_read_only(self, nested_squares):
+        res = preprocess(nested_squares)
+        with pytest.raises(TypeError):
+            res.counters["pivots"] = 0
+        assert res.counters["pivots"] == 20
 
 
 def tight_set(L, i, eps, x):

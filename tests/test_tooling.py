@@ -6,6 +6,7 @@ a changed return type, would otherwise surface only in a traced benchmark
 run.  The file is loaded from the checkout as it is, without changes.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -140,6 +141,56 @@ def test_instance_walks_its_change_points_once(monkeypatch):
     assert npp3.feasible_k(npp, 3)[0]
     assert len(npp3.enumerate_solutions(npp, 3)) == 8
     assert counts == {"contact_change_points": 1}
+
+
+def private_api_paths(source):
+    """The numpy and scipy paths that ``source`` imports or reads through
+    a ``_``-prefixed name, whatever the local aliases."""
+    tree = ast.parse(source)
+    alias, paths = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] in ("numpy", "scipy"):
+                    paths.append(a.name)
+                    alias[a.asname or a.name.split(".")[0]] = (
+                        a.name if a.asname else a.name.split(".")[0])
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] in ("numpy", "scipy")):
+            for a in node.names:
+                paths.append(f"{node.module}.{a.name}")
+                alias[a.asname or a.name] = f"{node.module}.{a.name}"
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in alias:
+            paths.append(".".join([alias[node.id], *reversed(parts)]))
+    return sorted({p for p in paths if any(
+        part.startswith("_") and not part.endswith("__")
+        for part in p.split("."))})
+
+
+def test_src_uses_no_private_numpy_or_scipy_api():
+    # A private module such as numpy.linalg._umath_linalg skips the public
+    # function's checks and may change in any release.
+    src = Path(prenmf.__file__).resolve().parent
+    found = {f.name: private_api_paths(f.read_text())
+             for f in sorted(src.glob("*.py"))}
+    assert len(found) >= 10
+    assert not any(found.values()), found
+    # The check sees private paths through imports and aliases alike.
+    assert private_api_paths("import numpy as np\n"
+                             "np.linalg._umath_linalg.solve(a, b)\n") == [
+        "numpy.linalg._umath_linalg", "numpy.linalg._umath_linalg.solve"]
+    for source in ["from numpy.linalg import _umath_linalg",
+                   "import scipy.optimize._nnls",
+                   "from scipy.optimize._nnls import nnls",
+                   "import scipy.optimize as so\nso._lsq.bvls"]:
+        assert private_api_paths(source), source
+    assert private_api_paths("import numpy as np\nnp.__version__\n"
+                             "np.linalg.solve(a, b)\n") == []
 
 
 def test_npp3_does_not_import_scipy():
